@@ -212,7 +212,17 @@ def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
 # vectorized ensemble
 
 
-_BLOCK = 256
+# Block buffers hold at most about _BLOCK_BUDGET trial-steps of kick
+# coefficients: the block length is that budget over the survivors, clipped
+# so that the per-trial refill and the per-step overhead stay amortised.
+_BLOCK_BUDGET = 1 << 20
+_MIN_BLOCK, _MAX_BLOCK = 32, 256
+# widest default batch whose shortest block still fits the budget
+_MAX_BATCH = _BLOCK_BUDGET // _MIN_BLOCK
+# kicked states held between two absorption scans
+_SCAN = 32
+# trials whose draws are transposed together (their rows stay in cache)
+_TILE = 64
 
 
 def _step_batch(states: np.ndarray, fields: np.ndarray, params: SpinWalkParams) -> None:
@@ -228,93 +238,179 @@ def _step_batch(states: np.ndarray, fields: np.ndarray, params: SpinWalkParams) 
     states[:, 1] = c * p1 + s * ((bx + 1j * by) * p0 - bz * p1)
 
 
+def _kick_coefficients(gens, block: int, params: SpinWalkParams,
+                       real: np.ndarray, cplx: np.ndarray):
+    """Complex ``(c, s, bz, bp, bm)`` planes of shape (block, n).
+
+    Each generator draws its next ``block`` fields into its own contiguous
+    row of a tile of trials, and each tile is transposed into step-major
+    rows of ``real`` (5, ≥ block·n); the planes are written to ``cplx``
+    (5, ≥ block·n).  Every element goes through the same floating-point
+    operations as in :func:`_step_batch`: ``Generator.normal`` is
+    ``loc + scale * z``, ``(f0² + f1²) + f2²`` is the order in which
+    ``np.linalg.norm`` sums a 3-vector, and a real factor of a complex
+    product is promoted to complex there too, so ``c`` and ``bz`` are
+    stored promoted.
+    """
+    n = len(gens)
+    size = block * n
+    fields = real[:3].reshape(-1)[: 3 * size].reshape(block * 3, n)
+    tile = np.empty((min(_TILE, n), block * 3))
+    for lo in range(0, n, _TILE):
+        rows = tile[: min(_TILE, n - lo)]
+        for row, gen in zip(rows, gens[lo : lo + _TILE]):
+            gen.standard_normal(out=row)
+        fields[:, lo : lo + len(rows)] = rows.T
+    np.multiply(fields, params.field_std, out=fields)
+    np.add(fields, 0.0, out=fields)
+    f0, f1, f2 = fields.reshape(block, 3, n).transpose(1, 0, 2)
+    norm, lam = (real[3 + i, :size].reshape(block, n) for i in range(2))
+    c, s, bz, bp, bm = (cplx[i, :size].reshape(block, n) for i in range(5))
+
+    np.multiply(f0, f0, out=norm)
+    np.multiply(f1, f1, out=lam)
+    np.add(norm, lam, out=norm)
+    np.multiply(f2, f2, out=lam)
+    np.add(norm, lam, out=norm)
+    np.sqrt(norm, out=norm)
+    np.multiply(params.mu, norm, out=lam)
+    np.multiply(lam, params.dt, out=lam)
+    np.divide(lam, params.hbar, out=lam)
+    norm[norm == 0.0] = 1.0
+    np.divide(f2, norm, out=bz)
+    np.divide(f0, norm, out=f0)
+    np.divide(f1, norm, out=f1)
+    # cos into a real plane first: a complex output would force numpy's
+    # buffered casting path, which costs twice the cosine itself
+    np.cos(lam, out=norm)
+    np.copyto(c, norm)
+    np.sin(lam, out=lam)
+    np.multiply(1j, lam, out=s)
+    np.multiply(1j, f1, out=bp)
+    np.add(f0, bp, out=bp)
+    np.conjugate(bp, out=bm)
+    return c, s, bz, bp, bm
+
+
+def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
+                results, steps_out, finals) -> None:
+    """Walk trials ``ids`` to absorption, writing their rows of the outputs."""
+    start = _classify(_height(phi0), params)
+    if start is not None:
+        results[ids] = start
+        finals[ids] = phi0
+        return
+    zc = params.absorb_z
+    gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
+    n = ids.size
+    # no later block (fewer survivors) needs more than this many trial-steps
+    cap = min(max(_BLOCK_BUDGET, _MIN_BLOCK * n), _MAX_BLOCK * n, params.max_steps * n)
+    real = np.empty((5, cap))
+    cplx = np.empty((5, cap), dtype=complex)
+    ring_buf = np.empty(2 * _SCAN * n, dtype=complex)
+    ring = ring_buf.reshape(2, _SCAN, n)
+    ring[:, -1] = phi0[:, None]
+
+    step = 0
+    while n and step < params.max_steps:
+        block = min(max(_BLOCK_BUDGET // n, _MIN_BLOCK), _MAX_BLOCK,
+                    params.max_steps - step)
+        c, s, bz, bp, bm = _kick_coefficients(gens, block, params, real, cplx)
+        slots0, slots1 = list(ring[0]), list(ring[1])
+        u = np.empty(n, dtype=complex)
+        v = np.empty(n, dtype=complex)
+        # rows that absorb mid-block keep stepping (their outputs are already
+        # frozen); survivors are compacted at the block end
+        alive = np.ones(n, dtype=bool)
+        for w0 in range(0, block, _SCAN):
+            width = min(_SCAN, block - w0)
+            for j in range(width):
+                k = w0 + j
+                ck, sk, zk, pk, mk = c[k], s[k], bz[k], bp[k], bm[k]
+                p0, p1 = slots0[j - 1], slots1[j - 1]
+                n0, n1 = slots0[j], slots1[j]
+                # n0 = c*p0 + s*(bz*p0 + bm*p1)
+                np.multiply(ck, p0, out=n0)
+                np.multiply(zk, p0, out=u)
+                np.multiply(mk, p1, out=v)
+                np.add(u, v, out=u)
+                np.multiply(sk, u, out=u)
+                np.add(n0, u, out=n0)
+                # n1 = c*p1 + s*(bp*p0 - bz*p1)
+                np.multiply(ck, p1, out=n1)
+                np.multiply(pk, p0, out=u)
+                np.multiply(zk, p1, out=v)
+                np.subtract(u, v, out=u)
+                np.multiply(sk, u, out=u)
+                np.add(n1, u, out=n1)
+
+            # absorption scan: each row's first crossing in this window
+            window = ring[:, :width]
+            z = np.abs(window[1]) ** 2 - np.abs(window[0]) ** 2
+            hit = (np.abs(z) >= zc) & alive
+            rows = np.flatnonzero(hit.any(axis=0))
+            if rows.size:
+                first = hit[:, rows].argmax(axis=0)
+                t = ids[rows]
+                up = z[first, rows] >= zc
+                results[t[up]] = WalkResult.UP
+                results[t[~up]] = WalkResult.DOWN
+                steps_out[t] = step + w0 + first + 1
+                finals[t] = window[:, first, rows].T
+                alive[rows] = False
+                if not alive.any():
+                    break
+
+        step += block
+        keep = np.flatnonzero(alive)
+        survivors = ring[:, width - 1, keep]
+        ids = ids[keep]
+        gens = [gens[i] for i in keep]
+        n = keep.size
+        ring = ring_buf[: 2 * _SCAN * n].reshape(2, _SCAN, n)
+        ring[:, -1] = survivors
+
+    if n:
+        results[ids] = WalkResult.UNRESOLVED
+        steps_out[ids] = params.max_steps
+        finals[ids] = ring[:, -1].T
+
+
 def run_ensemble(
     phi0,
     trials: int,
     params: SpinWalkParams,
-    batch_size: int = 4096,
+    batch_size: int | None = None,
     trial_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes for trials 0..trials−1, identical to per-trial run_walk.
 
     Returns ``(results, steps, final_states)`` where ``results`` holds
     ``WalkResult`` values, ``steps`` the kick counts and ``final_states``
-    the (trials, 2) spinors at stopping time.  ``trial_offset`` shifts the
-    substream ids only, so a run split into chunks reproduces the unsplit
-    run row for row.
+    the (trials, 2) spinors at stopping time.
+
+    All trials walk as one batch (``batch_size=None``) up to 2¹⁵ trials;
+    wider runs are split into batches of that width, or of ``batch_size``
+    when given.  Fields are drawn in blocks whose buffers hold about 2²⁰
+    trial-steps, so memory stays bounded whatever ``max_steps`` is.  Every
+    trial is a pure function of its substream ``(seed, trial +
+    trial_offset)`` and is computed with the same floating-point operations
+    as :func:`run_walk`, so results, step counts and final states match it
+    bit for bit at any batch width; ``trial_offset`` shifts the substream
+    ids only, so a run split into chunks reproduces the unsplit run row for
+    row.
     """
     phi0 = _as_unit_spinor(phi0)
     results = np.empty(trials, dtype=object)
     steps_out = np.zeros(trials, dtype=np.int64)
     finals = np.empty((trials, 2), dtype=complex)
-    zc = params.absorb_z
-
-    for start in range(0, trials, batch_size):
-        ids = np.arange(start, min(start + batch_size, trials))
-        gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
-        p0 = np.full(ids.size, phi0[0])
-        p1 = np.full(ids.size, phi0[1])
-
-        z0 = np.abs(p1) ** 2 - np.abs(p0) ** 2
-        for hit, label in ((z0 >= zc, WalkResult.UP), (z0 <= -zc, WalkResult.DOWN)):
-            if hit.any():
-                results[ids[hit]] = label
-                finals[ids[hit]] = np.stack([p0[hit], p1[hit]], axis=1)
-        keep = (z0 < zc) & (z0 > -zc)
-        ids, gens = ids[keep], [g for g, k in zip(gens, keep) if k]
-        p0, p1 = p0[keep], p1[keep]
-
-        step = 0
-        while ids.size and step < params.max_steps:
-            # refill: survivors draw the next _BLOCK fields from their own
-            # streams; kick coefficients use the same elementwise expressions
-            # as _step_batch, so every trial matches run_walk bit for bit.
-            # Block arrays are laid out step-major so the hot loop only
-            # touches contiguous trial-vectors.
-            block = min(_BLOCK, params.max_steps - step)
-            fields = np.stack(
-                [g.normal(0.0, params.field_std, (block, 3)) for g in gens],
-                axis=1,
-            )  # (block, n, 3)
-            norms = np.linalg.norm(fields, axis=2)
-            safe = np.where(norms == 0.0, 1.0, norms)
-            axes = fields / safe[..., None]
-            lam = params.mu * norms * params.dt / params.hbar
-            c = np.cos(lam)
-            s = 1j * np.sin(lam)
-            bz = np.ascontiguousarray(axes[..., 2])
-            bp = axes[..., 0] + 1j * axes[..., 1]
-            bm = np.conj(bp)
-
-            # rows that absorb mid-block keep stepping (their outputs are
-            # already frozen); this keeps the hot loop free of gather/scatter
-            alive = np.ones(ids.size, dtype=bool)
-            for k in range(block):
-                step += 1
-                n0 = c[k] * p0 + s[k] * (bz[k] * p0 + bm[k] * p1)
-                n1 = c[k] * p1 + s[k] * (bp[k] * p0 - bz[k] * p1)
-                p0, p1 = n0, n1
-                z = np.abs(p1) ** 2 - np.abs(p0) ** 2
-                crossed = alive & ((z >= zc) | (z <= -zc))
-                if crossed.any():
-                    rows = np.flatnonzero(crossed)
-                    up = z[rows] >= zc
-                    results[ids[rows[up]]] = WalkResult.UP
-                    results[ids[rows[~up]]] = WalkResult.DOWN
-                    steps_out[ids[rows]] = step
-                    finals[ids[rows]] = np.stack([p0[rows], p1[rows]], axis=1)
-                    alive[rows] = False
-                    if not alive.any():
-                        break
-
-            ids = ids[alive]
-            gens = [g for g, a in zip(gens, alive) if a]
-            p0, p1 = p0[alive].copy(), p1[alive].copy()
-
-        if ids.size:
-            results[ids] = WalkResult.UNRESOLVED
-            steps_out[ids] = params.max_steps
-            finals[ids] = np.stack([p0, p1], axis=1)
+    if batch_size is None:
+        batch_size = max(1, min(trials, _MAX_BATCH))
+    elif batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    for lo in range(0, trials, batch_size):
+        ids = np.arange(lo, min(lo + batch_size, trials))
+        _walk_batch(phi0, ids, params, trial_offset, results, steps_out, finals)
     return results, steps_out, finals
 
 

@@ -1,8 +1,8 @@
 """Statistical machinery shared by the Monte Carlo experiments.
 
-Seeded counter-based RNG substreams, a few samplers, and the small set of
-goodness-of-fit / uniformity tests the experiment suites need.  This is not a
-general statistics library.
+Seeded counter-based RNG substreams and the small set of goodness-of-fit /
+uniformity tests the experiment suites need.  This is not a general
+statistics library.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from scipy import stats as sps
 
 __all__ = [
     "RngStream",
+    "SparseTableError",
     "TestReport",
-    "binomial_interval",
     "chi_square_gof",
     "direction_uniformity",
-    "normal_sample",
     "two_proportion_z",
 ]
 
@@ -53,13 +52,8 @@ class TestReport:
         return self.p_value >= self.alpha
 
 
-def normal_sample(stream: RngStream, mean: float, std: float, size=None):
-    """Normal draws from the given stream; deterministic per (seed, stream_id)."""
-    if std < 0:
-        raise ValueError("std must be nonnegative")
-    if std == 0:
-        return mean if size is None else np.full(size, float(mean))
-    return stream.generator().normal(mean, std, size)
+class SparseTableError(ValueError):
+    """Merging sparse cells left fewer than two cells to test."""
 
 
 def chi_square_gof(observed, expected_probs, alpha: float = 0.001) -> TestReport:
@@ -87,26 +81,12 @@ def chi_square_gof(observed, expected_probs, alpha: float = 0.001) -> TestReport
         exp = np.delete(exp, i)
         obs = np.delete(obs, i)
     if exp.size < 2:
-        raise ValueError("too few occupied cells for a chi-square test")
+        raise SparseTableError("too few occupied cells for a chi-square test")
 
     statistic = float(((obs - exp) ** 2 / exp).sum())
     df = exp.size - 1
     p_value = float(sps.chi2.sf(statistic, df))
     return TestReport(statistic=statistic, p_value=p_value, alpha=alpha)
-
-
-def binomial_interval(successes: int, trials: int, confidence: float = 0.99):
-    """Normal-approximation confidence interval for a binomial proportion.
-
-    Uses the Wald form p̂ ± z·sqrt(p̂(1−p̂)/n), clipped to [0, 1]; no continuity
-    correction (adequate for the >= 10^3-trial experiments this backs).
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    p = successes / trials
-    z = sps.norm.ppf(0.5 + confidence / 2.0)
-    half = z * np.sqrt(p * (1.0 - p) / trials)
-    return (max(0.0, p - half), min(1.0, p + half))
 
 
 def two_proportion_z(k1: int, n1: int, k2: int, n2: int, alpha: float = 0.0027) -> TestReport:

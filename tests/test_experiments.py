@@ -176,6 +176,21 @@ class TestHonestFailure:
         assert (tmp_path / "estimates-summary.json").exists()
 
 
+class TestPositionBorn:
+    def test_single_merged_cell_reports_untestable(self, tmp_path):
+        # at N = 2, 400 trials and seed 38 the smaller cell expects fewer
+        # than 5 counts, so merging leaves one cell and no chi-square test
+        cfg = ex.ExperimentConfig(
+            experiment="position-born", parameters={"n_cells": 2},
+            seed=38, trials=400, output_dir=str(tmp_path),
+        )
+        summary = ex.run(cfg)
+        by_name = {c.name: c for c in summary.checks}
+        assert by_name["chi_square_p_value"].measured == 0.0
+        assert not by_name["chi_square_p_value"].passed
+        assert (tmp_path / "position-born-summary.json").exists()
+
+
 class TestDeterminism:
     def test_worker_chunks_cover_range_in_order(self):
         chunks = ex._worker_chunks(10, 3)

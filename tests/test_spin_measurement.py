@@ -170,6 +170,92 @@ def test_ensemble_matches_scalar_walks():
         np.testing.assert_array_equal(finals[t], solo.final_state)
 
 
+def assert_matches_run_walk(phi0, trials, p, **kw):
+    """run_ensemble equals run_walk trial by trial, final states bitwise."""
+    results, steps, finals = run_ensemble(phi0, trials, p, **kw)
+    offset = kw.get("trial_offset", 0)
+    for t in range(trials):
+        solo = run_walk(phi0, p, stream_id=t + offset)
+        assert results[t] is solo.result, t
+        assert steps[t] == solo.steps, t
+        assert finals[t].tobytes() == solo.final_state.tobytes(), t
+    return results, steps, finals
+
+
+# shorter walks than params(): cap at |z| >= 0.9, about 200 kicks from z = 0
+def short_walks(**kw):
+    return params(absorb_eps=0.05, **kw)
+
+
+@pytest.mark.parametrize("z0, result", [(0.95, WalkResult.UP), (-0.95, WalkResult.DOWN)])
+def test_ensemble_start_inside_cap_takes_no_steps(z0, result):
+    phi0 = state_with_height(z0)
+    results, steps, finals = assert_matches_run_walk(phi0, 5, short_walks(seed=3))
+    assert all(r is result for r in results)
+    assert not steps.any()
+    assert finals.tobytes() == np.tile(phi0, (5, 1)).tobytes()
+
+
+def test_ensemble_absorption_on_first_kick():
+    _, steps, _ = assert_matches_run_walk(state_with_height(0.895), 60, short_walks(seed=4))
+    assert (steps == 1).any()
+
+
+def test_ensemble_absorption_on_scan_window_and_block_edges():
+    from hilbertbridge.spin_measurement import _MAX_BLOCK, _SCAN
+
+    # 300 walks fit in blocks of _MAX_BLOCK kicks; seed 5 has walks that
+    # end on the last and the first kick of a scan window and of a block
+    _, steps, _ = assert_matches_run_walk(state_with_height(0.0), 300, short_walks(seed=5))
+    assert (steps % _SCAN == 0).any() and (steps % _SCAN == 1).any()
+    assert (steps == _MAX_BLOCK).any() and (steps == _MAX_BLOCK + 1).any()
+
+
+@pytest.mark.parametrize("max_steps", [20, 300])
+def test_ensemble_step_budget_off_the_block_grid(max_steps):
+    # 20 kicks end inside the first scan window; 300 = one block of 256
+    # plus a partial window; both leave survivors UNRESOLVED
+    p = short_walks(max_steps=max_steps, seed=6)
+    results, steps, _ = assert_matches_run_walk(state_with_height(0.75), 120, p)
+    unresolved = results == WalkResult.UNRESOLVED
+    assert unresolved.any() and (~unresolved).any()
+    assert (steps[unresolved] == max_steps).all()
+
+
+def test_ensemble_matches_scalar_walks_at_other_field_std():
+    p = short_walks(dt=0.05, field_std=0.7, seed=8)
+    results, _, _ = assert_matches_run_walk(state_with_height(0.3), 80, p)
+    assert (results != WalkResult.UNRESOLVED).all()
+
+
+def test_ensemble_chunks_by_trial_offset_concatenate_to_unsplit_run():
+    # 33 000 trials exceed one default batch, so the unsplit run is batched
+    p = short_walks(max_steps=6, seed=9)
+    phi0 = state_with_height(0.86)
+    whole = run_ensemble(phi0, 33_000, p)
+    parts = [run_ensemble(phi0, hi - lo, p, trial_offset=lo)
+             for lo, hi in ((0, 7), (7, 20_000), (20_000, 33_000))]
+    assert list(whole[0]) == [r for part in parts for r in part[0]]
+    for i in (1, 2):
+        joined = np.concatenate([part[i] for part in parts])
+        assert whole[i].tobytes() == joined.tobytes()
+    for t in range(32_766, 32_771):  # straddles the default batch split
+        solo = run_walk(phi0, p, stream_id=t)
+        assert whole[0][t] is solo.result
+        assert whole[1][t] == solo.steps
+        assert whole[2][t].tobytes() == solo.final_state.tobytes()
+
+
+def test_componentwise_norm_equals_linalg_norm_bitwise():
+    # the ensemble sums squared field components as (f0² + f1²) + f2²,
+    # which must be the order np.linalg.norm uses for 3-vectors
+    rng = np.random.default_rng(2718)
+    fields = rng.normal(size=(1_000_000, 3)) * rng.uniform(0.1, 10.0, size=(1_000_000, 1))
+    f0, f1, f2 = np.ascontiguousarray(fields.T)
+    ours = np.sqrt((f0 * f0 + f1 * f1) + f2 * f2)
+    assert ours.tobytes() == np.linalg.norm(fields, axis=-1).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # ensemble statistics
 
