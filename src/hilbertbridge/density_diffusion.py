@@ -22,7 +22,7 @@ from hilbertbridge.position_measurement import (
     CellState,
     GeneratorMode,
     PositionWalkParams,
-    _apply_unitary_batch,
+    hermitian_generator,
 )
 from hilbertbridge.spin_measurement import SpinWalkParams, _step_batch
 from hilbertbridge.stats_util import RngStream
@@ -293,6 +293,21 @@ def _spin_msd(phi0, params: SpinWalkParams, n_steps: int, trials: int) -> np.nda
     return out
 
 
+def _apply_unitary_batch(
+    states: np.ndarray, hams: np.ndarray, params: PositionWalkParams
+) -> np.ndarray:
+    """exp(−iτH/ħ)ψ for a batch of states/generators via eigh.
+
+    The cell walks kick with a Taylor series instead (``position_measurement``);
+    this eigh form stays here because the published state-msd floats were
+    computed with it, and the Taylor form rounds differently.
+    """
+    w, vecs = np.linalg.eigh(hams)
+    y = np.einsum("kba,kb->ka", vecs.conj(), states)
+    y *= np.exp(-1j * params.tau * w / params.hbar)
+    return np.einsum("kab,kb->ka", vecs, y)
+
+
 def _position_msd(
     state0: CellState, params: PositionWalkParams, n_steps: int, trials: int
 ) -> np.ndarray:
@@ -306,8 +321,7 @@ def _position_msd(
     for k in range(1, n_steps + 1):
         if params.tau > 0:
             raw = np.stack([g.normal(size=(2, n, n)) for g in gens])
-            m = raw[:, 0] + 1j * raw[:, 1]
-            hams = params.v_std * 0.5 * (m + m.conj().transpose(0, 2, 1))
+            hams = hermitian_generator(raw[:, 0], raw[:, 1], params.v_std)
             states = _apply_unitary_batch(states, hams, params)
         ov = np.abs(states @ start.conj())
         out[k] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import constants, stats
+from scipy import constants
 
 from hilbertbridge import (
     born_bridge,
@@ -68,13 +68,16 @@ class ParamSpec:
                 raise ValueError(f"expected an integer, got {raw}")
             return int(raw)
         if self.kind == "real":
-            return float(raw)
-        if self.kind == "vector":
+            values = (float(raw),)
+        elif self.kind == "vector":
             if isinstance(raw, str):
-                parts = [p for p in raw.replace(",", " ").split() if p]
-                return tuple(float(p) for p in parts)
-            return tuple(float(v) for v in raw)
-        raise ValueError(f"unknown parameter kind {self.kind!r}")
+                raw = [p for p in raw.replace(",", " ").split() if p]
+            values = tuple(float(v) for v in raw)
+        else:
+            raise ValueError(f"unknown parameter kind {self.kind!r}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"expected finite numbers, got {raw!r}")
+        return values[0] if self.kind == "real" else values
 
 
 @dataclasses.dataclass(frozen=True)
@@ -409,8 +412,9 @@ def _run_curvature(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 
 
 def _random_hermitian(gen: np.random.Generator, n: int) -> np.ndarray:
-    m = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
-    return (m + m.conj().T) / 2
+    return position_measurement.hermitian_generator(
+        gen.normal(size=(n, n)), gen.normal(size=(n, n))
+    )
 
 
 def _run_uncertainty(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
@@ -712,6 +716,8 @@ def _run_continuity(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 
 
 def _run_diffusion(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+    from scipy.stats import chi, kstest, linregress
+
     p = cfg.parameters
     params = density_diffusion.DiffusionParams(
         diffusivity=p["diffusivity"],
@@ -721,10 +727,10 @@ def _run_diffusion(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
         seed=cfg.resolved_seed,
     )
     out = density_diffusion.brownian_ensemble(params)
-    fit = stats.linregress(out.times, out.mean_square_displacement)
+    fit = linregress(out.times, out.mean_square_displacement)
     scale = math.sqrt(2 * p["diffusivity"] * p["t_final"])
     r = np.linalg.norm(out.final_positions, axis=1)
-    ks = stats.kstest(r, stats.chi(df=3, scale=scale).cdf)
+    ks = kstest(r, chi(df=3, scale=scale).cdf)
 
     rows = [
         (k, float(t), float(m))
@@ -742,6 +748,8 @@ def _run_diffusion(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 
 
 def _run_state_msd(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+    from scipy.stats import linregress
+
     p = cfg.parameters
     trials = cfg.resolved_trials
     n_steps = int(p["n_steps"])
@@ -752,7 +760,7 @@ def _run_state_msd(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     spin_out = density_diffusion.state_density_msd(
         _spinor_at_height(0.0), spin_params, n_steps=n_steps, trials=trials
     )
-    spin_fit = stats.linregress(spin_out.steps, spin_out.mean_square_angle)
+    spin_fit = linregress(spin_out.steps, spin_out.mean_square_angle)
 
     n_cells = int(p["n_cells"])
     pos_params = position_measurement.PositionWalkParams(
@@ -764,7 +772,7 @@ def _run_state_msd(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
         position_measurement.CellState(basis), pos_params,
         n_steps=n_steps, trials=trials,
     )
-    pos_fit = stats.linregress(pos_out.steps, pos_out.mean_square_angle)
+    pos_fit = linregress(pos_out.steps, pos_out.mean_square_angle)
 
     control_params = position_measurement.PositionWalkParams(
         tau=0.0, v_std=p["v_std"], seed=cfg.resolved_seed

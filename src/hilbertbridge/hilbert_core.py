@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 __all__ = [
     "ClassicalPath",
@@ -295,6 +294,8 @@ def _axis_convolve(values: np.ndarray, kern1d: Callable[[np.ndarray], np.ndarray
     'same'-mode FFT convolution reproduces the full discrete sum exactly
     (up to FFT round-off).
     """
+    from scipy.signal import fftconvolve  # slow to import; only grids need it
+
     out = values
     for ax in range(values.ndim):
         n = values.shape[ax]

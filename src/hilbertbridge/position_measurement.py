@@ -39,6 +39,7 @@ __all__ = [
     "discretize",
     "diag_potential_step",
     "velocity_isotropy_diagnostic",
+    "hermitian_generator",
     "isotropic_step",
     "run_measurement",
     "run_position_ensemble",
@@ -93,9 +94,11 @@ class CellState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
+        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
         if amp.ndim != 1 or amp.size < 2:
             raise ValueError("amplitudes must be a 1-d vector of length >= 2")
+        if not np.isfinite(amp).all():
+            raise ValueError("cell amplitudes must be finite")
         if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
             raise ValueError("cell amplitudes must be unit norm")
         object.__setattr__(self, "amplitudes", amp)
@@ -129,6 +132,8 @@ class PositionWalkParams:
     generator_mode: GeneratorMode = GeneratorMode.ISOTROPIC
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.tau, self.v_std, self.hbar))):
+            raise ValueError("tau, v_std and hbar must be finite")
         if self.tau < 0:
             raise ValueError("tau must be nonnegative")
         if self.v_std <= 0 or self.hbar <= 0:
@@ -267,37 +272,160 @@ def run_diagonal_walk(
     return CellState(np.exp(-1j * params.tau * theta / params.hbar) * c)
 
 
-def _sample_gue(rng: np.random.Generator, n: int, scale: float) -> np.ndarray:
-    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * (m + m.conj().T) / 2
+def hermitian_generator(re, im, scale: float = 1.0, out=None) -> np.ndarray:
+    """GUE generator ``scale·(M + Mᴴ)/2`` with ``M = re + i·im``.
+
+    The transpose is over the last two axes, so ``re``/``im`` may hold a
+    stack of matrices.  With standard normal planes every entry has
+    E|H_ab|² = scale², so E‖H‖²_F = scale²·N².  Every random Hermitian
+    matrix in the package is built here, which keeps each walk's generators
+    equal bit for bit to those of the walk it is checked against.  ``out``
+    may be any complex array of the right shape, including a transposed
+    view.
+    """
+    if out is None:
+        out = np.empty(np.shape(re), dtype=complex)
+    np.add(re, np.swapaxes(re, -1, -2), out=out.real)
+    np.subtract(im, np.swapaxes(im, -1, -2), out=out.imag)
+    out *= 0.5 * scale
+    return out
 
 
-def _apply_unitary_batch(
-    states: np.ndarray, hams: np.ndarray, params: PositionWalkParams
-) -> np.ndarray:
-    """exp(−iτH/ħ)ψ for a batch of states/generators via eigh."""
-    w, vecs = np.linalg.eigh(hams)
-    y = np.einsum("kba,kb->ka", vecs.conj(), states)
-    y *= np.exp(-1j * params.tau * w / params.hbar)
-    return np.einsum("kab,kb->ka", vecs, y)
+# largest series order; x ≤ 2.15 at this order, twice the typical x of a part
+_TAYLOR_ORDER_MAX = 24
+
+
+def _taylor_radii() -> np.ndarray:
+    """x_K, the largest x with x^(K+1)·eˣ/(K+1)! ≤ 2⁻⁵³, for K = 0…max."""
+    log_bound = -53 * math.log(2)
+    radii = []
+    for k in range(1, _TAYLOR_ORDER_MAX + 2):
+        lo, hi = 0.0, 64.0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            if k * math.log(mid) + mid - math.lgamma(k + 1) <= log_bound:
+                lo = mid
+            else:
+                hi = mid
+        radii.append(lo)
+    return np.array(radii)
+
+
+_TAYLOR_RADII = _taylor_radii()
+
+
+def _taylor_weights() -> np.ndarray:
+    """weights[K, j − 1] = (−i)^j / j! for 1 ≤ j ≤ K, else 0."""
+    slots = _TAYLOR_ORDER_MAX + 1
+    inverse_factorials = np.cumprod(np.r_[1.0, 1.0 / np.arange(1, slots)])
+    phases = np.array([1, -1j, -1, 1j])[np.arange(slots) % 4]
+    full = np.tril(np.broadcast_to(inverse_factorials * phases, (slots, slots)))
+    return np.ascontiguousarray(full[:, 1:])
+
+
+_TAYLOR_WEIGHTS = _taylor_weights()
+
+
+def _cell_masses(amplitudes: np.ndarray) -> np.ndarray:
+    """|C_n|² as re² + im², elementwise, so every walk rounds it alike."""
+    sq = np.square(amplitudes.view(float))
+    return np.add(sq[..., 0::2], sq[..., 1::2])
+
+
+class _TaylorKick:
+    """exp(−iτH/ħ)ψ for a batch of cell states by a truncated Taylor series.
+
+    A kick is applied as ``substeps`` equal parts exp(−iB), B = τH/(ħ·substeps),
+    enough parts that ‖B‖_F is typically at most 1 (E‖H‖_F ≈ v_std·N); at
+    the walk's step phases of ≤ 0.05 that is one part up to N = 20.  The
+    generators are built as B directly (:meth:`generators`).  For each part
+    the series Σ_{k≤K} (−iB)^k ψ/k! stops at the smallest K with
+    x^(K+1)·eˣ/(K+1)! ≤ 2⁻⁵³, x = ‖B‖_F ≥ ‖B‖₂, which bounds the truncation
+    error by 2⁻⁵³‖ψ‖ (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2),
+    2011).  K is read off each trial's own B, the powers B^j ψ are formed
+    only up to the largest K of the batch, and the weighted sum of the
+    terms j ≥ 1 always runs over all ``_TAYLOR_ORDER_MAX`` slots with zero
+    weights past K.  So a trial gets the same bits alone as in any batch.
+    ψ itself is added last, by a separate ``add``: summed inside the
+    ``matmul`` it shrank ‖ψ‖² by about 1.2e-17 per kick at N = 8, every
+    kick the same way.
+
+    The object holds the states of its trials; :attr:`states` reads and
+    writes them, :meth:`apply` kicks them all and :meth:`keep` drops trials.
+    """
+
+    def __init__(self, states: np.ndarray, params: PositionWalkParams) -> None:
+        k, n = states.shape
+        self.n = n
+        self.substeps = max(1, math.ceil(params.step_phase * n))
+        self.scale = params.v_std * params.tau / (params.hbar * self.substeps)
+        # slot j of a power buffer holds B^j ψ as a row vector, slot 0 ψ; the
+        # two buffers swap roles each part
+        self._powers = np.zeros((_TAYLOR_ORDER_MAX + 1, k, 1, n), dtype=complex)
+        self._powers[0, :, 0] = states
+        self._spare = np.zeros_like(self._powers)
+
+    @property
+    def states(self) -> np.ndarray:
+        """The trials' current ψ, shape (k, n); a view into the buffer."""
+        return self._powers[0, :, 0]
+
+    def generators(self, re, im, out=None) -> np.ndarray:
+        """Generators B from standard normal planes (see hermitian_generator)."""
+        return hermitian_generator(re, im, self.scale, out=out)
+
+    @staticmethod
+    def prepare(hams: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
+        """Operands of each kick in a (kicks, k, n, n) stack of generators B.
+
+        A kick's operands are its generators transposed (ψᵀBᵀ = (Bψ)ᵀ is a
+        row-vector product), each trial's series weights and the largest
+        series order.  Non-finite generators are refused here.
+        """
+        sq = np.square(hams.view(float))
+        norm2 = sq.reshape(hams.shape[:-2] + (-1,)).sum(axis=-1)
+        orders = np.searchsorted(_TAYLOR_RADII**2, norm2)
+        if orders.max() > _TAYLOR_ORDER_MAX:
+            raise FloatingPointError(
+                "kick generator is non-finite or beyond the Taylor range"
+            )
+        weights = _TAYLOR_WEIGHTS[orders][..., None, :]
+        return list(
+            zip(hams.swapaxes(-1, -2), weights, orders.max(axis=-1).tolist())
+        )
+
+    def apply(self, operands: tuple[np.ndarray, np.ndarray, int]) -> None:
+        """Kick every trial by one kick's operands from :meth:`prepare`."""
+        hams_t, weights, order_max = operands
+        powers, spare = self._powers, self._spare
+        for _ in range(self.substeps):
+            for j in range(1, order_max + 1):
+                np.matmul(powers[j - 1], hams_t, out=powers[j])
+            np.matmul(weights, powers[1:, :, 0].swapaxes(0, 1), out=spare[0])
+            np.add(spare[0], powers[0], out=spare[0])
+            powers, spare = spare, powers
+        self._powers, self._spare = powers, spare
+
+    def keep(self, live: np.ndarray) -> None:
+        """Keep only the trials where ``live`` is true, in order."""
+        self._powers = np.ascontiguousarray(self._powers[:, live])
+        self._spare = np.zeros_like(self._powers)
 
 
 def isotropic_step(
     state: CellState, rng: np.random.Generator, params: PositionWalkParams
 ) -> CellState:
     """One kick by a unitarily-invariant random Hermitian generator."""
-    n = len(state)
-    h = _sample_gue(rng, n, params.v_std)
-    out = _apply_unitary_batch(state.amplitudes[None, :], h[None], params)
-    return CellState(out[0])
+    kick = _TaylorKick(state.amplitudes[None, :], params)
+    _isotropic_kick(kick, rng)
+    return CellState(kick.states[0].copy())
 
 
-def _step_for_mode(
-    state: CellState, rng: np.random.Generator, params: PositionWalkParams
-) -> CellState:
-    if params.generator_mode is GeneratorMode.DIAGONAL:
-        return diag_potential_step(state, rng, params)
-    return isotropic_step(state, rng, params)
+def _isotropic_kick(kick: _TaylorKick, rng: np.random.Generator) -> None:
+    """Kick the one trial of ``kick`` by a generator drawn from ``rng``."""
+    raw = rng.normal(size=(1, 1, 2, kick.n, kick.n))
+    (operands,) = kick.prepare(kick.generators(raw[:, :, 0], raw[:, :, 1]))
+    kick.apply(operands)
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +481,10 @@ def velocity_isotropy_diagnostic(
         vbar = v @ (np.abs(psi) ** 2)
         vels = -1j * (v - vbar[:, None]) * psi / params.hbar
     else:
-        m = rng.normal(size=(samples, n, n)) + 1j * rng.normal(size=(samples, n, n))
-        hams = params.v_std * 0.5 * (m + m.conj().transpose(0, 2, 1))
+        hams = hermitian_generator(
+            rng.normal(size=(samples, n, n)), rng.normal(size=(samples, n, n)),
+            params.v_std,
+        )
         hpsi = np.einsum("kab,b->ka", hams, psi)
         mean = np.einsum("a,ka->k", psi.conj(), hpsi)
         vels = -1j * (hpsi - mean[:, None] * psi) / params.hbar
@@ -397,15 +527,26 @@ def run_measurement(
     """Walk until one cell holds at least 1 − absorb_eps of the mass."""
     state = state0
     gen = RngStream(params.seed, stream_id).generator()
+    if params.generator_mode is GeneratorMode.ISOTROPIC:
+        kick = _TaylorKick(state0.amplitudes[None, :], params)
     for steps in range(params.max_steps + 1):
-        probs = state.probabilities
-        top = int(np.argmax(probs))
-        if probs[top] >= 1.0 - params.absorb_eps:
+        masses = _cell_masses(state.amplitudes)
+        top = int(np.argmax(masses))
+        if masses[top] >= 1.0 - params.absorb_eps:
             return MeasurementOutcome(cell=top, steps=steps, final_state=state)
         if steps == params.max_steps:
             break
-        state = _step_for_mode(state, gen, params)
+        if params.generator_mode is GeneratorMode.DIAGONAL:
+            state = diag_potential_step(state, gen, params)
+        else:
+            _isotropic_kick(kick, gen)
+            state = CellState(kick.states[0].copy())
     return MeasurementOutcome(cell=None, steps=params.max_steps, final_state=state)
+
+
+# a block of kicks takes as many kicks (8 to 256) as keep its draw, generator
+# and weight buffers under this; wider batches than that take 8 kicks
+_BLOCK_BYTES = 2**23
 
 
 def run_position_ensemble(
@@ -418,58 +559,77 @@ def run_position_ensemble(
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
 
     Trial ``t`` reproduces ``run_measurement(state0, params, stream_id=t)``
-    draw for draw; batching is an implementation detail.  ``trial_offset``
-    shifts the substream ids only, so chunked runs concatenate to the
-    unsplit run exactly.
+    draw for draw and bit for bit; batching is an implementation detail.
+    ``trial_offset`` shifts the substream ids only, so chunked runs
+    concatenate to the unsplit run exactly.
     """
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("ensemble driver supports the ISOTROPIC mode only")
-    n = len(state0)
-    threshold = 1.0 - params.absorb_eps
     cells = np.full(trials, -1, dtype=np.int64)
     steps_out = np.full(trials, params.max_steps, dtype=np.int64)
 
-    p0 = state0.probabilities
-    if p0.max() >= threshold:
-        cells[:] = int(np.argmax(p0))
+    masses0 = _cell_masses(state0.amplitudes)
+    if masses0.max() >= 1.0 - params.absorb_eps:
+        cells[:] = int(np.argmax(masses0))
         steps_out[:] = 0
         return cells, steps_out
 
-    block = max(8, min(256, int(80e6 / (batch_size * 2 * n * n * 8))))
     for start in range(0, trials, batch_size):
         ids = np.arange(start, min(start + batch_size, trials))
-        k = ids.size
-        gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
-        states = np.tile(state0.amplitudes, (k, 1))
-        blocks = np.empty((k, block, 2, n, n))
-        active = np.ones(k, dtype=bool)
-        cursor = block
-
-        for step in range(1, params.max_steps + 1):
-            if not active.any():
-                break
-            if cursor == block:
-                for i in np.flatnonzero(active):
-                    blocks[i] = gens[i].normal(size=(block, 2, n, n))
-                cursor = 0
-            idx = np.flatnonzero(active)
-            raw = blocks[idx, cursor]
-            hams = params.v_std * 0.5 * (
-                (raw[:, 0] + 1j * raw[:, 1])
-                + (raw[:, 0] + 1j * raw[:, 1]).conj().transpose(0, 2, 1)
-            )
-            states[idx] = _apply_unitary_batch(states[idx], hams, params)
-            cursor += 1
-
-            probs = np.abs(states[idx]) ** 2
-            winner = probs.argmax(axis=1)
-            hit = probs[np.arange(idx.size), winner] >= threshold
-            if hit.any():
-                done = idx[hit]
-                cells[ids[done]] = winner[hit]
-                steps_out[ids[done]] = step
-                active[done] = False
+        _walk_batch(state0, ids, trial_offset, params, cells, steps_out)
     return cells, steps_out
+
+
+def _walk_batch(
+    state0: CellState, ids: np.ndarray, trial_offset: int,
+    params: PositionWalkParams, cells: np.ndarray, steps_out: np.ndarray,
+) -> None:
+    """Walk trials ``ids`` together, writing their cells and step counts.
+
+    Draws come in blocks of kicks; a block's generators, series orders and
+    weights are built for all its kicks at once.  A trial that absorbs is
+    zeroed, so it cannot absorb again, and dropped at the block's end.
+    """
+    n = len(state0)
+    threshold = 1.0 - params.absorb_eps
+    # bytes of a block's draws, generators and weights per trial and kick
+    per_kick = 32 * n * n + 16 * (_TAYLOR_ORDER_MAX + 1)
+    gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
+    kick = _TaylorKick(np.tile(state0.amplitudes, (ids.size, 1)), params)
+    step = 0
+    while step < params.max_steps and ids.size:
+        k = ids.size
+        span = min(
+            max(8, min(256, _BLOCK_BYTES // (k * per_kick))),
+            params.max_steps - step,
+        )
+        raw = np.empty((k, span, 2, n, n))
+        for i, gen in enumerate(gens):
+            raw[i] = gen.normal(size=(span, 2, n, n))
+        hams = np.empty((span, k, n, n), dtype=complex)
+        kick.generators(
+            raw[:, :, 0], raw[:, :, 1], out=hams.transpose(1, 0, 2, 3)
+        )
+        del raw
+        done = np.zeros(k, dtype=bool)
+
+        for operands in kick.prepare(hams):
+            step += 1
+            kick.apply(operands)
+            masses = _cell_masses(kick.states)
+            if masses.max() >= threshold:
+                winner = masses.argmax(axis=1)
+                rows = np.flatnonzero(masses[np.arange(k), winner] >= threshold)
+                cells[ids[rows]] = winner[rows]
+                steps_out[ids[rows]] = step
+                kick.states[rows] = 0.0
+                done[rows] = True
+
+        if done.any():
+            keep = ~done
+            ids = ids[keep]
+            gens = [g for g, live in zip(gens, keep) if live]
+            kick.keep(keep)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,8 @@ class SpinWalkParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.dt, self.field_std, self.mu, self.hbar))):
+            raise ValueError("dt, field_std, mu and hbar must be finite")
         if self.dt <= 0 or self.field_std <= 0:
             raise ValueError("dt and field_std must be positive")
         if self.mu <= 0 or self.hbar <= 0:
@@ -141,8 +143,8 @@ def _as_unit_spinor(phi) -> np.ndarray:
     phi = np.asarray(phi, dtype=complex)
     if phi.shape != (2,):
         raise ValueError("state must be a 2-component vector")
-    if abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise ValueError("state must be unit norm")
+    if not np.isfinite(phi).all() or abs(np.linalg.norm(phi) - 1.0) > 1e-10:
+        raise ValueError("state must be a finite unit vector")
     return phi
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "RngStream",
@@ -85,7 +84,9 @@ def chi_square_gof(observed, expected_probs, alpha: float = 0.001) -> TestReport
 
     statistic = float(((obs - exp) ** 2 / exp).sum())
     df = exp.size - 1
-    p_value = float(sps.chi2.sf(statistic, df))
+    from scipy.stats import chi2
+
+    p_value = float(chi2.sf(statistic, df))
     return TestReport(statistic=statistic, p_value=p_value, alpha=alpha)
 
 
@@ -95,7 +96,9 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int, alpha: float = 0.0027) 
     pool = (k1 + k2) / (n1 + n2)
     se = np.sqrt(pool * (1.0 - pool) * (1.0 / n1 + 1.0 / n2))
     z = 0.0 if se == 0 else (p1 - p2) / se
-    p_value = float(2.0 * sps.norm.sf(abs(z)))
+    from scipy.stats import norm
+
+    p_value = float(2.0 * norm.sf(abs(z)))
     return TestReport(statistic=float(z), p_value=p_value, alpha=alpha)
 
 
@@ -118,5 +121,7 @@ def direction_uniformity(samples, alpha: float = 0.01) -> TestReport:
     n, d = u.shape
     rbar = np.linalg.norm(u.mean(axis=0))
     statistic = float(d * n * rbar**2)
-    p_value = float(sps.chi2.sf(statistic, d))
+    from scipy.stats import chi2
+
+    p_value = float(chi2.sf(statistic, d))
     return TestReport(statistic=statistic, p_value=p_value, alpha=alpha)

@@ -54,6 +54,15 @@ class TestRun:
         assert rc == 2
         assert "integer" in capsys.readouterr().err
 
+    def test_non_finite_parameter_exits_2_without_outputs(self, tmp_path, capsys):
+        rc = cli.main(
+            ["position-born", "--seed", "1", "--trials", "8", "--tau", "nan",
+             "--output-dir", str(tmp_path)]
+        )
+        assert rc == 2
+        assert "finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_lambda_alias_sets_wavelength(self, tmp_path):
         rc = cli.main(
             ["estimates", "--lambda", "1e-5", "--output-dir", str(tmp_path)]

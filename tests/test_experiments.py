@@ -67,6 +67,16 @@ class TestConfig:
         assert cfg.parameters["z0"] == 0.25
         assert cfg.parameters["max_steps"] == 1000
 
+    @pytest.mark.parametrize(
+        "experiment, parameters",
+        [("position-born", {"tau": "nan"}), ("spin-born", {"z0": float("inf")})],
+    )
+    def test_real_parameters_must_be_finite(self, experiment, parameters):
+        with pytest.raises(ValueError, match="finite"):
+            ex.ExperimentConfig(experiment=experiment, parameters=parameters, seed=1)
+        with pytest.raises(ValueError, match="finite"):
+            ex.ParamSpec("vector", ()).coerce("0 nan")
+
     def test_int_parameter_rejects_fraction(self):
         with pytest.raises(ValueError, match="integer"):
             ex.ExperimentConfig(

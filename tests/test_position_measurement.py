@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy import constants, stats
+from scipy.linalg import expm
 
 from hilbertbridge.hilbert_core import (
     GridResolutionError,
@@ -13,8 +14,10 @@ from hilbertbridge.hilbert_core import (
     grid_covering,
     inner_l2,
 )
+from hilbertbridge.density_diffusion import _apply_unitary_batch
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.position_measurement import (
+    _TaylorKick,
     CellLattice,
     CellState,
     GeneratorMode,
@@ -24,6 +27,7 @@ from hilbertbridge.position_measurement import (
     run_diagonal_walk,
     discretize,
     gabor_state,
+    hermitian_generator,
     isotropic_step,
     magnitude_estimates,
     run_measurement,
@@ -75,6 +79,22 @@ def test_params_enforce_step_phase():
     with pytest.raises(ValueError):
         iso_params(tau=0.2)
     assert iso_params(tau=0.0).step_phase == 0.0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tau", math.nan), ("v_std", math.inf), ("hbar", math.nan), ("tau", -math.inf)],
+)
+def test_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        iso_params(**{field: value})
+
+
+def test_cell_state_rejects_non_finite_amplitudes():
+    with pytest.raises(ValueError, match="finite"):
+        CellState(np.array([math.nan, 1.0], dtype=complex))
+    with pytest.raises(ValueError, match="finite"):
+        CellState(np.array([1.0, complex(0.0, math.inf)]))
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +312,130 @@ def test_isotropic_increment_is_rotation_invariant():
     a = step_sizes(state, 1)
     b = step_sizes(rotated, 2)
     assert stats.ks_2samp(a, b).pvalue >= 0.01
+
+
+# ---------------------------------------------------------------------------
+# the Taylor kick
+
+
+def kick_once(kick, raw):
+    """One kick of every trial of ``kick`` by the planes ``raw`` (k, 2, n, n)."""
+    (operands,) = kick.prepare(kick.generators(raw[None, :, 0], raw[None, :, 1]))
+    kick.apply(operands)
+
+
+def kick_batch(states, raw, params):
+    """exp(−iτH/ħ)ψ row by row through the ensemble's propagator."""
+    kick = _TaylorKick(states, params)
+    kick_once(kick, raw)
+    return kick.states.copy()
+
+
+def random_batch(n, trials, seed):
+    gen = RngStream(seed, n).generator()
+    raw = gen.normal(size=(trials, 2, n, n))
+    states = gen.normal(size=(trials, n)) + 1j * gen.normal(size=(trials, n))
+    return states / np.linalg.norm(states, axis=1, keepdims=True), raw
+
+
+# at N = 30 the step phase 0.05 makes each kick two parts
+@pytest.mark.parametrize("n", [2, 3, 8, 30])
+def test_taylor_kick_matches_expm(n):
+    p = iso_params()
+    assert _TaylorKick(np.ones((1, n)), p).substeps == (2 if n == 30 else 1)
+    states, raw = random_batch(n, 64, seed=404)
+    got = kick_batch(states, raw, p)
+    hams = hermitian_generator(raw[:, 0], raw[:, 1], p.v_std)
+    want = np.array(
+        [expm(-1j * p.tau * h / p.hbar) @ s for h, s in zip(hams, states)]
+    )
+    assert np.abs(got - want).max() <= 1e-15
+
+
+def test_taylor_kick_one_trial_equals_its_batch_row():
+    p = iso_params()
+    states, raw = random_batch(5, 64, seed=405)
+    batch = kick_batch(states, raw, p)
+    for t in range(64):
+        alone = kick_batch(states[t : t + 1], raw[t : t + 1], p)
+        assert alone.tobytes() == batch[t].tobytes()
+
+
+def test_taylor_kicks_do_not_drift_the_norm():
+    # rounding that shrank ‖ψ‖² by ~1.2e-17 every kick would move the mean
+    # by ~2.4e-14 over 2000 kicks; unbiased rounding leaves ~1e-15
+    p = iso_params()
+    states, _ = random_batch(8, 64, seed=407)
+    kick = _TaylorKick(states, p)
+    gen = RngStream(408).generator()
+    for _ in range(2000):
+        kick_once(kick, gen.normal(size=(64, 2, 8, 8)))
+    norm2 = (np.abs(kick.states) ** 2).sum(axis=1)
+    assert abs(norm2.mean() - 1.0) <= 5e-15
+
+
+def test_taylor_kick_at_zero_tau_returns_state_bit_for_bit():
+    states, raw = random_batch(4, 16, seed=406)
+    out = kick_batch(states, raw, iso_params(tau=0.0))
+    assert out.tobytes() == states.tobytes()
+    state = fixed_profile(4)
+    moved = isotropic_step(state, RngStream(6).generator(), iso_params(tau=0.0))
+    assert moved.amplitudes.tobytes() == state.amplitudes.tobytes()
+
+
+def test_taylor_kick_refuses_non_finite_generators():
+    with pytest.raises(FloatingPointError):
+        _TaylorKick.prepare(np.full((1, 1, 2, 2), complex(math.nan, 0.0)))
+
+
+def eigh_walk(state0, params, stream_id):
+    """Reference cell walk: its own GUE formula, eigh kicks, |C_n|² test."""
+    psi = state0.amplitudes[None, :]
+    n = psi.size
+    gen = RngStream(params.seed, stream_id).generator()
+    for step in range(params.max_steps + 1):
+        masses = np.abs(psi[0]) ** 2
+        if masses.max() >= 1.0 - params.absorb_eps:
+            return int(masses.argmax()), step
+        if step == params.max_steps:
+            return -1, step
+        m = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+        h = params.v_std * (m + m.conj().T) / 2
+        psi = _apply_unitary_batch(psi, h[None], params)
+
+
+@pytest.mark.parametrize(
+    "masses",
+    [(0.7, 0.3), (0.8, 0.15, 0.05), (0.8, 0.1, 0.06, 0.04)],
+    ids=["N2", "N3", "N4"],
+)
+def test_ensemble_matches_eigh_walk(masses):
+    n = len(masses)
+    amps = np.sqrt(np.array(masses)) * np.exp(1j * np.arange(n))
+    state = CellState(amps / np.linalg.norm(amps))
+    p = iso_params(absorb_eps=0.1, max_steps=300, seed=77)
+    cells, steps = run_position_ensemble(state, 48, p, batch_size=16)
+    want = [eigh_walk(state, p, t) for t in range(48)]
+    assert list(zip(cells.tolist(), steps.tolist())) == want
+    # absorbed trials and trials still unresolved at max_steps are compared
+    assert (cells >= 0).any() and (cells < 0).any()
+
+
+def test_walks_start_from_a_strided_state():
+    gen = RngStream(409).generator()
+    cols = gen.normal(size=(4, 4)) + 1j * gen.normal(size=(4, 4))
+    cols /= np.linalg.norm(cols, axis=0)
+    column = cols[:, 0]
+    assert not column.flags.c_contiguous
+    state = CellState(column)
+    p = iso_params(absorb_eps=0.1, max_steps=300, seed=78)
+    cells, steps = run_position_ensemble(state, 8, p)
+    for t in range(8):
+        out = run_measurement(state, p, stream_id=t)
+        got = out.cell if out.resolved else -1
+        assert (got, out.steps) == (cells[t], steps[t])
+    stepped = isotropic_step(state, RngStream(7).generator(), p)
+    assert abs(np.linalg.norm(stepped.amplitudes) - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

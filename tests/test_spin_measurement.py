@@ -52,6 +52,18 @@ def test_params_reject_bad_values():
         params(dt=0.2)  # step angle 0.2 > 0.05
 
 
+@pytest.mark.parametrize("field", ["dt", "field_std", "mu", "hbar"])
+def test_params_reject_non_finite(field):
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            params(**{field: value})
+
+
+def test_non_finite_spinor_is_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        pauli_step(np.array([math.nan, 1.0]), np.ones(3), params())
+
+
 def test_step_angle_and_absorb_height():
     p = params(dt=0.03, field_std=1.5)
     assert p.step_angle == pytest.approx(0.045)
