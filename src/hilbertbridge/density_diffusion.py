@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from hilbertbridge.hilbert_core import GridResolutionError, GridWaveFunction
-from hilbertbridge.packet_dynamics import PotentialField
+from hilbertbridge.packet_dynamics import PotentialField, _grid_points
 from hilbertbridge.position_measurement import (
     CellState,
     GeneratorMode,
@@ -79,13 +79,6 @@ class DiffusionParams:
             raise ValueError("need at least 10^4 walkers")
         if self.t_final < self.dt:
             raise ValueError("t_final must cover at least one step")
-
-
-def _grid_points(grid: GridWaveFunction) -> np.ndarray:
-    mesh = np.meshgrid(
-        *(grid.axis_coordinates(i) for i in range(grid.dim)), indexing="ij"
-    )
-    return np.stack(mesh, axis=-1)
 
 
 def _check_time_step(grid: GridWaveFunction, params: EvolutionParams) -> None:
@@ -278,18 +271,31 @@ class StateMsd:
     mean_square_angle: np.ndarray
 
 
-def _spin_msd(phi0, params: SpinWalkParams, n_steps: int, trials: int) -> np.ndarray:
-    start = np.asarray(phi0, dtype=complex)
-    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
+# byte budget of one block of per-step draws in the MSD walks
+_DRAW_BLOCK_BYTES = 1 << 23
+
+
+def _walk_msd(start, seed, trials, n_steps, shape, draw, kick) -> np.ndarray:
+    """⟨θ²⟩ after each of ``n_steps`` in-place ``kick(states, noise)`` calls.
+
+    Generator t fills row t of a step-major block of (trials, *shape) noise
+    with one ``draw(g, size)``; successive draws equal one draw of their total
+    size, so each step sees per-step values.  ``kick=None`` draws nothing.
+    """
+    gens = [RngStream(seed, t).generator() for t in range(trials)]
+    block = max(1, min(n_steps, _DRAW_BLOCK_BYTES // (8 * trials * math.prod(shape))))
+    noise = np.empty((block, trials, *shape))
     states = np.tile(start, (trials, 1))
     out = np.zeros(n_steps + 1)
-    for k in range(1, n_steps + 1):
-        fields = np.stack(
-            [g.normal(0.0, params.field_std, size=3) for g in gens]
-        )
-        _step_batch(states, fields, params)
+    for k in range(n_steps):
+        if kick is not None:
+            if k % block == 0:
+                size = (min(block, n_steps - k), *shape)
+                for t, g in enumerate(gens):
+                    noise[: size[0], t] = draw(g, size)
+            kick(states, noise[k % block])
         ov = np.abs(states @ start.conj())
-        out[k] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
+        out[k + 1] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
     return out
 
 
@@ -313,19 +319,16 @@ def _position_msd(
 ) -> np.ndarray:
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("projective MSD applies to the ISOTROPIC walk")
-    start = state0.amplitudes
-    n = start.size
-    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
-    states = np.tile(start, (trials, 1))
-    out = np.zeros(n_steps + 1)
-    for k in range(1, n_steps + 1):
-        if params.tau > 0:
-            raw = np.stack([g.normal(size=(2, n, n)) for g in gens])
-            hams = hermitian_generator(raw[:, 0], raw[:, 1], params.v_std)
-            states = _apply_unitary_batch(states, hams, params)
-        ov = np.abs(states @ start.conj())
-        out[k] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
-    return out
+    n = state0.amplitudes.size
+
+    def kick(states, raw):
+        hams = hermitian_generator(raw[:, 0], raw[:, 1], params.v_std)
+        states[:] = _apply_unitary_batch(states, hams, params)
+
+    return _walk_msd(
+        state0.amplitudes, params.seed, trials, n_steps, (2, n, n),
+        lambda g, size: g.normal(size=size), kick if params.tau > 0 else None,
+    )
 
 
 def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
@@ -339,7 +342,11 @@ def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     if trials < 100:
         raise ValueError("need at least 100 trials")
     if isinstance(params, SpinWalkParams):
-        series = _spin_msd(start, params, n_steps, trials)
+        series = _walk_msd(
+            np.asarray(start, dtype=complex), params.seed, trials, n_steps, (3,),
+            lambda g, size: g.normal(0.0, params.field_std, size=size),
+            lambda states, fields: _step_batch(states, fields, params),
+        )
     elif isinstance(params, PositionWalkParams):
         series = _position_msd(start, params, n_steps, trials)
     else:

@@ -55,7 +55,7 @@ class OutputFormat:
 
 @dataclasses.dataclass(frozen=True)
 class ParamSpec:
-    kind: str  # "int" | "real" | "vector"
+    kind: str  # "int" | "real"
     default: object
 
     def coerce(self, raw):
@@ -67,17 +67,12 @@ class ParamSpec:
             if isinstance(raw, float) and raw != int(raw):
                 raise ValueError(f"expected an integer, got {raw}")
             return int(raw)
-        if self.kind == "real":
-            values = (float(raw),)
-        elif self.kind == "vector":
-            if isinstance(raw, str):
-                raw = [p for p in raw.replace(",", " ").split() if p]
-            values = tuple(float(v) for v in raw)
-        else:
+        if self.kind != "real":
             raise ValueError(f"unknown parameter kind {self.kind!r}")
-        if not all(map(math.isfinite, values)):
-            raise ValueError(f"expected finite numbers, got {raw!r}")
-        return values[0] if self.kind == "real" else values
+        value = float(raw)
+        if not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {raw!r}")
+        return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -193,8 +188,7 @@ class RunSummary:
         # byte-identical across reruns of the same config
         return {
             "experiment": self.experiment,
-            "parameters": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in sorted(self.parameters.items())},
+            "parameters": dict(sorted(self.parameters.items())),
             "seed": self.seed,
             "trials": self.trials,
             "checks": [c.as_dict() for c in self.checks],

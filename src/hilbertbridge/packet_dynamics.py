@@ -13,8 +13,9 @@ reconstructs the Hamiltonian matrix from its commutators with x̂ and p̂
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -55,8 +56,10 @@ class GaussianPacket:
         )
         if self.center.shape != self.momentum.shape:
             raise ValueError("center and momentum dimensions differ")
-        if self.sigma <= 0 or self.mass <= 0 or self.hbar <= 0:
-            raise ValueError("sigma, mass and hbar must be positive")
+        if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.momentum))):
+            raise ValueError("center and momentum must be finite")
+        if not all(0 < v < math.inf for v in (self.sigma, self.mass, self.hbar)):
+            raise ValueError("sigma, mass and hbar must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -126,10 +129,7 @@ class VelocityComponents:
 
 def _grid_points(grid: GridWaveFunction) -> np.ndarray:
     """Stacked coordinates, shape (*extent, d)."""
-    mesh = np.meshgrid(
-        *(grid.axis_coordinates(i) for i in range(grid.dim)), indexing="ij"
-    )
-    return np.stack(mesh, axis=-1)
+    return np.stack(np.broadcast_arrays(*grid.meshgrid()), axis=-1)
 
 
 def packet_wavefunction(pkt: GaussianPacket, grid: GridWaveFunction) -> GridWaveFunction:
@@ -138,6 +138,12 @@ def packet_wavefunction(pkt: GaussianPacket, grid: GridWaveFunction) -> GridWave
     Unit L₂ norm (the |ψ|² marginal is the normal density with standard
     deviation σ per axis).  The grid must cover a ± 8σ and resolve both the
     envelope and the momentum oscillation.
+
+    Offsets d_k = x_k − a_k are taken per axis and broadcast, their squares
+    summed as ((d₀² + d₁²) + d₂²)…, the order numpy sums a stacked (*extent, d)
+    axis of d < 8; at p = 0 the stacked formula's plane wave is exactly 1 + 0j,
+    so the real envelope is cast to complex.  The samples are bit for bit
+    those of the stacked formula, which only p ≠ 0 still builds.
     """
     if grid.dim != pkt.dim:
         raise ValueError(f"grid is {grid.dim}-dimensional, packet is {pkt.dim}")
@@ -158,12 +164,17 @@ def packet_wavefunction(pkt: GaussianPacket, grid: GridWaveFunction) -> GridWave
     ):
         raise GridResolutionError("grid does not cover center ± 8σ")
 
-    x = _grid_points(grid)
-    dx = x - pkt.center
-    envelope = np.exp(-(dx * dx).sum(axis=-1) / (4 * pkt.sigma**2))
-    plane = np.exp(1j * (dx @ pkt.momentum) / pkt.hbar)
-    norm = (2 * np.pi * pkt.sigma**2) ** (-0.25 * pkt.dim)
-    return grid.with_values(norm * envelope * plane)
+    dx = [axis - c for axis, c in zip(grid.meshgrid(), pkt.center)]
+    envelope = -(dx[0] * dx[0])
+    for d in dx[1:]:
+        envelope = envelope - d * d  # (−u) − v is −(u + v) exactly
+    envelope /= 4 * pkt.sigma**2
+    np.exp(envelope, out=envelope)
+    envelope *= (2 * np.pi * pkt.sigma**2) ** (-0.25 * pkt.dim)  # norm
+    if pmax == 0:
+        return grid.with_values(envelope)
+    dx = _grid_points(grid) - pkt.center
+    return grid.with_values(envelope * np.exp(1j * (dx @ pkt.momentum) / pkt.hbar))
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +265,6 @@ def _laplacian_fd2(values: np.ndarray, h: float) -> np.ndarray:
     return out / h**2
 
 
-def _gradient_central(values: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """Second-order central first derivative, one-sided at the boundary."""
-    return np.gradient(values, h, axis=axis, edge_order=2)
-
-
 def decomposition_check(
     pkt: GaussianPacket, potential: PotentialField, grid: GridWaveFunction
 ) -> float:
@@ -311,7 +317,7 @@ def ehrenfest_check(
     rhs2 = np.empty(psi.dim)
     for i in range(psi.dim):
         xi = x[..., i]
-        p_psi = -1j * hbar * _gradient_central(vals, h, axis=i)
+        p_psi = -1j * hbar * np.gradient(vals, h, axis=i, edge_order=2)
         lhs1[i] = 2 * np.real((np.conj(dpsi_dt) * xi * vals * w).sum())
         rhs1[i] = np.real((np.conj(vals) * p_psi * w).sum()) / mass
         lhs2[i] = 2 * np.real((np.conj(dpsi_dt) * p_psi * w).sum())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hilbertbridge import density_diffusion
 from hilbertbridge.density_diffusion import (
     DiffusionParams,
     EvolutionParams,
@@ -26,8 +27,10 @@ from hilbertbridge.position_measurement import (
     CellState,
     GeneratorMode,
     PositionWalkParams,
+    hermitian_generator,
 )
-from hilbertbridge.spin_measurement import SpinWalkParams
+from hilbertbridge.spin_measurement import SpinWalkParams, _step_batch
+from hilbertbridge.stats_util import RngStream
 
 
 def _packet_on_grid(sigma, p, spacing, half_width, center=0.0, mass=1.0):
@@ -416,3 +419,52 @@ class TestStateMsd:
         )
         with pytest.raises(ValueError):
             state_density_msd(start, diag, n_steps=4, trials=200)
+
+
+def _msd_per_step_reference(start, params, n_steps, trials):
+    """The MSD walks with every step drawing from every generator in turn."""
+    spin = isinstance(params, SpinWalkParams)
+    start = np.asarray(start if spin else start.amplitudes, dtype=complex)
+    n = start.size
+    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
+    states = np.tile(start, (trials, 1))
+    out = np.zeros(n_steps + 1)
+    for k in range(1, n_steps + 1):
+        if spin:
+            fields = np.stack([g.normal(0.0, params.field_std, size=3) for g in gens])
+            _step_batch(states, fields, params)
+        elif params.tau > 0:
+            raw = np.stack([g.normal(size=(2, n, n)) for g in gens])
+            hams = hermitian_generator(raw[:, 0], raw[:, 1], params.v_std)
+            states = density_diffusion._apply_unitary_batch(states, hams, params)
+        ov = np.abs(states @ start.conj())
+        out[k] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
+    return out
+
+
+@pytest.mark.parametrize("budget", [None, 3 * 100 * 8 * 3, 1])
+@pytest.mark.parametrize(
+    "start, params",
+    [
+        (
+            np.array([0.6, 0.8j], dtype=complex),
+            SpinWalkParams(dt=0.05, field_std=0.7, seed=9),
+        ),
+        (
+            CellState(np.array([1, 0, 0], dtype=complex)),
+            PositionWalkParams(tau=0.05, v_std=1.0, seed=9),
+        ),
+        (
+            CellState(np.array([0.6, 0, 0.8], dtype=complex)),
+            PositionWalkParams(tau=0.0, v_std=1.0, seed=9),
+        ),
+    ],
+)
+def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, budget):
+    # budgets of one whole run, three spin steps per block (so a short last
+    # block), and one step per block
+    if budget is not None:
+        monkeypatch.setattr(density_diffusion, "_DRAW_BLOCK_BYTES", budget)
+    out = state_density_msd(start, params, n_steps=11, trials=100)
+    ref = _msd_per_step_reference(start, params, n_steps=11, trials=100)
+    assert out.mean_square_angle.tobytes() == ref.tobytes()

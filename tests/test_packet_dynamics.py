@@ -5,6 +5,7 @@ import pytest
 
 from hilbertbridge.hilbert_core import (
     GridResolutionError,
+    GridWaveFunction,
     grid_covering,
     inner_l2,
     KernelSpec,
@@ -86,6 +87,70 @@ def test_packet_grid_coverage_and_resolution_errors():
     fast = GaussianPacket(center=0.0, momentum=40.0, sigma=1.0, mass=1.0)
     with pytest.raises(GridResolutionError):
         packet_wavefunction(fast, coarse)
+
+
+def _stacked_packet_values(pkt, grid):
+    """The packet from stacked (*extent, d) coordinates, term by term."""
+    mesh = np.meshgrid(
+        *(grid.axis_coordinates(i) for i in range(grid.dim)), indexing="ij"
+    )
+    dx = np.stack(mesh, axis=-1) - pkt.center
+    envelope = np.exp(-(dx * dx).sum(axis=-1) / (4 * pkt.sigma**2))
+    plane = np.exp(1j * (dx @ pkt.momentum) / pkt.hbar)
+    norm = (2 * np.pi * pkt.sigma**2) ** (-0.25 * pkt.dim)
+    return norm * envelope * plane
+
+
+@pytest.mark.parametrize(
+    "extent, center, momentum",
+    [
+        ((41,), (1.1,), (0.0,)),
+        ((41,), (-0.2,), (-1.3,)),
+        ((37, 43), (1.3, 0.4), (0.0, -0.0)),
+        ((37, 43), (0.05, 1.6), (0.9, -1.1)),
+        ((35, 37, 39), (0.6, 0.1, 1.7), (0.0, 0.0, 0.0)),
+        ((35, 37, 39), (0.6, 0.1, 1.7), (0.0, 1.2, -0.4)),
+    ],
+)
+def test_packet_matches_stacked_coordinate_formula_bitwise(extent, center, momentum):
+    # odd extents, packets off the grid's centre; the grid spans
+    # [-8.3, -8.3 + (n − 1)·0.5] per axis
+    pkt = GaussianPacket(center=center, momentum=momentum, sigma=1.0, mass=1.0, hbar=1.25)
+    grid = GridWaveFunction(np.zeros(extent, dtype=complex), [-8.3] * len(extent), 0.5)
+    psi = packet_wavefunction(pkt, grid)
+    assert psi.values.tobytes() == _stacked_packet_values(pkt, grid).tobytes()
+
+
+def test_born_bridge_packets_match_stacked_coordinate_formula_bitwise():
+    rng = np.random.default_rng(5)
+    sigma = 0.7
+    a = rng.normal(0.0, sigma, size=3)
+    b = a + rng.normal(0.0, 1.2 * sigma, size=3)
+    grid = grid_covering(KernelSpec(sigma=sigma, dim=3), [a, b], spacing=sigma / 3)
+    for center in (a, b):
+        pkt = GaussianPacket(center=center, momentum=np.zeros(3), sigma=sigma, mass=1.0)
+        expected = _stacked_packet_values(pkt, grid)
+        assert packet_wavefunction(pkt, grid).values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("sigma", np.nan),
+        ("sigma", np.inf),
+        ("center", (0.0, np.inf)),
+        ("momentum", (np.nan, 0.0)),
+        ("mass", np.nan),
+        ("mass", np.inf),
+        ("hbar", np.nan),
+        ("hbar", np.inf),
+    ],
+)
+def test_non_finite_packet_is_refused(field, value):
+    kwargs = dict(center=(0.0, 0.0), momentum=(0.0, 0.0), sigma=1.0, mass=1.0, hbar=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError):
+        GaussianPacket(**kwargs)
 
 
 # ---------------------------------------------------------------------------
