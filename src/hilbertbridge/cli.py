@@ -253,11 +253,16 @@ def _cmd_run(name: str, args: list[str]) -> int:
     ns = parser.parse_args(args)
     try:
         config = _build_config(name, ns)
+        workers = experiments.resolve_workers()
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     start = time.perf_counter()
-    summary = experiments.run(config)
+    try:
+        summary = experiments.run(config, workers)
+    except experiments.MemoryBudgetError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     wall = time.perf_counter() - start
     for check in summary.checks:
         status = "PASS" if check.passed else "FAIL"

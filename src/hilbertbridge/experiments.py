@@ -14,7 +14,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
@@ -35,6 +34,7 @@ from hilbertbridge.stats_util import RngStream, SparseTableError, chi_square_gof
 __all__ = [
     "CriterionCheck",
     "ExperimentConfig",
+    "MemoryBudgetError",
     "OutputFormat",
     "RunSummary",
     "catalog",
@@ -205,6 +205,8 @@ class Experiment:
     stochastic: bool
     default_trials: int
     runner: Callable[[ExperimentConfig, int], ExperimentResult]
+    # rough peak bytes of a run at a worker count, where trials drive it
+    peak_bytes: Callable[[ExperimentConfig, int], int] | None = None
 
 
 def _check(name, measured, reference, tolerance, mode, source) -> CriterionCheck:
@@ -216,24 +218,6 @@ def _check(name, measured, reference, tolerance, mode, source) -> CriterionCheck
         mode=mode,
         source=source,
     )
-
-
-def _worker_chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    bounds = np.linspace(0, total, max(1, workers) + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def _fan_out(total: int, workers: int, fn):
-    """Run fn(lo, hi) over worker chunks, results concatenated in order.
-
-    Every trial depends only on its own substream, so the chunk layout —
-    and therefore the worker count — cannot change any output row.
-    """
-    chunks = _worker_chunks(total, workers)
-    if len(chunks) == 1:
-        return [fn(*chunks[0])]
-    with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-        return list(pool.map(lambda c: fn(*c), chunks))
 
 
 # ---------------------------------------------------------------------------
@@ -258,16 +242,9 @@ def _run_spin_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     )
     phi0 = _spinor_at_height(p["z0"])
     trials = cfg.resolved_trials
-
-    def chunk(lo, hi):
-        return spin_measurement.run_ensemble(
-            phi0, hi - lo, params, trial_offset=lo
-        )
-
-    parts = _fan_out(trials, workers, chunk)
-    results = np.concatenate([part[0] for part in parts])
-    steps = np.concatenate([part[1] for part in parts])
-    finals = np.concatenate([part[2] for part in parts])
+    results, steps, finals = spin_measurement.run_ensemble(
+        phi0, trials, params, workers=workers
+    )
 
     final_z = np.abs(finals[:, 1]) ** 2 - np.abs(finals[:, 0]) ** 2
     rows = [
@@ -282,6 +259,18 @@ def _run_spin_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
         _check("p_down_height_rule", p_down, reference, tol, "abs", "closed-form"),
     ]
     return ExperimentResult(("trial", "result", "steps", "final_z"), rows, checks)
+
+
+# bytes of one trial's row tuple and output text (measured per trial between
+# 5·10⁵ and 2·10⁶ trials: spin-born CSV 330, JSON 1300; position-born CSV 200)
+_ROW_BYTES = {OutputFormat.CSV: 400, OutputFormat.JSON: 1400}
+
+
+def _spin_born_bytes(cfg: ExperimentConfig, workers: int) -> int:
+    trials = cfg.resolved_trials
+    processes = spin_measurement.ensemble_processes(trials, workers)
+    return (spin_measurement.ensemble_bytes(trials, processes)
+            + _ROW_BYTES[cfg.format] * trials)
 
 
 def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
@@ -299,15 +288,7 @@ def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     raw = gen.normal(size=n) + 1j * gen.normal(size=n)
     state0 = position_measurement.CellState(raw / np.linalg.norm(raw))
     trials = cfg.resolved_trials
-
-    def chunk(lo, hi):
-        return position_measurement.run_position_ensemble(
-            state0, hi - lo, params, trial_offset=lo
-        )
-
-    parts = _fan_out(trials, workers, chunk)
-    cells = np.concatenate([part[0] for part in parts])
-    steps = np.concatenate([part[1] for part in parts])
+    cells, steps = position_measurement.run_position_ensemble(state0, trials, params)
     rows = [(t, int(cells[t]), int(steps[t])) for t in range(trials)]
 
     resolved = cells >= 0
@@ -326,6 +307,13 @@ def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
         ),
     ]
     return ExperimentResult(("trial", "cell", "steps"), rows, checks)
+
+
+def _position_born_bytes(cfg: ExperimentConfig, workers: int) -> int:
+    trials = cfg.resolved_trials
+    n = int(cfg.parameters["n_cells"])
+    return (position_measurement.ensemble_bytes(trials, n)
+            + _ROW_BYTES[cfg.format] * trials)
 
 
 def _run_isotropy(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
@@ -869,6 +857,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             20_000,
             _run_spin_born,
+            _spin_born_bytes,
         ),
         Experiment(
             "position-born",
@@ -884,6 +873,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             20_000,
             _run_position_born,
+            _position_born_bytes,
         ),
         Experiment(
             "isotropy",
@@ -1097,10 +1087,26 @@ def write_outputs(summary: RunSummary, result: ExperimentResult,
     return trials_path, summary_path
 
 
+class MemoryBudgetError(ValueError):
+    """A run's estimated peak memory exceeds :func:`memory_budget`."""
+
+
+def memory_budget() -> int:
+    """Bytes a run may plan to use: half of the physical memory."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
+
+
 def resolve_workers(explicit: int | None = None) -> int:
+    """Cap on the spin walk's worker processes.
+
+    ``explicit`` when given, else ``HB_THREADS``, else every CPU in the
+    affinity mask.
+    """
     if explicit is not None:
         return max(1, int(explicit))
-    raw = os.environ.get("HB_THREADS", "1")
+    raw = os.environ.get("HB_THREADS")
+    if raw is None:
+        return spin_measurement._cpu_count()
     try:
         workers = int(raw)
     except ValueError as exc:
@@ -1112,9 +1118,21 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 def run(config: ExperimentConfig, workers: int | None = None,
         write: bool = True) -> RunSummary:
-    """Execute one experiment; outputs are written even when checks fail."""
+    """Execute one experiment; outputs are written even when checks fail.
+
+    Raises :class:`MemoryBudgetError` before any work when the run's
+    estimated peak memory exceeds :func:`memory_budget`.
+    """
     entry = REGISTRY[config.experiment]
     n_workers = resolve_workers(workers)
+    if entry.peak_bytes is not None:
+        need, budget = entry.peak_bytes(config, n_workers), memory_budget()
+        if need > budget:
+            raise MemoryBudgetError(
+                f"{config.experiment} with {config.resolved_trials} trials needs "
+                f"about {need / 2**30:.1f} GiB, over the {budget / 2**30:.1f} GiB "
+                f"budget (half of physical memory); lower --trials"
+            )
     start = time.perf_counter()
     result = entry.runner(config, n_workers)
     wall = time.perf_counter() - start

@@ -43,6 +43,7 @@ __all__ = [
     "isotropic_step",
     "run_measurement",
     "run_position_ensemble",
+    "ensemble_bytes",
     "gabor_state",
     "magnitude_estimates",
 ]
@@ -547,13 +548,32 @@ def run_measurement(
 # a block of kicks takes as many kicks (8 to 256) as keep its draw, generator
 # and weight buffers under this; wider batches than that take 8 kicks
 _BLOCK_BYTES = 2**23
+# trials walked together by default
+_BATCH = 2048
+
+
+def _kick_bytes(n: int) -> int:
+    """Bytes of a block's draws, generators and weights per trial and kick."""
+    return 32 * n * n + 16 * (_TAYLOR_ORDER_MAX + 1)
+
+
+def ensemble_bytes(trials: int, n: int) -> int:
+    """Rough peak bytes of :func:`run_position_ensemble` at N = ``n``.
+
+    One default batch's block of kicks, its two Taylor power buffers and its
+    random generators (about 1 KiB each), plus the returned cells and steps.
+    """
+    k = min(trials, _BATCH)
+    block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
+    powers = 2 * (_TAYLOR_ORDER_MAX + 1) * k * n * 16
+    return block + powers + 1024 * k + 16 * trials
 
 
 def run_position_ensemble(
     state0: CellState,
     trials: int,
     params: PositionWalkParams,
-    batch_size: int = 2048,
+    batch_size: int = _BATCH,
     trial_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
@@ -592,8 +612,7 @@ def _walk_batch(
     """
     n = len(state0)
     threshold = 1.0 - params.absorb_eps
-    # bytes of a block's draws, generators and weights per trial and kick
-    per_kick = 32 * n * n + 16 * (_TAYLOR_ORDER_MAX + 1)
+    per_kick = _kick_bytes(n)
     gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
     kick = _TaylorKick(np.tile(state0.amplitudes, (ids.size, 1)), params)
     step = 0

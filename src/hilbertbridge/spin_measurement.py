@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import os
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,6 +34,8 @@ __all__ = [
     "sample_field",
     "run_walk",
     "run_ensemble",
+    "ensemble_processes",
+    "ensemble_bytes",
     "born_statistics",
     "tangent_displacements",
     "isotropy_test",
@@ -46,6 +49,11 @@ class WalkResult(enum.Enum):
     UP = "UP"
     DOWN = "DOWN"
     UNRESOLVED = "UNRESOLVED"
+
+
+# the ensemble engine records outcomes as int8 codes into this table
+_OUTCOMES = np.array(list(WalkResult), dtype=object)
+_UP, _DOWN, _UNRESOLVED = range(3)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -295,11 +303,11 @@ def _kick_coefficients(gens, block: int, params: SpinWalkParams,
 
 
 def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
-                results, steps_out, finals) -> None:
+                codes, steps_out, finals) -> None:
     """Walk trials ``ids`` to absorption, writing their rows of the outputs."""
     start = _classify(_height(phi0), params)
     if start is not None:
-        results[ids] = start
+        codes[ids] = _UP if start is WalkResult.UP else _DOWN
         finals[ids] = phi0
         return
     zc = params.absorb_z
@@ -355,8 +363,8 @@ def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
                 first = hit[:, rows].argmax(axis=0)
                 t = ids[rows]
                 up = z[first, rows] >= zc
-                results[t[up]] = WalkResult.UP
-                results[t[~up]] = WalkResult.DOWN
+                codes[t[up]] = _UP
+                codes[t[~up]] = _DOWN
                 steps_out[t] = step + w0 + first + 1
                 finals[t] = window[:, first, rows].T
                 alive[rows] = False
@@ -373,9 +381,66 @@ def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
         ring[:, -1] = survivors
 
     if n:
-        results[ids] = WalkResult.UNRESOLVED
+        codes[ids] = _UNRESOLVED
         steps_out[ids] = params.max_steps
         finals[ids] = ring[:, -1].T
+
+
+# fewest trials worth a forked process: smaller ranges save less walking
+# than the fork, the result transfer and a second absorption tail cost
+MIN_TRIALS_PER_PROCESS = 1024
+
+
+def _cpu_count() -> int:
+    """CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+def _worker_chunks(total: int, workers: int) -> list[tuple[int, int]]:
+    """Contiguous ``(lo, hi)`` ranges splitting ``range(total)`` in order."""
+    bounds = np.linspace(0, total, max(1, workers) + 1).astype(int)
+    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+
+
+def ensemble_processes(trials: int, workers: int | None = None) -> int:
+    """Processes :func:`run_ensemble` walks ``trials`` in.
+
+    ``workers`` caps the count (``None``: every CPU in the affinity mask),
+    and so do the CPUs and the number of ranges of at least
+    ``MIN_TRIALS_PER_PROCESS`` trials.
+    """
+    cpus = _cpu_count()
+    if workers is None:
+        workers = cpus
+    elif workers < 1:
+        raise ValueError("workers must be at least 1")
+    return max(1, min(workers, cpus, trials // MIN_TRIALS_PER_PROCESS))
+
+
+def ensemble_bytes(trials: int, processes: int) -> int:
+    """Rough peak bytes of :func:`run_ensemble` over all its processes.
+
+    Each process holds 5 real and 5 complex block planes of 2²⁰ trial-steps
+    (120 MiB) and, per trial of its widest batch, a generator (about
+    0.6 KiB) and a ring of states (1 KiB); the returned arrays take 49 bytes
+    a trial.
+    """
+    width = min(-(-trials // processes), _MAX_BATCH)
+    planes = 5 * _BLOCK_BUDGET * (8 + 16)
+    return processes * (planes + 2048 * width) + 49 * trials
+
+
+def _walk_range(phi0, trials: int, params: SpinWalkParams,
+                batch_size: int | None, trial_offset: int):
+    """``(codes, steps, finals)`` of trials ``trial_offset`` onwards, in batches."""
+    codes = np.empty(trials, dtype=np.int8)
+    steps_out = np.zeros(trials, dtype=np.int64)
+    finals = np.empty((trials, 2), dtype=complex)
+    width = batch_size or max(1, min(trials, _MAX_BATCH))
+    for lo in range(0, trials, width):
+        ids = np.arange(lo, min(lo + width, trials))
+        _walk_batch(phi0, ids, params, trial_offset, codes, steps_out, finals)
+    return codes, steps_out, finals
 
 
 def run_ensemble(
@@ -384,6 +449,7 @@ def run_ensemble(
     params: SpinWalkParams,
     batch_size: int | None = None,
     trial_offset: int = 0,
+    workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes for trials 0..trials−1, identical to per-trial run_walk.
 
@@ -391,29 +457,54 @@ def run_ensemble(
     ``WalkResult`` values, ``steps`` the kick counts and ``final_states``
     the (trials, 2) spinors at stopping time.
 
-    All trials walk as one batch (``batch_size=None``) up to 2¹⁵ trials;
-    wider runs are split into batches of that width, or of ``batch_size``
-    when given.  Fields are drawn in blocks whose buffers hold about 2²⁰
-    trial-steps, so memory stays bounded whatever ``max_steps`` is.  Every
-    trial is a pure function of its substream ``(seed, trial +
-    trial_offset)`` and is computed with the same floating-point operations
-    as :func:`run_walk`, so results, step counts and final states match it
-    bit for bit at any batch width; ``trial_offset`` shifts the substream
+    The trials are split into contiguous ranges, one per process (see
+    :func:`ensemble_processes`; ``workers=None`` allows every CPU in the
+    affinity mask).  This process walks the first range and forked
+    processes walk the others, returning int8 outcome codes, step counts
+    and final states.  Within a range all trials walk as one batch
+    (``batch_size=None``) up to 2¹⁵ trials; wider ranges are split into
+    batches of that width, or of ``batch_size`` when given.  Fields are
+    drawn in blocks whose buffers hold about 2²⁰ trial-steps, so memory
+    stays bounded whatever ``max_steps`` is.  Every trial is a pure
+    function of its substream ``(seed, trial + trial_offset)`` and is
+    computed with the same floating-point operations as :func:`run_walk`,
+    so results, step counts and final states match it bit for bit at any
+    batch width and process count; ``trial_offset`` shifts the substream
     ids only, so a run split into chunks reproduces the unsplit run row for
     row.
     """
     phi0 = _as_unit_spinor(phi0)
-    results = np.empty(trials, dtype=object)
-    steps_out = np.zeros(trials, dtype=np.int64)
-    finals = np.empty((trials, 2), dtype=complex)
-    if batch_size is None:
-        batch_size = max(1, min(trials, _MAX_BATCH))
-    elif batch_size < 1:
+    if batch_size is not None and batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    for lo in range(0, trials, batch_size):
-        ids = np.arange(lo, min(lo + batch_size, trials))
-        _walk_batch(phi0, ids, params, trial_offset, results, steps_out, finals)
-    return results, steps_out, finals
+    chunks = _worker_chunks(trials, ensemble_processes(trials, workers))
+    if len(chunks) < 2:
+        codes, steps_out, finals = _walk_range(phi0, trials, params, batch_size,
+                                               trial_offset)
+    else:
+        codes, steps_out, finals = _walk_forked(phi0, chunks, params, batch_size,
+                                                trial_offset)
+    return _OUTCOMES[codes], steps_out, finals
+
+
+def _walk_forked(phi0, chunks, params: SpinWalkParams, batch_size: int | None,
+                 trial_offset: int):
+    """:func:`_walk_range` over ``chunks``: the first here, the rest forked."""
+    import multiprocessing
+    from concurrent.futures.process import ProcessPoolExecutor
+
+    # fork: the children inherit the imported library; spawned children
+    # import it again, which added 0.5–0.7 s to each 2-process call
+    context = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(len(chunks) - 1, mp_context=context) as pool:
+        futures = [
+            pool.submit(_walk_range, phi0, hi - lo, params, batch_size,
+                        trial_offset + lo)
+            for lo, hi in chunks[1:]
+        ]
+        lo, hi = chunks[0]
+        parts = [_walk_range(phi0, hi - lo, params, batch_size, trial_offset + lo)]
+        parts += [future.result() for future in futures]
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def born_statistics(phi0, trials: int, params: SpinWalkParams) -> BornHistogram:

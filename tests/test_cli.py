@@ -63,6 +63,15 @@ class TestRun:
         assert "finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_bad_worker_count_exits_2_without_outputs(self, tmp_path, capsys,
+                                                      monkeypatch):
+        monkeypatch.setenv("HB_THREADS", "0")
+        rc = cli.main(["spin-born", "--seed", "1", "--trials", "8",
+                       "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert "HB_THREADS" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_lambda_alias_sets_wavelength(self, tmp_path):
         rc = cli.main(
             ["estimates", "--lambda", "1e-5", "--output-dir", str(tmp_path)]

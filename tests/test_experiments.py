@@ -1,11 +1,15 @@
 """Registry, config validation, runner outputs and determinism."""
 
+import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
+from hilbertbridge import cli
 from hilbertbridge import experiments as ex
+from hilbertbridge import spin_measurement as sm
 
 
 EXPECTED_NAMES = {
@@ -197,7 +201,7 @@ class TestPositionBorn:
 
 class TestDeterminism:
     def test_worker_chunks_cover_range_in_order(self):
-        chunks = ex._worker_chunks(10, 3)
+        chunks = sm._worker_chunks(10, 3)
         assert chunks[0][0] == 0
         assert chunks[-1][1] == 10
         for (a, b), (c, d) in zip(chunks, chunks[1:]):
@@ -257,6 +261,11 @@ class TestWorkers:
         monkeypatch.setenv("HB_THREADS", "3")
         assert ex.resolve_workers(2) == 2
 
+    def test_unset_env_defaults_to_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("HB_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
+        assert ex.resolve_workers() == 3
+
     def test_bad_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("HB_THREADS", "many")
         with pytest.raises(ValueError, match="HB_THREADS"):
@@ -264,6 +273,55 @@ class TestWorkers:
         monkeypatch.setenv("HB_THREADS", "0")
         with pytest.raises(ValueError, match="HB_THREADS"):
             ex.resolve_workers()
+
+
+class TestMemoryBudget:
+    @pytest.fixture
+    def four_gib(self, monkeypatch):
+        """A machine with 4 GiB of memory (a 2 GiB budget) whose walks never run."""
+        pages = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        assert ex.memory_budget() == 2**31
+
+        def must_not_run(cfg, workers):
+            raise AssertionError("the run started")
+
+        for name in ("spin-born", "position-born"):
+            entry = dataclasses.replace(ex.REGISTRY[name], runner=must_not_run)
+            monkeypatch.setitem(ex.REGISTRY, name, entry)
+
+    @pytest.mark.parametrize("experiment, trials, parameters", [
+        ("spin-born", 5_000_000, {}),
+        ("position-born", 6_000_000, {}),
+        # one block of 8 kicks' (N, N) draws for 2048 trials takes 34 GiB
+        ("position-born", 2048, {"n_cells": 256}),
+    ])
+    def test_run_over_budget_is_refused_before_any_work(
+            self, four_gib, tmp_path, experiment, trials, parameters):
+        cfg = ex.ExperimentConfig(experiment, parameters, seed=1, trials=trials,
+                                  output_dir=str(tmp_path / "out"))
+        with pytest.raises(ex.MemoryBudgetError, match="GiB budget"):
+            ex.run(cfg)
+        assert not tmp_path.joinpath("out").exists()
+
+    def test_estimate_grows_with_trials_processes_and_format(self, monkeypatch):
+        monkeypatch.setattr(sm, "_cpu_count", lambda: 2)
+        spin = ex.REGISTRY["spin-born"].peak_bytes
+        small, large = (ex.ExperimentConfig("spin-born", seed=1, trials=t)
+                        for t in (10_000, 1_000_000))
+        as_json = ex.ExperimentConfig("spin-born", seed=1, trials=10_000,
+                                      format="json")
+        assert spin(small, 1) < spin(large, 1) < spin(large, 2)
+        assert spin(small, 1) < spin(as_json, 1)
+        # one process holds 120 MiB of block planes
+        assert spin(small, 1) > 120 * 2**20
+
+    def test_cli_exits_2_with_message(self, four_gib, tmp_path, capsys):
+        rc = cli.main(["spin-born", "--seed", "1", "--trials", "5000000",
+                       "--output-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "lower --trials" in capsys.readouterr().err
+        assert not tmp_path.joinpath("out").exists()
 
 
 class TestCellFormatting:

@@ -1,11 +1,13 @@
 """Bloch-sphere walk: kicks, absorption statistics, isotropy diagnostics."""
 
+import concurrent.futures.process
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from hilbertbridge import spin_measurement as sm
 from hilbertbridge.spin_measurement import (
     BornHistogram,
     SpinWalkParams,
@@ -244,7 +246,7 @@ def test_ensemble_chunks_by_trial_offset_concatenate_to_unsplit_run():
     # 33 000 trials exceed one default batch, so the unsplit run is batched
     p = short_walks(max_steps=6, seed=9)
     phi0 = state_with_height(0.86)
-    whole = run_ensemble(phi0, 33_000, p)
+    whole = run_ensemble(phi0, 33_000, p, workers=1)
     parts = [run_ensemble(phi0, hi - lo, p, trial_offset=lo)
              for lo, hi in ((0, 7), (7, 20_000), (20_000, 33_000))]
     assert list(whole[0]) == [r for part in parts for r in part[0]]
@@ -256,6 +258,80 @@ def test_ensemble_chunks_by_trial_offset_concatenate_to_unsplit_run():
         assert whole[0][t] is solo.result
         assert whole[1][t] == solo.steps
         assert whole[2][t].tobytes() == solo.final_state.tobytes()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Three CPUs, forks from 8 trials a process; records every pool made."""
+    made = []
+
+    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(sm, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(sm, "MIN_TRIALS_PER_PROCESS", 8)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+    return made
+
+
+def assert_same_run(a, b):
+    assert all(x is y for x, y in zip(a[0], b[0], strict=True))
+    assert a[1].tobytes() == b[1].tobytes()
+    assert a[2].tobytes() == b[2].tobytes()
+
+
+@pytest.mark.parametrize("workers, children", [(2, 1), (None, 2)])
+@pytest.mark.parametrize("kw", [{}, {"trial_offset": 1000}, {"batch_size": 5},
+                                {"trial_offset": 7, "batch_size": 3}])
+def test_forked_run_equals_one_process(pools, workers, children, kw):
+    # 40 kicks leave some walks UNRESOLVED
+    p = short_walks(max_steps=40, seed=12)
+    phi0 = state_with_height(0.75)
+    one = run_ensemble(phi0, 50, p, workers=1, **kw)
+    assert not pools
+    forked = run_ensemble(phi0, 50, p, workers=workers, **kw)
+    assert pools == [(children,)]
+    assert_same_run(forked, one)
+    unresolved = one[0] == WalkResult.UNRESOLVED
+    assert unresolved.any() and (~unresolved).any()
+
+
+def test_forked_run_from_inside_the_cap(pools):
+    p = short_walks(seed=3)
+    phi0 = state_with_height(-0.95)
+    forked = run_ensemble(phi0, 30, p, workers=2)
+    assert pools == [(1,)]
+    assert_same_run(forked, run_ensemble(phi0, 30, p, workers=1))
+    assert all(r is WalkResult.DOWN for r in forked[0])
+    assert not forked[1].any()
+
+
+def test_no_pool_below_the_trial_threshold(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(sm, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
+    trials = 2 * sm.MIN_TRIALS_PER_PROCESS - 1
+    assert sm.ensemble_processes(trials, 2) == 1
+    p = short_walks(max_steps=1, seed=13)
+    results, steps, _ = run_ensemble(state_with_height(0.2), trials, p, workers=2)
+    assert len(results) == trials and (steps == 1).all()
+
+
+def test_process_count_is_capped_and_validated(monkeypatch):
+    monkeypatch.setattr(sm, "_cpu_count", lambda: 4)
+    trials = 10 * sm.MIN_TRIALS_PER_PROCESS
+    assert sm.ensemble_processes(trials) == 4
+    assert sm.ensemble_processes(trials, 3) == 3
+    assert sm.ensemble_processes(trials, 16) == 4
+    assert sm.ensemble_processes(3 * sm.MIN_TRIALS_PER_PROCESS, 16) == 3
+    assert sm.ensemble_processes(0) == 1
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="workers"):
+            run_ensemble(EQUAL, 10, params(), workers=bad)
 
 
 def test_componentwise_norm_equals_linalg_norm_bitwise():
