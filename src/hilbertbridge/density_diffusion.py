@@ -24,7 +24,7 @@ from hilbertbridge.position_measurement import (
     PositionWalkParams,
     hermitian_generator,
 )
-from hilbertbridge.spin_measurement import SpinWalkParams, _step_batch
+from hilbertbridge.spin_measurement import SpinWalkParams, _free_walk_msd
 from hilbertbridge.stats_util import RngStream
 
 __all__ = [
@@ -271,32 +271,8 @@ class StateMsd:
     mean_square_angle: np.ndarray
 
 
-# byte budget of one block of per-step draws in the MSD walks
+# byte budget of one block of per-kick draws in the cell MSD walk
 _DRAW_BLOCK_BYTES = 1 << 23
-
-
-def _walk_msd(start, seed, trials, n_steps, shape, draw, kick) -> np.ndarray:
-    """⟨θ²⟩ after each of ``n_steps`` in-place ``kick(states, noise)`` calls.
-
-    Generator t fills row t of a step-major block of (trials, *shape) noise
-    with one ``draw(g, size)``; successive draws equal one draw of their total
-    size, so each step sees per-step values.  ``kick=None`` draws nothing.
-    """
-    gens = [RngStream(seed, t).generator() for t in range(trials)]
-    block = max(1, min(n_steps, _DRAW_BLOCK_BYTES // (8 * trials * math.prod(shape))))
-    noise = np.empty((block, trials, *shape))
-    states = np.tile(start, (trials, 1))
-    out = np.zeros(n_steps + 1)
-    for k in range(n_steps):
-        if kick is not None:
-            if k % block == 0:
-                size = (min(block, n_steps - k), *shape)
-                for t, g in enumerate(gens):
-                    noise[: size[0], t] = draw(g, size)
-            kick(states, noise[k % block])
-        ov = np.abs(states @ start.conj())
-        out[k + 1] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
-    return out
 
 
 def _apply_unitary_batch(
@@ -317,18 +293,31 @@ def _apply_unitary_batch(
 def _position_msd(
     state0: CellState, params: PositionWalkParams, n_steps: int, trials: int
 ) -> np.ndarray:
+    """⟨θ²⟩ after each of ``n_steps`` eigh kicks of ``trials`` cell walks.
+
+    Generator t fills row t of a step-major block of normals with one draw,
+    which equals per-kick draws; ``tau = 0`` draws nothing.
+    """
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("projective MSD applies to the ISOTROPIC walk")
-    n = state0.amplitudes.size
-
-    def kick(states, raw):
-        hams = hermitian_generator(raw[:, 0], raw[:, 1], params.v_std)
-        states[:] = _apply_unitary_batch(states, hams, params)
-
-    return _walk_msd(
-        state0.amplitudes, params.seed, trials, n_steps, (2, n, n),
-        lambda g, size: g.normal(size=size), kick if params.tau > 0 else None,
-    )
+    start, n = state0.amplitudes, len(state0)
+    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
+    block = max(1, min(n_steps, _DRAW_BLOCK_BYTES // (8 * trials * 2 * n * n)))
+    raw = np.empty((block, trials, 2, n, n))
+    states = np.tile(start, (trials, 1))
+    out = np.zeros(n_steps + 1)
+    for k in range(n_steps):
+        if params.tau > 0:
+            if k % block == 0:
+                size = (min(block, n_steps - k), 2, n, n)
+                for t, g in enumerate(gens):
+                    raw[: size[0], t] = g.normal(size=size)
+            noise = raw[k % block]
+            hams = hermitian_generator(noise[:, 0], noise[:, 1], params.v_std)
+            states[:] = _apply_unitary_batch(states, hams, params)
+        ov = np.abs(states @ start.conj())
+        out[k + 1] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
+    return out
 
 
 def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
@@ -342,11 +331,7 @@ def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     if trials < 100:
         raise ValueError("need at least 100 trials")
     if isinstance(params, SpinWalkParams):
-        series = _walk_msd(
-            np.asarray(start, dtype=complex), params.seed, trials, n_steps, (3,),
-            lambda g, size: g.normal(0.0, params.field_std, size=size),
-            lambda states, fields: _step_batch(states, fields, params),
-        )
+        series = _free_walk_msd(start, trials, params, n_steps)
     elif isinstance(params, PositionWalkParams):
         series = _position_msd(start, params, n_steps, trials)
     else:

@@ -21,7 +21,7 @@ tolerance used in the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -175,14 +175,6 @@ class ClassicalPath:
             raise ValueError("times must be strictly increasing")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "positions", a)
-
-    @classmethod
-    def from_samples(
-        cls, samples: Sequence[tuple[float, Sequence[float]]]
-    ) -> "ClassicalPath":
-        times = np.array([s[0] for s in samples], dtype=float)
-        positions = np.array([np.atleast_1d(s[1]) for s in samples], dtype=float)
-        return cls(times, positions)
 
     @property
     def dim(self) -> int:

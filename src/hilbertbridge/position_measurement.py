@@ -8,7 +8,9 @@ provided and deliberately contrasted:
   unitaries.  These cannot change any |C_n| (a one-line theorem, and the
   diagnostic reports the rank deficiency of the reachable directions).
 * ``ISOTROPIC`` — unitarily-invariant random Hermitian generators, the
-  direct realisation of "every tangent direction equally likely".
+  direct realisation of "every tangent direction equally likely".  One
+  engine walks them: a single :func:`run_measurement` is a one-trial
+  :func:`run_position_ensemble`.
 
 Also here: Gabor frame states at critical density and the order-of-
 magnitude chain for photon-scattering measurements of an electron.
@@ -19,7 +21,6 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from typing import Sequence
 
 import numpy as np
 from scipy import constants
@@ -418,15 +419,10 @@ def isotropic_step(
 ) -> CellState:
     """One kick by a unitarily-invariant random Hermitian generator."""
     kick = _TaylorKick(state.amplitudes[None, :], params)
-    _isotropic_kick(kick, rng)
-    return CellState(kick.states[0].copy())
-
-
-def _isotropic_kick(kick: _TaylorKick, rng: np.random.Generator) -> None:
-    """Kick the one trial of ``kick`` by a generator drawn from ``rng``."""
     raw = rng.normal(size=(1, 1, 2, kick.n, kick.n))
     (operands,) = kick.prepare(kick.generators(raw[:, :, 0], raw[:, :, 1]))
     kick.apply(operands)
+    return CellState(kick.states[0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +521,23 @@ def velocity_isotropy_diagnostic(
 def run_measurement(
     state0: CellState, params: PositionWalkParams, stream_id: int = 0
 ) -> MeasurementOutcome:
-    """Walk until one cell holds at least 1 − absorb_eps of the mass."""
-    state = state0
-    gen = RngStream(params.seed, stream_id).generator()
+    """Walk until one cell holds at least 1 − absorb_eps of the mass.
+
+    An ISOTROPIC walk is trial ``stream_id`` of :func:`run_position_ensemble`.
+    """
     if params.generator_mode is GeneratorMode.ISOTROPIC:
-        kick = _TaylorKick(state0.amplitudes[None, :], params)
+        cells, steps, finals = _walk_range(state0, 1, params, 1, stream_id)
+        cell = int(cells[0])
+        return MeasurementOutcome(cell if cell >= 0 else None, int(steps[0]),
+                                  CellState(finals[0]))
+    state, gen = state0, RngStream(params.seed, stream_id).generator()
     for steps in range(params.max_steps + 1):
         masses = _cell_masses(state.amplitudes)
-        top = int(np.argmax(masses))
-        if masses[top] >= 1.0 - params.absorb_eps:
-            return MeasurementOutcome(cell=top, steps=steps, final_state=state)
-        if steps == params.max_steps:
-            break
-        if params.generator_mode is GeneratorMode.DIAGONAL:
+        if masses.max() >= 1.0 - params.absorb_eps:
+            return MeasurementOutcome(int(masses.argmax()), steps, state)
+        if steps < params.max_steps:
             state = diag_potential_step(state, gen, params)
-        else:
-            _isotropic_kick(kick, gen)
-            state = CellState(kick.states[0].copy())
-    return MeasurementOutcome(cell=None, steps=params.max_steps, final_state=state)
+    return MeasurementOutcome(None, params.max_steps, state)
 
 
 # a block of kicks takes as many kicks (8 to 256) as keep its draw, generator
@@ -561,12 +556,12 @@ def ensemble_bytes(trials: int, n: int) -> int:
     """Rough peak bytes of :func:`run_position_ensemble` at N = ``n``.
 
     One default batch's block of kicks, its two Taylor power buffers and its
-    random generators (about 1 KiB each), plus the returned cells and steps.
+    random generators (about 1 KiB each), plus every trial's outputs.
     """
     k = min(trials, _BATCH)
     block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
     powers = 2 * (_TAYLOR_ORDER_MAX + 1) * k * n * 16
-    return block + powers + 1024 * k + 16 * trials
+    return block + powers + 1024 * k + (16 + 16 * n) * trials
 
 
 def run_position_ensemble(
@@ -578,37 +573,46 @@ def run_position_ensemble(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
 
-    Trial ``t`` reproduces ``run_measurement(state0, params, stream_id=t)``
-    draw for draw and bit for bit; batching is an implementation detail.
-    ``trial_offset`` shifts the substream ids only, so chunked runs
-    concatenate to the unsplit run exactly.
+    Trial ``t`` is ``run_measurement(state0, params, stream_id=t)`` bit for
+    bit at any ``batch_size``.  ``trial_offset`` shifts the substream ids
+    only, so chunked runs concatenate to the unsplit run exactly.
     """
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("ensemble driver supports the ISOTROPIC mode only")
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
+    return _walk_range(state0, trials, params, batch_size, trial_offset)[:2]
+
+
+def _walk_range(
+    state0: CellState, trials: int, params: PositionWalkParams,
+    batch_size: int, trial_offset: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(cells, steps, finals)`` of trials ``trial_offset`` onwards, in batches."""
     cells = np.full(trials, -1, dtype=np.int64)
     steps_out = np.full(trials, params.max_steps, dtype=np.int64)
-
+    finals = np.tile(state0.amplitudes, (trials, 1))
     masses0 = _cell_masses(state0.amplitudes)
     if masses0.max() >= 1.0 - params.absorb_eps:
         cells[:] = int(np.argmax(masses0))
         steps_out[:] = 0
-        return cells, steps_out
-
+        return cells, steps_out, finals
     for start in range(0, trials, batch_size):
         ids = np.arange(start, min(start + batch_size, trials))
-        _walk_batch(state0, ids, trial_offset, params, cells, steps_out)
-    return cells, steps_out
+        _walk_batch(state0, ids, trial_offset, params, cells, steps_out, finals)
+    return cells, steps_out, finals
 
 
 def _walk_batch(
     state0: CellState, ids: np.ndarray, trial_offset: int,
     params: PositionWalkParams, cells: np.ndarray, steps_out: np.ndarray,
+    finals: np.ndarray,
 ) -> None:
-    """Walk trials ``ids`` together, writing their cells and step counts.
+    """Walk trials ``ids`` together, writing their cells, steps and final states.
 
     Draws come in blocks of kicks; a block's generators, series orders and
     weights are built for all its kicks at once.  A trial that absorbs is
-    zeroed, so it cannot absorb again, and dropped at the block's end.
+    recorded, zeroed so it cannot absorb again, and dropped at block end.
     """
     n = len(state0)
     threshold = 1.0 - params.absorb_eps
@@ -641,14 +645,18 @@ def _walk_batch(
                 rows = np.flatnonzero(masses[np.arange(k), winner] >= threshold)
                 cells[ids[rows]] = winner[rows]
                 steps_out[ids[rows]] = step
+                finals[ids[rows]] = kick.states[rows]
                 kick.states[rows] = 0.0
                 done[rows] = True
+                if done.all():
+                    break
 
         if done.any():
             keep = ~done
             ids = ids[keep]
             gens = [g for g, live in zip(gens, keep) if live]
             kick.keep(keep)
+    finals[ids] = kick.states
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ Hopf height ``z`` enters one of the polar absorption bands; ensemble
 statistics of those absorptions are compared against the ``(1 − z₀)/2``
 ruin prediction.
 
-The ensemble driver reproduces, trial for trial, what a scalar
-:func:`run_walk` with the same stream id would do — trials are pure
-functions of ``(params, trial index)`` and may be aggregated in any order.
+One engine walks every trial: :func:`run_walk` is a one-trial
+:func:`run_ensemble`, and trials are pure functions of ``(params, trial
+index)`` that may be aggregated in any order.  The never-absorbed walk of
+the state mean-squared displacement kicks with the same kernel.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import dataclasses
 import enum
 import math
 import os
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -190,32 +191,15 @@ def sample_field(rng: np.random.Generator, params: SpinWalkParams) -> np.ndarray
     return rng.normal(0.0, params.field_std, size=3)
 
 
-def _classify(z: float, params: SpinWalkParams) -> WalkResult | None:
-    if z >= params.absorb_z:
-        return WalkResult.UP
-    if z <= -params.absorb_z:
-        return WalkResult.DOWN
-    return None
-
-
 def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
     """Walk a single spin until polar absorption or the step budget runs out.
 
-    ``stream_id`` selects the per-trial random substream; trial ``t`` of an
-    ensemble is exactly ``run_walk(phi0, params, stream_id=t)``.
+    A one-trial ensemble: trial ``t`` of :func:`run_ensemble` is exactly
+    ``run_walk(phi0, params, stream_id=t)``.
     """
-    phi = _as_unit_spinor(phi0)[None, :].copy()
-    gen = RngStream(params.seed, stream_id).generator()
-    for steps in range(params.max_steps + 1):
-        state = _classify(_height(phi[0]), params)
-        if state is not None:
-            return WalkOutcome(state, steps, phi[0])
-        if steps == params.max_steps:
-            break
-        # same vectorized kernel as run_ensemble, so trial t of an ensemble
-        # and a scalar walk with stream_id=t agree to the last bit
-        _step_batch(phi, sample_field(gen, params)[None, :], params)
-    return WalkOutcome(WalkResult.UNRESOLVED, params.max_steps, phi[0])
+    codes, steps, finals = _walk_range(_as_unit_spinor(phi0), 1, params, None,
+                                       stream_id)
+    return WalkOutcome(_OUTCOMES[codes[0]], int(steps[0]), finals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -235,19 +219,6 @@ _SCAN = 32
 _TILE = 64
 
 
-def _step_batch(states: np.ndarray, fields: np.ndarray, params: SpinWalkParams) -> None:
-    """Apply one kick to every row of ``states`` (modified in place)."""
-    norms = np.linalg.norm(fields, axis=1)
-    safe = np.where(norms == 0.0, 1.0, norms)
-    bx, by, bz = (fields / safe[:, None]).T
-    lam = params.mu * norms * params.dt / params.hbar
-    c = np.cos(lam)
-    s = 1j * np.sin(lam)
-    p0, p1 = states[:, 0].copy(), states[:, 1].copy()
-    states[:, 0] = c * p0 + s * (bz * p0 + (bx - 1j * by) * p1)
-    states[:, 1] = c * p1 + s * ((bx + 1j * by) * p0 - bz * p1)
-
-
 def _kick_coefficients(gens, block: int, params: SpinWalkParams,
                        real: np.ndarray, cplx: np.ndarray):
     """Complex ``(c, s, bz, bp, bm)`` planes of shape (block, n).
@@ -256,7 +227,8 @@ def _kick_coefficients(gens, block: int, params: SpinWalkParams,
     row of a tile of trials, and each tile is transposed into step-major
     rows of ``real`` (5, ≥ block·n); the planes are written to ``cplx``
     (5, ≥ block·n).  Every element goes through the same floating-point
-    operations as in :func:`_step_batch`: ``Generator.normal`` is
+    operations as in ``_step_batch`` of ``tests/reference_walks.py``, the
+    per-kick walk the engine is checked against: ``Generator.normal`` is
     ``loc + scale * z``, ``(f0² + f1²) + f2²`` is the order in which
     ``np.linalg.norm`` sums a 3-vector, and a real factor of a complex
     product is promoted to complex there too, so ``c`` and ``bz`` are
@@ -302,57 +274,71 @@ def _kick_coefficients(gens, block: int, params: SpinWalkParams,
     return c, s, bz, bp, bm
 
 
+def _plane_buffers(n: int, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient plane buffers for ``n`` trials and any later, smaller block."""
+    cap = min(max(_BLOCK_BUDGET, _MIN_BLOCK * n), _MAX_BLOCK * n, max_steps * n)
+    return np.empty((5, cap)), np.empty((5, cap), dtype=complex)
+
+
+def _block_length(n: int, steps_left: int) -> int:
+    return min(max(_BLOCK_BUDGET // n, _MIN_BLOCK), _MAX_BLOCK, steps_left)
+
+
+def _kick_window(slots0, slots1, planes, k0: int, width: int, u, v) -> None:
+    """Kick ``k0 + j`` of a block's ``planes`` moves ring slot j − 1 into slot j.
+
+    ``slots0``/``slots1`` list the two components' rows of a (2, _SCAN, n)
+    ring, slot −1 holding the last kicked states; ``u``, ``v`` are scratch.
+    """
+    c, s, bz, bp, bm = planes
+    for j in range(width):
+        k = k0 + j
+        ck, sk, zk, pk, mk = c[k], s[k], bz[k], bp[k], bm[k]
+        p0, p1 = slots0[j - 1], slots1[j - 1]
+        n0, n1 = slots0[j], slots1[j]
+        # n0 = c*p0 + s*(bz*p0 + bm*p1)
+        np.multiply(ck, p0, out=n0)
+        np.multiply(zk, p0, out=u)
+        np.multiply(mk, p1, out=v)
+        np.add(u, v, out=u)
+        np.multiply(sk, u, out=u)
+        np.add(n0, u, out=n0)
+        # n1 = c*p1 + s*(bp*p0 - bz*p1)
+        np.multiply(ck, p1, out=n1)
+        np.multiply(pk, p0, out=u)
+        np.multiply(zk, p1, out=v)
+        np.subtract(u, v, out=u)
+        np.multiply(sk, u, out=u)
+        np.add(n1, u, out=n1)
+
+
 def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
                 codes, steps_out, finals) -> None:
     """Walk trials ``ids`` to absorption, writing their rows of the outputs."""
-    start = _classify(_height(phi0), params)
-    if start is not None:
-        codes[ids] = _UP if start is WalkResult.UP else _DOWN
+    zc = params.absorb_z
+    z0 = _height(phi0)
+    if abs(z0) >= zc:
+        codes[ids] = _UP if z0 > 0 else _DOWN
         finals[ids] = phi0
         return
-    zc = params.absorb_z
     gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
     n = ids.size
-    # no later block (fewer survivors) needs more than this many trial-steps
-    cap = min(max(_BLOCK_BUDGET, _MIN_BLOCK * n), _MAX_BLOCK * n, params.max_steps * n)
-    real = np.empty((5, cap))
-    cplx = np.empty((5, cap), dtype=complex)
+    real, cplx = _plane_buffers(n, params.max_steps)
     ring_buf = np.empty(2 * _SCAN * n, dtype=complex)
     ring = ring_buf.reshape(2, _SCAN, n)
     ring[:, -1] = phi0[:, None]
-
     step = 0
     while n and step < params.max_steps:
-        block = min(max(_BLOCK_BUDGET // n, _MIN_BLOCK), _MAX_BLOCK,
-                    params.max_steps - step)
-        c, s, bz, bp, bm = _kick_coefficients(gens, block, params, real, cplx)
-        slots0, slots1 = list(ring[0]), list(ring[1])
-        u = np.empty(n, dtype=complex)
-        v = np.empty(n, dtype=complex)
+        block = _block_length(n, params.max_steps - step)
+        planes = _kick_coefficients(gens, block, params, real, cplx)
+        slots = list(ring[0]), list(ring[1])
+        u, v = np.empty((2, n), dtype=complex)
         # rows that absorb mid-block keep stepping (their outputs are already
         # frozen); survivors are compacted at the block end
         alive = np.ones(n, dtype=bool)
         for w0 in range(0, block, _SCAN):
             width = min(_SCAN, block - w0)
-            for j in range(width):
-                k = w0 + j
-                ck, sk, zk, pk, mk = c[k], s[k], bz[k], bp[k], bm[k]
-                p0, p1 = slots0[j - 1], slots1[j - 1]
-                n0, n1 = slots0[j], slots1[j]
-                # n0 = c*p0 + s*(bz*p0 + bm*p1)
-                np.multiply(ck, p0, out=n0)
-                np.multiply(zk, p0, out=u)
-                np.multiply(mk, p1, out=v)
-                np.add(u, v, out=u)
-                np.multiply(sk, u, out=u)
-                np.add(n0, u, out=n0)
-                # n1 = c*p1 + s*(bp*p0 - bz*p1)
-                np.multiply(ck, p1, out=n1)
-                np.multiply(pk, p0, out=u)
-                np.multiply(zk, p1, out=v)
-                np.subtract(u, v, out=u)
-                np.multiply(sk, u, out=u)
-                np.add(n1, u, out=n1)
+            _kick_window(*slots, planes, w0, width, u, v)
 
             # absorption scan: each row's first crossing in this window
             window = ring[:, :width]
@@ -384,6 +370,36 @@ def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
         codes[ids] = _UNRESOLVED
         steps_out[ids] = params.max_steps
         finals[ids] = ring[:, -1].T
+
+
+def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> np.ndarray:
+    """⟨θ²⟩, θ = arccos |⟨φ₀|φ⟩|, after each of 0 … ``n_steps`` kicks.
+
+    Trial ``t`` kicks as trial ``t`` of :func:`run_ensemble` but never stops.
+    """
+    phi0 = _as_unit_spinor(phi0)
+    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
+    real, cplx = _plane_buffers(trials, n_steps)
+    ring = np.empty((2, _SCAN, trials), dtype=complex)
+    ring[:, -1] = phi0[:, None]
+    slots = list(ring[0]), list(ring[1])
+    u, v = np.empty((2, trials), dtype=complex)
+    pairs = np.empty((trials, 2), dtype=complex)  # states as rows
+    out = np.zeros(n_steps + 1)
+    step = 0
+    while step < n_steps:
+        block = _block_length(trials, n_steps - step)
+        planes = _kick_coefficients(gens, block, params, real, cplx)
+        for w0 in range(0, block, _SCAN):
+            width = min(_SCAN, block - w0)
+            _kick_window(*slots, planes, w0, width, u, v)
+            for j in range(width):
+                pairs[:, 0], pairs[:, 1] = slots[0][j], slots[1][j]
+                overlap = np.abs(pairs @ phi0.conj())
+                out[step + w0 + j + 1] = (np.arccos(np.minimum(overlap, 1.0)) ** 2).mean()
+        step += block
+        ring[:, -1] = ring[:, width - 1]
+    return out
 
 
 # fewest trials worth a forked process: smaller ranges save less walking
@@ -466,12 +482,10 @@ def run_ensemble(
     batches of that width, or of ``batch_size`` when given.  Fields are
     drawn in blocks whose buffers hold about 2²⁰ trial-steps, so memory
     stays bounded whatever ``max_steps`` is.  Every trial is a pure
-    function of its substream ``(seed, trial + trial_offset)`` and is
-    computed with the same floating-point operations as :func:`run_walk`,
-    so results, step counts and final states match it bit for bit at any
-    batch width and process count; ``trial_offset`` shifts the substream
-    ids only, so a run split into chunks reproduces the unsplit run row for
-    row.
+    function of its substream ``(seed, trial + trial_offset)``, the same
+    bits at any batch width and process count; ``trial_offset`` shifts the
+    substream ids only, so a run split into chunks reproduces the unsplit
+    run row for row.
     """
     phi0 = _as_unit_spinor(phi0)
     if batch_size is not None and batch_size < 1:

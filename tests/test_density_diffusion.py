@@ -29,8 +29,9 @@ from hilbertbridge.position_measurement import (
     PositionWalkParams,
     hermitian_generator,
 )
-from hilbertbridge.spin_measurement import SpinWalkParams, _step_batch
+from hilbertbridge.spin_measurement import SpinWalkParams
 from hilbertbridge.stats_util import RngStream
+from reference_walks import _step_batch
 
 
 def _packet_on_grid(sigma, p, spacing, half_width, center=0.0, mass=1.0):
@@ -444,27 +445,38 @@ def _msd_per_step_reference(start, params, n_steps, trials):
 
 @pytest.mark.parametrize("budget", [None, 3 * 100 * 8 * 3, 1])
 @pytest.mark.parametrize(
-    "start, params",
+    "start, params, n_steps",
     [
-        (
+        pytest.param(
             np.array([0.6, 0.8j], dtype=complex),
-            SpinWalkParams(dt=0.05, field_std=0.7, seed=9),
+            SpinWalkParams(dt=0.05, field_std=0.7, seed=9), 11,
+            id="start0-params0",
         ),
-        (
+        pytest.param(
             CellState(np.array([1, 0, 0], dtype=complex)),
-            PositionWalkParams(tau=0.05, v_std=1.0, seed=9),
+            PositionWalkParams(tau=0.05, v_std=1.0, seed=9), 11,
+            id="start1-params1",
         ),
-        (
+        pytest.param(
             CellState(np.array([0.6, 0, 0.8], dtype=complex)),
-            PositionWalkParams(tau=0.0, v_std=1.0, seed=9),
+            PositionWalkParams(tau=0.0, v_std=1.0, seed=9), 11,
+            id="start2-params2",
+        ),
+        # 300 spin kicks cross 32-kick scan windows and a 256-kick block
+        pytest.param(
+            np.array([0.8, 0.6], dtype=complex),
+            SpinWalkParams(dt=0.04, field_std=1.0, seed=10), 300,
+            id="spin-300-steps",
         ),
     ],
 )
-def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, budget):
-    # budgets of one whole run, three spin steps per block (so a short last
-    # block), and one step per block
+def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, n_steps,
+                                              budget):
+    # cell walks: a budget of one whole run and budgets of one step per
+    # block; the spin walk draws in the ensemble engine's blocks whatever
+    # the budget (300 kicks: a block of 256 and a short one of 44)
     if budget is not None:
         monkeypatch.setattr(density_diffusion, "_DRAW_BLOCK_BYTES", budget)
-    out = state_density_msd(start, params, n_steps=11, trials=100)
-    ref = _msd_per_step_reference(start, params, n_steps=11, trials=100)
+    out = state_density_msd(start, params, n_steps=n_steps, trials=100)
+    ref = _msd_per_step_reference(start, params, n_steps=n_steps, trials=100)
     assert out.mean_square_angle.tobytes() == ref.tobytes()

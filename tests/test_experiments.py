@@ -1,5 +1,7 @@
 """Registry, config validation, runner outputs and determinism."""
 
+import concurrent.futures.process
+import csv
 import dataclasses
 import json
 import os
@@ -9,7 +11,10 @@ import pytest
 
 from hilbertbridge import cli
 from hilbertbridge import experiments as ex
+from hilbertbridge import position_measurement as pm
 from hilbertbridge import spin_measurement as sm
+from hilbertbridge.stats_util import RngStream
+import reference_walks
 
 
 EXPECTED_NAMES = {
@@ -252,6 +257,63 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+class TestWalksAgainstReference:
+    """Trials files of the walk experiments against the per-kick reference walks."""
+
+    @staticmethod
+    def rows(path):
+        with open(path, newline="") as f:
+            return [list(row.values()) for row in csv.DictReader(f)]
+
+    def test_forked_spin_born_rows_equal_reference(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(sm, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(sm, "MIN_TRIALS_PER_PROCESS", 8)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+        cfg = ex.ExperimentConfig("spin-born", {"z0": 0.4}, seed=40, trials=40,
+                                  output_dir=str(tmp_path))
+        ex.run(cfg, workers=2)
+        assert made == [(1,)]
+        rows = self.rows(tmp_path / "spin-born-trials.csv")
+        p = cfg.parameters
+        params = sm.SpinWalkParams(dt=p["step_angle"], field_std=1.0, mu=1.0,
+                                   absorb_eps=p["absorb_eps"], max_steps=p["max_steps"],
+                                   seed=40)
+        # both ends of both processes' ranges and a few seeded picks
+        picks = {0, 19, 20, 39, *RngStream(40).generator().choice(40, 4).tolist()}
+        for t in sorted(picks):
+            out = reference_walks.run_walk(ex._spinor_at_height(0.4), params, t)
+            fin = out.final_state[None, :]
+            z = (np.abs(fin[:, 1]) ** 2 - np.abs(fin[:, 0]) ** 2)[0]
+            assert rows[t] == [str(t), out.result.value, str(out.steps), "%.17g" % z]
+
+    def test_position_born_rows_equal_reference(self, tmp_path):
+        cfg = ex.ExperimentConfig("position-born", {"n_cells": 3}, seed=41,
+                                  trials=12, output_dir=str(tmp_path))
+        ex.run(cfg)
+        rows = self.rows(tmp_path / "position-born-trials.csv")
+        p = cfg.parameters
+        params = pm.PositionWalkParams(tau=p["tau"], v_std=p["v_std"],
+                                       absorb_eps=p["absorb_eps"],
+                                       max_steps=p["max_steps"], seed=41)
+        # the runner's start amplitudes come from the reserved substream 2⁶³
+        gen = RngStream(41, 2**63).generator()
+        raw = gen.normal(size=3) + 1j * gen.normal(size=3)
+        state0 = pm.CellState(raw / np.linalg.norm(raw))
+        cells = []
+        for t in range(12):
+            out = reference_walks.run_measurement(state0, params, t)
+            cells.append(-1 if out.cell is None else out.cell)
+            assert rows[t] == [str(t), str(cells[-1]), str(out.steps)]
+        assert -1 in cells and max(cells) >= 0
+
+
 class TestWorkers:
     def test_env_variable_caps_workers(self, monkeypatch):
         monkeypatch.setenv("HB_THREADS", "3")
@@ -315,6 +377,13 @@ class TestMemoryBudget:
         assert spin(small, 1) < spin(as_json, 1)
         # one process holds 120 MiB of block planes
         assert spin(small, 1) > 120 * 2**20
+        # past one batch, a cell-walk trial adds its cell and steps (16 bytes),
+        # its final state (16·N bytes) and its CSV row
+        cell = ex.REGISTRY["position-born"].peak_bytes
+        small, large = (ex.ExperimentConfig("position-born", {"n_cells": 8}, seed=1,
+                                            trials=t) for t in (10_000, 20_000))
+        assert cell(large, 1) - cell(small, 1) == 10_000 * (16 + 16 * 8 + 400)
+        assert pm.ensemble_bytes(10_000, 30) - pm.ensemble_bytes(5_000, 30) == 5_000 * 496
 
     def test_cli_exits_2_with_message(self, four_gib, tmp_path, capsys):
         rc = cli.main(["spin-born", "--seed", "1", "--trials", "5000000",

@@ -7,6 +7,7 @@ import pytest
 from scipy import constants, stats
 from scipy.linalg import expm
 
+import reference_walks
 from hilbertbridge.hilbert_core import (
     GridResolutionError,
     GridWaveFunction,
@@ -14,7 +15,6 @@ from hilbertbridge.hilbert_core import (
     grid_covering,
     inner_l2,
 )
-from hilbertbridge.density_diffusion import _apply_unitary_batch
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.position_measurement import (
     _TaylorKick,
@@ -388,22 +388,6 @@ def test_taylor_kick_refuses_non_finite_generators():
         _TaylorKick.prepare(np.full((1, 1, 2, 2), complex(math.nan, 0.0)))
 
 
-def eigh_walk(state0, params, stream_id):
-    """Reference cell walk: its own GUE formula, eigh kicks, |C_n|² test."""
-    psi = state0.amplitudes[None, :]
-    n = psi.size
-    gen = RngStream(params.seed, stream_id).generator()
-    for step in range(params.max_steps + 1):
-        masses = np.abs(psi[0]) ** 2
-        if masses.max() >= 1.0 - params.absorb_eps:
-            return int(masses.argmax()), step
-        if step == params.max_steps:
-            return -1, step
-        m = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
-        h = params.v_std * (m + m.conj().T) / 2
-        psi = _apply_unitary_batch(psi, h[None], params)
-
-
 @pytest.mark.parametrize(
     "masses",
     [(0.7, 0.3), (0.8, 0.15, 0.05), (0.8, 0.1, 0.06, 0.04)],
@@ -415,7 +399,7 @@ def test_ensemble_matches_eigh_walk(masses):
     state = CellState(amps / np.linalg.norm(amps))
     p = iso_params(absorb_eps=0.1, max_steps=300, seed=77)
     cells, steps = run_position_ensemble(state, 48, p, batch_size=16)
-    want = [eigh_walk(state, p, t) for t in range(48)]
+    want = [reference_walks.eigh_walk(state, p, t) for t in range(48)]
     assert list(zip(cells.tolist(), steps.tolist())) == want
     # absorbed trials and trials still unresolved at max_steps are compared
     assert (cells >= 0).any() and (cells < 0).any()
@@ -431,9 +415,11 @@ def test_walks_start_from_a_strided_state():
     p = iso_params(absorb_eps=0.1, max_steps=300, seed=78)
     cells, steps = run_position_ensemble(state, 8, p)
     for t in range(8):
-        out = run_measurement(state, p, stream_id=t)
+        out = reference_walks.run_measurement(state, p, stream_id=t)
         got = out.cell if out.resolved else -1
         assert (got, out.steps) == (cells[t], steps[t])
+        solo = run_measurement(state, p, stream_id=t)
+        assert solo.final_state.amplitudes.tobytes() == out.final_state.amplitudes.tobytes()
     stepped = isotropic_step(state, RngStream(7).generator(), p)
     assert abs(np.linalg.norm(stepped.amplitudes) - 1.0) <= 1e-12
 
@@ -464,9 +450,43 @@ def test_ensemble_matches_scalar_measurements():
     p = iso_params(max_steps=200, seed=31)
     cells, steps = run_position_ensemble(state, 25, p, batch_size=8)
     for t in range(25):
-        solo = run_measurement(state, p, stream_id=t)
+        solo = reference_walks.run_measurement(state, p, stream_id=t)
         assert (solo.cell if solo.cell is not None else -1) == cells[t]
         assert solo.steps == steps[t]
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 30])
+def test_run_measurement_equals_reference(n):
+    # one-trial ensembles against the per-kick walk, final states bitwise:
+    # 0.899 of the mass sits just outside the 0.9 cap, so some walks absorb
+    # within 60 kicks and some do not; a basis state absorbs at once
+    masses = np.r_[0.899, np.full(n - 1, 0.101 / (n - 1))]
+    amps = np.sqrt(masses) * np.exp(1j * np.arange(n))
+    p = iso_params(absorb_eps=0.1, max_steps=60, seed=79)
+    outcomes = []
+    for state in (CellState(amps / np.linalg.norm(amps)), CellState(np.eye(n)[1] + 0j)):
+        for t in range(10):
+            got = run_measurement(state, p, stream_id=t)
+            want = reference_walks.run_measurement(state, p, stream_id=t)
+            assert (got.cell, got.steps) == (want.cell, want.steps), t
+            assert got.final_state.amplitudes.tobytes() == want.final_state.amplitudes.tobytes()
+            outcomes.append(got.cell)
+    assert None in outcomes and 0 in outcomes and outcomes[-1] == 1
+
+
+def test_diagonal_run_measurement_equals_reference():
+    state = fixed_profile(4)
+    p = diag_params(max_steps=50)
+    got = run_measurement(state, p, stream_id=3)
+    want = reference_walks.run_measurement(state, p, stream_id=3)
+    assert (got.cell, got.steps) == (want.cell, want.steps) == (None, 50)
+    assert got.final_state.amplitudes.tobytes() == want.final_state.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("batch_size", [0, -1])
+def test_ensemble_refuses_empty_batches(batch_size):
+    with pytest.raises(ValueError, match="batch_size"):
+        run_position_ensemble(fixed_profile(3), 3, iso_params(max_steps=5), batch_size=batch_size)
 
 
 def test_balanced_two_cell_walk_splits_evenly():

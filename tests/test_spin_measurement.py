@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import reference_walks
 from hilbertbridge import spin_measurement as sm
 from hilbertbridge.spin_measurement import (
     BornHistogram,
@@ -178,18 +179,33 @@ def test_ensemble_matches_scalar_walks():
     p = params(max_steps=600, seed=40)
     results, steps, finals = run_ensemble(EQUAL, 40, p, batch_size=16)
     for t in range(40):
-        solo = run_walk(EQUAL, p, stream_id=t)
+        solo = reference_walks.run_walk(EQUAL, p, stream_id=t)
         assert results[t] is solo.result
         assert steps[t] == solo.steps
         np.testing.assert_array_equal(finals[t], solo.final_state)
 
 
+@pytest.mark.parametrize("z0, max_steps", [(0.0, 4000), (0.6, 4000), (0.0, 40),
+                                           (0.995, 4000), (-0.995, 4000)])
+def test_run_walk_equals_reference(z0, max_steps):
+    # absorbed, unresolved and inside-the-cap walks, final states bitwise
+    p = params(max_steps=max_steps, seed=41)
+    phi0 = state_with_height(z0)
+    for t in range(12):
+        got = run_walk(phi0, p, stream_id=t)
+        want = reference_walks.run_walk(phi0, p, stream_id=t)
+        assert (got.result, got.steps) == (want.result, want.steps), t
+        assert got.final_state.tobytes() == want.final_state.tobytes(), t
+    assert isinstance(got.steps, int)
+
+
 def assert_matches_run_walk(phi0, trials, p, **kw):
-    """run_ensemble equals run_walk trial by trial, final states bitwise."""
+    """run_ensemble equals the per-kick reference walk trial by trial,
+    final states bitwise."""
     results, steps, finals = run_ensemble(phi0, trials, p, **kw)
     offset = kw.get("trial_offset", 0)
     for t in range(trials):
-        solo = run_walk(phi0, p, stream_id=t + offset)
+        solo = reference_walks.run_walk(phi0, p, stream_id=t + offset)
         assert results[t] is solo.result, t
         assert steps[t] == solo.steps, t
         assert finals[t].tobytes() == solo.final_state.tobytes(), t
@@ -254,7 +270,7 @@ def test_ensemble_chunks_by_trial_offset_concatenate_to_unsplit_run():
         joined = np.concatenate([part[i] for part in parts])
         assert whole[i].tobytes() == joined.tobytes()
     for t in range(32_766, 32_771):  # straddles the default batch split
-        solo = run_walk(phi0, p, stream_id=t)
+        solo = reference_walks.run_walk(phi0, p, stream_id=t)
         assert whole[0][t] is solo.result
         assert whole[1][t] == solo.steps
         assert whole[2][t].tobytes() == solo.final_state.tobytes()
