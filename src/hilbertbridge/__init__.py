@@ -13,6 +13,7 @@ seed-reproducible experiments over these modules.
 
 from hilbertbridge.hilbert_core import (
     ClassicalPath,
+    Grid,
     GridWaveFunction,
     GridResolutionError,
     KernelSpec,
@@ -22,6 +23,7 @@ from hilbertbridge.packet_dynamics import GaussianPacket, PotentialField
 __all__ = [
     "ClassicalPath",
     "GaussianPacket",
+    "Grid",
     "GridResolutionError",
     "GridWaveFunction",
     "KernelSpec",

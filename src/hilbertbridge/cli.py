@@ -253,14 +253,9 @@ def _cmd_run(name: str, args: list[str]) -> int:
     ns = parser.parse_args(args)
     try:
         config = _build_config(name, ns)
-        workers = experiments.resolve_workers()
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    start = time.perf_counter()
-    try:
-        summary = experiments.run(config, workers)
-    except experiments.MemoryBudgetError as exc:
+        start = time.perf_counter()
+        summary = experiments.run(config)
+    except (ValueError, OSError) as exc:  # refused value or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     wall = time.perf_counter() - start

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from hilbertbridge.hilbert_core import GridResolutionError, GridWaveFunction
-from hilbertbridge.packet_dynamics import PotentialField, _grid_points
+from hilbertbridge.packet_dynamics import PotentialField
 from hilbertbridge.position_measurement import (
     CellState,
     GeneratorMode,
@@ -97,7 +97,7 @@ def _check_time_step(grid: GridWaveFunction, params: EvolutionParams) -> None:
 def _split_step_sequence(
     psi0: GridWaveFunction, potential: PotentialField, params: EvolutionParams
 ) -> list[GridWaveFunction]:
-    v = np.asarray(potential.value(_grid_points(psi0)), dtype=float)
+    v = np.asarray(potential.value(psi0.points()), dtype=float)
     half_phase = np.exp(-0.5j * params.dt * v / params.hbar)
     freqs = np.meshgrid(
         *(

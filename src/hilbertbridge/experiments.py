@@ -1103,7 +1103,9 @@ def resolve_workers(explicit: int | None = None) -> int:
     affinity mask.
     """
     if explicit is not None:
-        return max(1, int(explicit))
+        if explicit < 1:
+            raise ValueError(f"workers must be at least 1, got {explicit}")
+        return int(explicit)
     raw = os.environ.get("HB_THREADS")
     if raw is None:
         return spin_measurement._cpu_count()
@@ -1116,8 +1118,7 @@ def resolve_workers(explicit: int | None = None) -> int:
     return workers
 
 
-def run(config: ExperimentConfig, workers: int | None = None,
-        write: bool = True) -> RunSummary:
+def run(config: ExperimentConfig, workers: int | None = None) -> RunSummary:
     """Execute one experiment; outputs are written even when checks fail.
 
     Raises :class:`MemoryBudgetError` before any work when the run's
@@ -1144,6 +1145,5 @@ def run(config: ExperimentConfig, workers: int | None = None,
         checks=list(result.checks),
         wall_time_s=wall,
     )
-    if write:
-        write_outputs(summary, result, config.output_dir, config.format)
+    write_outputs(summary, result, config.output_dir, config.format)
     return summary

@@ -20,13 +20,14 @@ tolerance used in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "ClassicalPath",
+    "Grid",
     "GridResolutionError",
     "GridWaveFunction",
     "KernelSpec",
@@ -77,44 +78,35 @@ class KernelSpec:
         return self.sigma * DELTA_WIDTH_FRACTION
 
 
-@dataclass
-class GridWaveFunction:
-    """Complex function sampled on a uniform tensor grid.
+@dataclass(frozen=True, eq=False)
+class Grid:
+    """Uniform tensor grid, without samples.
 
     Attributes:
-        values: complex array, one axis per spatial dimension.
         origin: coordinates of the grid point with index (0, ..., 0).
-        spacing: grid step h > 0, identical along every axis.
-        extent: points per axis; must equal ``values.shape``.
+        spacing: grid step h, finite and positive, identical along every axis.
+        extent: points per axis.
     """
 
-    values: np.ndarray
     origin: np.ndarray
     spacing: float
-    extent: tuple[int, ...] = field(default=())
+    extent: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=complex)
-        self.origin = np.atleast_1d(np.asarray(self.origin, dtype=float))
-        if not self.extent:
-            self.extent = self.values.shape
-        if self.spacing <= 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        if self.values.shape != tuple(self.extent):
+        _check_spacing(self.spacing)
+        origin = np.array(self.origin, dtype=float, ndmin=1)
+        extent = tuple(int(n) for n in self.extent)
+        if origin.shape != (len(extent),):
             raise ValueError(
-                f"values shape {self.values.shape} != extent {tuple(self.extent)}"
+                f"origin has {origin.size} components for a "
+                f"{len(extent)}-dimensional grid"
             )
-        if self.origin.shape != (self.values.ndim,):
-            raise ValueError(
-                f"origin has {self.origin.shape[0]} components for a "
-                f"{self.values.ndim}-dimensional grid"
-            )
-        if not np.all(np.isfinite(self.values.view(float))):
-            raise ValueError("values must be finite")
+        object.__setattr__(self, "origin", origin)
+        object.__setattr__(self, "extent", extent)
 
     @property
     def dim(self) -> int:
-        return self.values.ndim
+        return len(self.extent)
 
     def axis_coordinates(self, i: int) -> np.ndarray:
         """Grid coordinates along axis i."""
@@ -128,22 +120,54 @@ class GridWaveFunction:
             sparse=True,
         )
 
+    def points(self) -> np.ndarray:
+        """Stacked coordinates, shape (*extent, d)."""
+        return np.stack(np.broadcast_arrays(*self.meshgrid()), axis=-1)
+
     def with_values(self, values: np.ndarray) -> "GridWaveFunction":
         """Same grid, new samples."""
-        return GridWaveFunction(values, self.origin.copy(), self.spacing)
+        return GridWaveFunction(values, self.origin, self.spacing)
 
     def quadrature_weights(self) -> np.ndarray:
         """Tensor-product trapezoid weights (broadcast product, includes h^d)."""
-        w = np.ones(self.extent[0]) * self.spacing
-        w[0] *= 0.5
-        w[-1] *= 0.5
-        total = w.reshape(-1, *([1] * (self.dim - 1)))
-        for i in range(1, self.dim):
-            wi = np.ones(self.extent[i]) * self.spacing
-            wi[0] *= 0.5
-            wi[-1] *= 0.5
-            total = total * wi.reshape(*([1] * i), -1, *([1] * (self.dim - 1 - i)))
+        total = np.ones(())
+        for i, n in enumerate(self.extent):
+            w = np.full(n, self.spacing, dtype=float)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            total = total * w.reshape([-1 if a == i else 1 for a in range(self.dim)])
         return total
+
+    def require_coverage(self, center, margin: float) -> None:
+        """Refuse a grid that does not span ``center ± margin`` on every axis.
+
+        A slack of 1e-9·margin absorbs rounding when the grid fits exactly.
+        """
+        hi = self.origin + self.spacing * (np.asarray(self.extent) - 1)
+        slack = 1e-9 * margin
+        if np.any(center - margin < self.origin - slack) or np.any(
+            center + margin > hi + slack
+        ):
+            raise GridResolutionError(
+                f"grid [{self.origin}, {hi}] does not cover {center} ± {margin:g}"
+            )
+
+
+class GridWaveFunction(Grid):
+    """Complex function sampled on a uniform tensor grid.
+
+    ``values`` is a finite complex array with one axis per spatial dimension;
+    its shape is the grid's extent.
+    """
+
+    values: np.ndarray
+
+    def __init__(self, values, origin, spacing: float) -> None:
+        values = np.asarray(values, dtype=complex)
+        super().__init__(origin, spacing, values.shape)
+        if not np.all(np.isfinite(values.view(float))):
+            raise ValueError("values must be finite")
+        object.__setattr__(self, "values", values)
 
     def l2_norm(self) -> float:
         return float(
@@ -188,13 +212,18 @@ class ClassicalPath:
 # grids and delta approximants
 
 
+def _check_spacing(spacing: float) -> None:
+    if not 0 < spacing < np.inf:
+        raise ValueError(f"spacing must be finite and positive, got {spacing}")
+
+
 def grid_covering(
     spec: KernelSpec,
     centers,
     spacing: float,
     margin: float | None = None,
-) -> GridWaveFunction:
-    """Zero-valued grid covering every center with the standard margin.
+) -> Grid:
+    """Grid covering every center with the standard margin.
 
     The margin defaults to 8σ per axis, which pushes the Gaussian-tail
     truncation error of every quadrature in this module below ~e⁻³².
@@ -204,24 +233,15 @@ def grid_covering(
         raise ValueError(f"centers have dimension {c.shape[1]}, spec has {spec.dim}")
     if margin is None:
         margin = GRID_MARGIN_SIGMAS * spec.sigma
+    _check_spacing(spacing)
     lo = c.min(axis=0) - margin
     hi = c.max(axis=0) + margin
     extent = tuple(int(np.ceil((hi[i] - lo[i]) / spacing)) + 1 for i in range(spec.dim))
-    return GridWaveFunction(np.zeros(extent, dtype=complex), lo, spacing)
-
-
-def _require_coverage(grid: GridWaveFunction, center: np.ndarray, margin: float) -> None:
-    hi = grid.origin + grid.spacing * (np.asarray(grid.extent) - 1)
-    if np.any(center - margin < grid.origin - 1e-9 * grid.spacing) or np.any(
-        center + margin > hi + 1e-9 * grid.spacing
-    ):
-        raise GridResolutionError(
-            f"grid [{grid.origin}, {hi}] does not cover {center} ± {margin:g}"
-        )
+    return Grid(lo, spacing, extent)
 
 
 def delta_approximant(
-    center, grid: GridWaveFunction, spec: KernelSpec
+    center, grid: Grid, spec: KernelSpec
 ) -> GridWaveFunction:
     """Narrow Gaussian stand-in for the delta function at ``center``.
 
@@ -241,7 +261,7 @@ def delta_approximant(
             f"spacing {grid.spacing:g} too coarse for delta width {w:g}"
             f" (need ≤ {w / 4:g})"
         )
-    _require_coverage(grid, c, GRID_MARGIN_SIGMAS * spec.sigma)
+    grid.require_coverage(c, GRID_MARGIN_SIGMAS * spec.sigma)
     mesh = grid.meshgrid()
     norm = (2.0 * np.pi * w * w) ** (-0.5 * spec.dim)
     expo = sum((mesh[i] - c[i]) ** 2 for i in range(spec.dim)) / (2.0 * w * w)

@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import expm
 
-from hilbertbridge.hilbert_core import GridResolutionError, GridWaveFunction
+from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.state_geometry import fibre_decompose, fs_distance, require_state
 
 __all__ = [
@@ -127,12 +127,7 @@ class VelocityComponents:
 # packet states on grids
 
 
-def _grid_points(grid: GridWaveFunction) -> np.ndarray:
-    """Stacked coordinates, shape (*extent, d)."""
-    return np.stack(np.broadcast_arrays(*grid.meshgrid()), axis=-1)
-
-
-def packet_wavefunction(pkt: GaussianPacket, grid: GridWaveFunction) -> GridWaveFunction:
+def packet_wavefunction(pkt: GaussianPacket, grid: Grid) -> GridWaveFunction:
     """Sample the packet ψ(x) ∝ exp(−(x−a)²/4σ² + i p·(x−a)/ħ) on the grid.
 
     Unit L₂ norm (the |ψ|² marginal is the normal density with standard
@@ -156,13 +151,7 @@ def packet_wavefunction(pkt: GaussianPacket, grid: GridWaveFunction) -> GridWave
         raise GridResolutionError(
             f"spacing {grid.spacing:g} does not resolve momentum {pmax:g}"
         )
-    hi = grid.origin + grid.spacing * (np.asarray(grid.extent) - 1)
-    margin = 8 * pkt.sigma
-    slack = 1e-9 * pkt.sigma  # absorb rounding when the grid fits exactly
-    if np.any(pkt.center - margin < grid.origin - slack) or np.any(
-        pkt.center + margin > hi + slack
-    ):
-        raise GridResolutionError("grid does not cover center ± 8σ")
+    grid.require_coverage(pkt.center, 8 * pkt.sigma)
 
     dx = [axis - c for axis, c in zip(grid.meshgrid(), pkt.center)]
     envelope = -(dx[0] * dx[0])
@@ -173,7 +162,7 @@ def packet_wavefunction(pkt: GaussianPacket, grid: GridWaveFunction) -> GridWave
     envelope *= (2 * np.pi * pkt.sigma**2) ** (-0.25 * pkt.dim)  # norm
     if pmax == 0:
         return grid.with_values(envelope)
-    dx = _grid_points(grid) - pkt.center
+    dx = grid.points() - pkt.center
     return grid.with_values(envelope * np.exp(1j * (dx @ pkt.momentum) / pkt.hbar))
 
 
@@ -193,10 +182,6 @@ def phase_space_speed(
     t = np.asarray(times, dtype=float)
     a = np.atleast_2d(np.asarray(centers, dtype=float).T).T
     p = np.atleast_2d(np.asarray(momenta, dtype=float).T).T
-    if a.ndim == 1:
-        a = a[:, None]
-    if p.ndim == 1:
-        p = p[:, None]
     if t.size < 3:
         raise ValueError("need at least 3 samples")
     if not np.all(np.diff(t) > 0):
@@ -266,7 +251,7 @@ def _laplacian_fd2(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def decomposition_check(
-    pkt: GaussianPacket, potential: PotentialField, grid: GridWaveFunction
+    pkt: GaussianPacket, potential: PotentialField, grid: Grid
 ) -> float:
     """Relative deviation of ‖ĥψ‖²/ħ² from the sum of squared components.
 
@@ -276,7 +261,7 @@ def decomposition_check(
     below 1e−6.
     """
     psi = packet_wavefunction(pkt, grid)
-    x = _grid_points(grid)
+    x = grid.points()
     vvals = np.asarray(potential.value(x))
     hpsi = (
         -(pkt.hbar**2) / (2 * pkt.mass) * _laplacian_fd2(psi.values, grid.spacing)
@@ -305,7 +290,7 @@ def ehrenfest_check(
     vals = psi.values
     h = psi.spacing
     w = psi.quadrature_weights()
-    x = _grid_points(psi)
+    x = psi.points()
     vvals = np.asarray(potential.value(x))
     gvals = np.asarray(potential.gradient(x))
     hpsi = -(hbar**2) / (2 * mass) * _laplacian_fd2(vals, h) + vvals * vals

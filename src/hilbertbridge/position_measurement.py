@@ -25,7 +25,7 @@ import math
 import numpy as np
 from scipy import constants
 
-from hilbertbridge.hilbert_core import GridResolutionError, GridWaveFunction
+from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.stats_util import RngStream, TestReport
 
@@ -340,8 +340,8 @@ class _TaylorKick:
     A kick is applied as ``substeps`` equal parts exp(−iB), B = τH/(ħ·substeps),
     enough parts that ‖B‖_F is typically at most 1 (E‖H‖_F ≈ v_std·N); at
     the walk's step phases of ≤ 0.05 that is one part up to N = 20.  The
-    generators are built as B directly (:meth:`generators`).  For each part
-    the series Σ_{k≤K} (−iB)^k ψ/k! stops at the smallest K with
+    generators B come straight from :func:`hermitian_generator`.  For each
+    part the series Σ_{k≤K} (−iB)^k ψ/k! stops at the smallest K with
     x^(K+1)·eˣ/(K+1)! ≤ 2⁻⁵³, x = ‖B‖_F ≥ ‖B‖₂, which bounds the truncation
     error by 2⁻⁵³‖ψ‖ (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2),
     2011).  K is read off each trial's own B, the powers B^j ψ are formed
@@ -371,10 +371,6 @@ class _TaylorKick:
     def states(self) -> np.ndarray:
         """The trials' current ψ, shape (k, n); a view into the buffer."""
         return self._powers[0, :, 0]
-
-    def generators(self, re, im, out=None) -> np.ndarray:
-        """Generators B from standard normal planes (see hermitian_generator)."""
-        return hermitian_generator(re, im, self.scale, out=out)
 
     @staticmethod
     def prepare(hams: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
@@ -420,7 +416,8 @@ def isotropic_step(
     """One kick by a unitarily-invariant random Hermitian generator."""
     kick = _TaylorKick(state.amplitudes[None, :], params)
     raw = rng.normal(size=(1, 1, 2, kick.n, kick.n))
-    (operands,) = kick.prepare(kick.generators(raw[:, :, 0], raw[:, :, 1]))
+    hams = hermitian_generator(raw[:, :, 0], raw[:, :, 1], kick.scale)
+    (operands,) = kick.prepare(hams)
     kick.apply(operands)
     return CellState(kick.states[0].copy())
 
@@ -526,7 +523,7 @@ def run_measurement(
     An ISOTROPIC walk is trial ``stream_id`` of :func:`run_position_ensemble`.
     """
     if params.generator_mode is GeneratorMode.ISOTROPIC:
-        cells, steps, finals = _walk_range(state0, 1, params, 1, stream_id)
+        cells, steps, finals = _walk_range(state0, 1, params, stream_id)
         cell = int(cells[0])
         return MeasurementOutcome(cell if cell >= 0 else None, int(steps[0]),
                                   CellState(finals[0]))
@@ -543,7 +540,7 @@ def run_measurement(
 # a block of kicks takes as many kicks (8 to 256) as keep its draw, generator
 # and weight buffers under this; wider batches than that take 8 kicks
 _BLOCK_BYTES = 2**23
-# trials walked together by default
+# trials walked together
 _BATCH = 2048
 
 
@@ -555,7 +552,7 @@ def _kick_bytes(n: int) -> int:
 def ensemble_bytes(trials: int, n: int) -> int:
     """Rough peak bytes of :func:`run_position_ensemble` at N = ``n``.
 
-    One default batch's block of kicks, its two Taylor power buffers and its
+    One batch's block of kicks, its two Taylor power buffers and its
     random generators (about 1 KiB each), plus every trial's outputs.
     """
     k = min(trials, _BATCH)
@@ -568,27 +565,24 @@ def run_position_ensemble(
     state0: CellState,
     trials: int,
     params: PositionWalkParams,
-    batch_size: int = _BATCH,
-    trial_offset: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
 
     Trial ``t`` is ``run_measurement(state0, params, stream_id=t)`` bit for
-    bit at any ``batch_size``.  ``trial_offset`` shifts the substream ids
-    only, so chunked runs concatenate to the unsplit run exactly.
+    bit, whichever batch of up to ``_BATCH`` trials it walks in.
     """
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("ensemble driver supports the ISOTROPIC mode only")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
-    return _walk_range(state0, trials, params, batch_size, trial_offset)[:2]
+    return _walk_range(state0, trials, params, 0)[:2]
 
 
 def _walk_range(
-    state0: CellState, trials: int, params: PositionWalkParams,
-    batch_size: int, trial_offset: int,
+    state0: CellState, trials: int, params: PositionWalkParams, trial_offset: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(cells, steps, finals)`` of trials ``trial_offset`` onwards, in batches."""
+    """``(cells, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
+
+    Batches of up to ``_BATCH`` trials walk one after the other.
+    """
     cells = np.full(trials, -1, dtype=np.int64)
     steps_out = np.full(trials, params.max_steps, dtype=np.int64)
     finals = np.tile(state0.amplitudes, (trials, 1))
@@ -597,8 +591,8 @@ def _walk_range(
         cells[:] = int(np.argmax(masses0))
         steps_out[:] = 0
         return cells, steps_out, finals
-    for start in range(0, trials, batch_size):
-        ids = np.arange(start, min(start + batch_size, trials))
+    for start in range(0, trials, _BATCH):
+        ids = np.arange(start, min(start + _BATCH, trials))
         _walk_batch(state0, ids, trial_offset, params, cells, steps_out, finals)
     return cells, steps_out, finals
 
@@ -630,8 +624,8 @@ def _walk_batch(
         for i, gen in enumerate(gens):
             raw[i] = gen.normal(size=(span, 2, n, n))
         hams = np.empty((span, k, n, n), dtype=complex)
-        kick.generators(
-            raw[:, :, 0], raw[:, :, 1], out=hams.transpose(1, 0, 2, 3)
+        hermitian_generator(
+            raw[:, :, 0], raw[:, :, 1], kick.scale, out=hams.transpose(1, 0, 2, 3)
         )
         del raw
         done = np.zeros(k, dtype=bool)
@@ -663,7 +657,7 @@ def _walk_batch(
 # Gabor frame states
 
 
-def gabor_state(m, n, sigma: float, grid: GridWaveFunction) -> GridWaveFunction:
+def gabor_state(m, n, sigma: float, grid: Grid) -> GridWaveFunction:
     """Frame state at lattice site (m, n): shift αn, modulation βm.
 
     α = √(2π)σ and β = 2π/α, the critical frame density.  The state is the

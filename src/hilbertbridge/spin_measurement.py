@@ -197,8 +197,7 @@ def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
     A one-trial ensemble: trial ``t`` of :func:`run_ensemble` is exactly
     ``run_walk(phi0, params, stream_id=t)``.
     """
-    codes, steps, finals = _walk_range(_as_unit_spinor(phi0), 1, params, None,
-                                       stream_id)
+    codes, steps, finals = _walk_range(_as_unit_spinor(phi0), 1, params, stream_id)
     return WalkOutcome(_OUTCOMES[codes[0]], int(steps[0]), finals[0])
 
 
@@ -211,7 +210,7 @@ def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
 # so that the per-trial refill and the per-step overhead stay amortised.
 _BLOCK_BUDGET = 1 << 20
 _MIN_BLOCK, _MAX_BLOCK = 32, 256
-# widest default batch whose shortest block still fits the budget
+# widest batch whose shortest block still fits the budget
 _MAX_BATCH = _BLOCK_BUDGET // _MIN_BLOCK
 # kicked states held between two absorption scans
 _SCAN = 32
@@ -446,15 +445,16 @@ def ensemble_bytes(trials: int, processes: int) -> int:
     return processes * (planes + 2048 * width) + 49 * trials
 
 
-def _walk_range(phi0, trials: int, params: SpinWalkParams,
-                batch_size: int | None, trial_offset: int):
-    """``(codes, steps, finals)`` of trials ``trial_offset`` onwards, in batches."""
+def _walk_range(phi0, trials: int, params: SpinWalkParams, trial_offset: int):
+    """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
+
+    Batches of up to ``_MAX_BATCH`` trials walk one after the other.
+    """
     codes = np.empty(trials, dtype=np.int8)
     steps_out = np.zeros(trials, dtype=np.int64)
     finals = np.empty((trials, 2), dtype=complex)
-    width = batch_size or max(1, min(trials, _MAX_BATCH))
-    for lo in range(0, trials, width):
-        ids = np.arange(lo, min(lo + width, trials))
+    for lo in range(0, trials, _MAX_BATCH):
+        ids = np.arange(lo, min(lo + _MAX_BATCH, trials))
         _walk_batch(phi0, ids, params, trial_offset, codes, steps_out, finals)
     return codes, steps_out, finals
 
@@ -463,8 +463,6 @@ def run_ensemble(
     phi0,
     trials: int,
     params: SpinWalkParams,
-    batch_size: int | None = None,
-    trial_offset: int = 0,
     workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes for trials 0..trials−1, identical to per-trial run_walk.
@@ -477,31 +475,23 @@ def run_ensemble(
     :func:`ensemble_processes`; ``workers=None`` allows every CPU in the
     affinity mask).  This process walks the first range and forked
     processes walk the others, returning int8 outcome codes, step counts
-    and final states.  Within a range all trials walk as one batch
-    (``batch_size=None``) up to 2¹⁵ trials; wider ranges are split into
-    batches of that width, or of ``batch_size`` when given.  Fields are
-    drawn in blocks whose buffers hold about 2²⁰ trial-steps, so memory
-    stays bounded whatever ``max_steps`` is.  Every trial is a pure
-    function of its substream ``(seed, trial + trial_offset)``, the same
-    bits at any batch width and process count; ``trial_offset`` shifts the
-    substream ids only, so a run split into chunks reproduces the unsplit
-    run row for row.
+    and final states.  Within a range all trials walk as one batch up to
+    2¹⁵ trials (``_MAX_BATCH``); wider ranges are split into batches of
+    that width.  Fields are drawn in blocks whose buffers hold about 2²⁰
+    trial-steps, so memory stays bounded whatever ``max_steps`` is.  Every
+    trial is a pure function of its substream ``(seed, trial)``, the same
+    bits at any batch width and process count.
     """
     phi0 = _as_unit_spinor(phi0)
-    if batch_size is not None and batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
     chunks = _worker_chunks(trials, ensemble_processes(trials, workers))
     if len(chunks) < 2:
-        codes, steps_out, finals = _walk_range(phi0, trials, params, batch_size,
-                                               trial_offset)
+        codes, steps_out, finals = _walk_range(phi0, trials, params, 0)
     else:
-        codes, steps_out, finals = _walk_forked(phi0, chunks, params, batch_size,
-                                                trial_offset)
+        codes, steps_out, finals = _walk_forked(phi0, chunks, params)
     return _OUTCOMES[codes], steps_out, finals
 
 
-def _walk_forked(phi0, chunks, params: SpinWalkParams, batch_size: int | None,
-                 trial_offset: int):
+def _walk_forked(phi0, chunks, params: SpinWalkParams):
     """:func:`_walk_range` over ``chunks``: the first here, the rest forked."""
     import multiprocessing
     from concurrent.futures.process import ProcessPoolExecutor
@@ -510,13 +500,10 @@ def _walk_forked(phi0, chunks, params: SpinWalkParams, batch_size: int | None,
     # import it again, which added 0.5–0.7 s to each 2-process call
     context = multiprocessing.get_context("fork")
     with ProcessPoolExecutor(len(chunks) - 1, mp_context=context) as pool:
-        futures = [
-            pool.submit(_walk_range, phi0, hi - lo, params, batch_size,
-                        trial_offset + lo)
-            for lo, hi in chunks[1:]
-        ]
+        futures = [pool.submit(_walk_range, phi0, hi - lo, params, lo)
+                   for lo, hi in chunks[1:]]
         lo, hi = chunks[0]
-        parts = [_walk_range(phi0, hi - lo, params, batch_size, trial_offset + lo)]
+        parts = [_walk_range(phi0, hi - lo, params, lo)]
         parts += [future.result() for future in futures]
     return tuple(np.concatenate(column) for column in zip(*parts))
 

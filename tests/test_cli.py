@@ -72,6 +72,21 @@ class TestRun:
         assert "HB_THREADS" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args, message", [
+        (["spin-born", "--z0", "2"], "z must lie in"),
+        (["spin-born", "--step-angle", "0.2"], "step angle 0.2 exceeds"),
+        (["position-born", "--n-cells", "1"], "length >= 2"),
+        (["state-msd", "--trials", "5"], "at least 100 trials"),
+    ], ids=["z0", "step-angle", "n-cells", "trials"])
+    def test_library_refusal_exits_2_without_outputs(self, tmp_path, capsys,
+                                                     args, message):
+        rc = cli.main([*args, "--seed", "1", "--output-dir", str(tmp_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_lambda_alias_sets_wavelength(self, tmp_path):
         rc = cli.main(
             ["estimates", "--lambda", "1e-5", "--output-dir", str(tmp_path)]

@@ -328,6 +328,15 @@ class TestWorkers:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
         assert ex.resolve_workers() == 3
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_explicit_count_below_one_is_refused(self, workers, tmp_path):
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            ex.resolve_workers(workers)
+        cfg = ex.ExperimentConfig("curvature", output_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            ex.run(cfg, workers=workers)
+        assert not tmp_path.joinpath("out").exists()
+
     def test_bad_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("HB_THREADS", "many")
         with pytest.raises(ValueError, match="HB_THREADS"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hilbertbridge.hilbert_core import (
     ClassicalPath,
+    Grid,
     GridResolutionError,
     GridWaveFunction,
     KernelSpec,
@@ -122,6 +123,40 @@ def test_kernel_symmetric_and_bounded(x, y, sigma):
 def delta_grid():
     spec = SPEC1
     return grid_covering(spec, [[-1.0], [1.0]], spacing=spec.delta_width / 4)
+
+
+def test_grid_covering_is_sample_free():
+    grid = grid_covering(SPEC1, [[-0.5], [1.0]], spacing=0.25)
+    assert type(grid) is Grid and not hasattr(grid, "values")
+    # 8σ beyond both centers: [−8.5, 9] in 70 steps
+    assert grid.extent == (71,)
+    assert grid.axis_coordinates(0)[[0, -1]].tolist() == [-8.5, 9.0]
+    assert grid.points().shape == (71, 1)
+
+
+@pytest.mark.parametrize("spacing", [0.0, np.nan, -0.1, np.inf])
+def test_grids_refuse_bad_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        grid_covering(SPEC1, [[0.0]], spacing=spacing)
+    with pytest.raises(ValueError, match="spacing"):
+        GridWaveFunction(np.zeros(5, dtype=complex), [0.0], spacing)
+
+
+def test_wave_function_extent_is_its_shape():
+    psi = GridWaveFunction(np.ones((3, 4)), [0.0, 1.0], 0.5)
+    assert psi.extent == (3, 4) and psi.dim == 2
+    assert psi.values.dtype == complex
+    with pytest.raises(ValueError, match="origin"):
+        GridWaveFunction(np.ones((3, 4)), [0.0], 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        GridWaveFunction(np.array([1.0, np.nan]), [0.0], 0.5)
+
+
+def test_coverage_slack_is_relative_to_the_margin():
+    grid = Grid([-1.0], 0.1, (21,))
+    grid.require_coverage(np.array([0.0]), 1.0 + 0.9e-9)
+    with pytest.raises(GridResolutionError):
+        grid.require_coverage(np.array([0.0]), 1.0 + 2e-9)
 
 
 def test_delta_approximant_has_unit_mass(delta_grid):

@@ -78,6 +78,16 @@ def test_packet_density_is_normal_with_std_sigma():
     np.testing.assert_allclose(density, expected, atol=1e-12)
 
 
+def test_packet_on_a_sample_free_grid():
+    pkt = GaussianPacket(center=0.3, momentum=0.0, sigma=1.0, mass=1.0)
+    grid = packet_grid(pkt, 0.05)
+    assert not hasattr(grid, "values")
+    psi = packet_wavefunction(pkt, grid)
+    assert psi.extent == grid.extent and psi.spacing == grid.spacing
+    assert psi.origin.tobytes() == grid.origin.tobytes()
+    assert abs(psi.l2_norm() - 1.0) <= 1e-12
+
+
 def test_packet_grid_coverage_and_resolution_errors():
     pkt = GaussianPacket(center=0.0, momentum=0.0, sigma=1.0, mass=1.0)
     small = grid_covering(KernelSpec(1.0), [[0.0]], spacing=0.05, margin=4.0)

@@ -8,6 +8,7 @@ from scipy import constants, stats
 from scipy.linalg import expm
 
 import reference_walks
+from hilbertbridge import position_measurement as pm
 from hilbertbridge.hilbert_core import (
     GridResolutionError,
     GridWaveFunction,
@@ -320,7 +321,9 @@ def test_isotropic_increment_is_rotation_invariant():
 
 def kick_once(kick, raw):
     """One kick of every trial of ``kick`` by the planes ``raw`` (k, 2, n, n)."""
-    (operands,) = kick.prepare(kick.generators(raw[None, :, 0], raw[None, :, 1]))
+    (operands,) = kick.prepare(
+        hermitian_generator(raw[None, :, 0], raw[None, :, 1], kick.scale)
+    )
     kick.apply(operands)
 
 
@@ -393,12 +396,13 @@ def test_taylor_kick_refuses_non_finite_generators():
     [(0.7, 0.3), (0.8, 0.15, 0.05), (0.8, 0.1, 0.06, 0.04)],
     ids=["N2", "N3", "N4"],
 )
-def test_ensemble_matches_eigh_walk(masses):
+def test_ensemble_matches_eigh_walk(masses, monkeypatch):
+    monkeypatch.setattr(pm, "_BATCH", 16)
     n = len(masses)
     amps = np.sqrt(np.array(masses)) * np.exp(1j * np.arange(n))
     state = CellState(amps / np.linalg.norm(amps))
     p = iso_params(absorb_eps=0.1, max_steps=300, seed=77)
-    cells, steps = run_position_ensemble(state, 48, p, batch_size=16)
+    cells, steps = run_position_ensemble(state, 48, p)
     want = [reference_walks.eigh_walk(state, p, t) for t in range(48)]
     assert list(zip(cells.tolist(), steps.tolist())) == want
     # absorbed trials and trials still unresolved at max_steps are compared
@@ -445,10 +449,11 @@ def test_diagonal_mode_never_resolves():
     )
 
 
-def test_ensemble_matches_scalar_measurements():
+def test_ensemble_matches_scalar_measurements(monkeypatch):
+    monkeypatch.setattr(pm, "_BATCH", 8)
     state = fixed_profile(3)
     p = iso_params(max_steps=200, seed=31)
-    cells, steps = run_position_ensemble(state, 25, p, batch_size=8)
+    cells, steps = run_position_ensemble(state, 25, p)
     for t in range(25):
         solo = reference_walks.run_measurement(state, p, stream_id=t)
         assert (solo.cell if solo.cell is not None else -1) == cells[t]
@@ -481,12 +486,6 @@ def test_diagonal_run_measurement_equals_reference():
     want = reference_walks.run_measurement(state, p, stream_id=3)
     assert (got.cell, got.steps) == (want.cell, want.steps) == (None, 50)
     assert got.final_state.amplitudes.tobytes() == want.final_state.amplitudes.tobytes()
-
-
-@pytest.mark.parametrize("batch_size", [0, -1])
-def test_ensemble_refuses_empty_batches(batch_size):
-    with pytest.raises(ValueError, match="batch_size"):
-        run_position_ensemble(fixed_profile(3), 3, iso_params(max_steps=5), batch_size=batch_size)
 
 
 def test_balanced_two_cell_walk_splits_evenly():

@@ -175,9 +175,10 @@ def test_unresolved_returned_when_budget_too_small():
     assert out.steps == 3
 
 
-def test_ensemble_matches_scalar_walks():
+def test_ensemble_matches_scalar_walks(monkeypatch):
+    monkeypatch.setattr(sm, "_MAX_BATCH", 16)
     p = params(max_steps=600, seed=40)
-    results, steps, finals = run_ensemble(EQUAL, 40, p, batch_size=16)
+    results, steps, finals = run_ensemble(EQUAL, 40, p)
     for t in range(40):
         solo = reference_walks.run_walk(EQUAL, p, stream_id=t)
         assert results[t] is solo.result
@@ -199,13 +200,12 @@ def test_run_walk_equals_reference(z0, max_steps):
     assert isinstance(got.steps, int)
 
 
-def assert_matches_run_walk(phi0, trials, p, **kw):
+def assert_matches_run_walk(phi0, trials, p):
     """run_ensemble equals the per-kick reference walk trial by trial,
     final states bitwise."""
-    results, steps, finals = run_ensemble(phi0, trials, p, **kw)
-    offset = kw.get("trial_offset", 0)
+    results, steps, finals = run_ensemble(phi0, trials, p)
     for t in range(trials):
-        solo = reference_walks.run_walk(phi0, p, stream_id=t + offset)
+        solo = reference_walks.run_walk(phi0, p, stream_id=t)
         assert results[t] is solo.result, t
         assert steps[t] == solo.steps, t
         assert finals[t].tobytes() == solo.final_state.tobytes(), t
@@ -258,22 +258,19 @@ def test_ensemble_matches_scalar_walks_at_other_field_std():
     assert (results != WalkResult.UNRESOLVED).all()
 
 
-def test_ensemble_chunks_by_trial_offset_concatenate_to_unsplit_run():
-    # 33 000 trials exceed one default batch, so the unsplit run is batched
+def test_ensemble_batches_concatenate_to_unsplit_run(monkeypatch):
+    # at _MAX_BATCH = 16, 40 trials walk as the batches 0–15, 16–31, 32–39
     p = short_walks(max_steps=6, seed=9)
     phi0 = state_with_height(0.86)
-    whole = run_ensemble(phi0, 33_000, p, workers=1)
-    parts = [run_ensemble(phi0, hi - lo, p, trial_offset=lo)
-             for lo, hi in ((0, 7), (7, 20_000), (20_000, 33_000))]
-    assert list(whole[0]) == [r for part in parts for r in part[0]]
-    for i in (1, 2):
-        joined = np.concatenate([part[i] for part in parts])
-        assert whole[i].tobytes() == joined.tobytes()
-    for t in range(32_766, 32_771):  # straddles the default batch split
+    whole = run_ensemble(phi0, 40, p, workers=1)
+    monkeypatch.setattr(sm, "_MAX_BATCH", 16)
+    split = run_ensemble(phi0, 40, p, workers=1)
+    assert_same_run(split, whole)
+    for t in range(14, 19):  # straddles the first batch split
         solo = reference_walks.run_walk(phi0, p, stream_id=t)
-        assert whole[0][t] is solo.result
-        assert whole[1][t] == solo.steps
-        assert whole[2][t].tobytes() == solo.final_state.tobytes()
+        assert split[0][t] is solo.result
+        assert split[1][t] == solo.steps
+        assert split[2][t].tobytes() == solo.final_state.tobytes()
 
 
 @pytest.fixture
@@ -299,15 +296,17 @@ def assert_same_run(a, b):
 
 
 @pytest.mark.parametrize("workers, children", [(2, 1), (None, 2)])
-@pytest.mark.parametrize("kw", [{}, {"trial_offset": 1000}, {"batch_size": 5},
-                                {"trial_offset": 7, "batch_size": 3}])
-def test_forked_run_equals_one_process(pools, workers, children, kw):
+# module constants patched; a batch width of 5 or 3 splits every range
+@pytest.mark.parametrize("kw", [{}, {"_MAX_BATCH": 5}, {"_MAX_BATCH": 3}])
+def test_forked_run_equals_one_process(pools, monkeypatch, workers, children, kw):
     # 40 kicks leave some walks UNRESOLVED
+    for name, value in kw.items():
+        monkeypatch.setattr(sm, name, value)
     p = short_walks(max_steps=40, seed=12)
     phi0 = state_with_height(0.75)
-    one = run_ensemble(phi0, 50, p, workers=1, **kw)
+    one = run_ensemble(phi0, 50, p, workers=1)
     assert not pools
-    forked = run_ensemble(phi0, 50, p, workers=workers, **kw)
+    forked = run_ensemble(phi0, 50, p, workers=workers)
     assert pools == [(children,)]
     assert_same_run(forked, one)
     unresolved = one[0] == WalkResult.UNRESOLVED
