@@ -28,6 +28,7 @@ from hilbertbridge import (
     position_measurement,
     spin_measurement,
     state_geometry,
+    stats_util,
 )
 from hilbertbridge.stats_util import RngStream, SparseTableError, chi_square_gof
 
@@ -268,7 +269,9 @@ _ROW_BYTES = {OutputFormat.CSV: 400, OutputFormat.JSON: 1400}
 
 def _spin_born_bytes(cfg: ExperimentConfig, workers: int) -> int:
     trials = cfg.resolved_trials
-    processes = spin_measurement.ensemble_processes(trials, workers)
+    processes = stats_util.range_processes(
+        trials, spin_measurement.MIN_TRIALS_PER_PROCESS, workers
+    )
     return (spin_measurement.ensemble_bytes(trials, processes)
             + _ROW_BYTES[cfg.format] * trials)
 
@@ -288,7 +291,9 @@ def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     raw = gen.normal(size=n) + 1j * gen.normal(size=n)
     state0 = position_measurement.CellState(raw / np.linalg.norm(raw))
     trials = cfg.resolved_trials
-    cells, steps = position_measurement.run_position_ensemble(state0, trials, params)
+    cells, steps = position_measurement.run_position_ensemble(
+        state0, trials, params, workers=workers
+    )
     rows = [(t, int(cells[t]), int(steps[t])) for t in range(trials)]
 
     resolved = cells >= 0
@@ -312,7 +317,10 @@ def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 def _position_born_bytes(cfg: ExperimentConfig, workers: int) -> int:
     trials = cfg.resolved_trials
     n = int(cfg.parameters["n_cells"])
-    return (position_measurement.ensemble_bytes(trials, n)
+    processes = stats_util.range_processes(
+        trials, position_measurement.MIN_TRIALS_PER_PROCESS, workers
+    )
+    return (position_measurement.ensemble_bytes(trials, n, processes)
             + _ROW_BYTES[cfg.format] * trials)
 
 
@@ -1097,7 +1105,7 @@ def memory_budget() -> int:
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    """Cap on the spin walk's worker processes.
+    """Cap on the worker processes of the spin and cell walks.
 
     ``explicit`` when given, else ``HB_THREADS``, else every CPU in the
     affinity mask.
@@ -1108,7 +1116,7 @@ def resolve_workers(explicit: int | None = None) -> int:
         return int(explicit)
     raw = os.environ.get("HB_THREADS")
     if raw is None:
-        return spin_measurement._cpu_count()
+        return stats_util.cpu_count()
     try:
         workers = int(raw)
     except ValueError as exc:

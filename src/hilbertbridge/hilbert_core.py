@@ -125,7 +125,11 @@ class Grid:
         return np.stack(np.broadcast_arrays(*self.meshgrid()), axis=-1)
 
     def with_values(self, values: np.ndarray) -> "GridWaveFunction":
-        """Same grid, new samples."""
+        """Same grid, new samples; ``values`` must have the grid's extent."""
+        if np.shape(values) != self.extent:
+            raise ValueError(
+                f"samples of shape {np.shape(values)} on a grid of extent {self.extent}"
+            )
         return GridWaveFunction(values, self.origin, self.spacing)
 
     def quadrature_weights(self) -> np.ndarray:

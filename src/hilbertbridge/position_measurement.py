@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
 
 import numpy as np
@@ -27,7 +28,7 @@ from scipy import constants
 
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
-from hilbertbridge.stats_util import RngStream, TestReport
+from hilbertbridge.stats_util import RngStream, TestReport, walk_ranges
 
 __all__ = [
     "GeneratorMode",
@@ -523,7 +524,7 @@ def run_measurement(
     An ISOTROPIC walk is trial ``stream_id`` of :func:`run_position_ensemble`.
     """
     if params.generator_mode is GeneratorMode.ISOTROPIC:
-        cells, steps, finals = _walk_range(state0, 1, params, stream_id)
+        cells, steps, finals = _walk_range(state0, params, 1, stream_id)
         cell = int(cells[0])
         return MeasurementOutcome(cell if cell >= 0 else None, int(steps[0]),
                                   CellState(finals[0]))
@@ -542,6 +543,10 @@ def run_measurement(
 _BLOCK_BYTES = 2**23
 # trials walked together
 _BATCH = 2048
+# fewest trials worth a forked process: a fork costs about 10 ms, which two
+# ranges of 64 of the cheapest walks (N = 2, about 300 kicks) just repay;
+# N = 8 walks of 400 kicks already walk 25 % faster as two ranges of 32
+MIN_TRIALS_PER_PROCESS = 64
 
 
 def _kick_bytes(n: int) -> int:
@@ -549,35 +554,42 @@ def _kick_bytes(n: int) -> int:
     return 32 * n * n + 16 * (_TAYLOR_ORDER_MAX + 1)
 
 
-def ensemble_bytes(trials: int, n: int) -> int:
+def ensemble_bytes(trials: int, n: int, processes: int) -> int:
     """Rough peak bytes of :func:`run_position_ensemble` at N = ``n``.
 
-    One batch's block of kicks, its two Taylor power buffers and its
-    random generators (about 1 KiB each), plus every trial's outputs.
+    Each process holds one batch's block of kicks, its two Taylor power
+    buffers and its random generators (about 1 KiB each); every trial's
+    outputs come on top.
     """
-    k = min(trials, _BATCH)
+    k = min(-(-trials // processes), _BATCH)
     block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
     powers = 2 * (_TAYLOR_ORDER_MAX + 1) * k * n * 16
-    return block + powers + 1024 * k + (16 + 16 * n) * trials
+    return processes * (block + powers + 1024 * k) + (16 + 16 * n) * trials
 
 
 def run_position_ensemble(
     state0: CellState,
     trials: int,
     params: PositionWalkParams,
+    workers: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
 
     Trial ``t`` is ``run_measurement(state0, params, stream_id=t)`` bit for
-    bit, whichever batch of up to ``_BATCH`` trials it walks in.
+    bit, whichever batch of up to ``_BATCH`` trials and whichever process
+    it walks in.  The trials are split into contiguous ranges of at least
+    ``MIN_TRIALS_PER_PROCESS`` trials, one per process, as in
+    :func:`~hilbertbridge.stats_util.walk_ranges` (``workers=None``: every
+    CPU in the affinity mask).
     """
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("ensemble driver supports the ISOTROPIC mode only")
-    return _walk_range(state0, trials, params, 0)[:2]
+    walk = functools.partial(_walk_range, state0, params)
+    return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, workers)[:2]
 
 
 def _walk_range(
-    state0: CellState, trials: int, params: PositionWalkParams, trial_offset: int,
+    state0: CellState, params: PositionWalkParams, trials: int, trial_offset: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(cells, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
 

@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 import math
-import os
 from typing import Callable
 
 import numpy as np
 
 from hilbertbridge.state_geometry import hopf_map
-from hilbertbridge.stats_util import RngStream, TestReport, direction_uniformity
+from hilbertbridge.stats_util import (RngStream, TestReport, direction_uniformity,
+                                      walk_ranges)
 
 __all__ = [
     "WalkResult",
@@ -35,7 +36,6 @@ __all__ = [
     "sample_field",
     "run_walk",
     "run_ensemble",
-    "ensemble_processes",
     "ensemble_bytes",
     "born_statistics",
     "tangent_displacements",
@@ -197,7 +197,7 @@ def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
     A one-trial ensemble: trial ``t`` of :func:`run_ensemble` is exactly
     ``run_walk(phi0, params, stream_id=t)``.
     """
-    codes, steps, finals = _walk_range(_as_unit_spinor(phi0), 1, params, stream_id)
+    codes, steps, finals = _walk_range(_as_unit_spinor(phi0), params, 1, stream_id)
     return WalkOutcome(_OUTCOMES[codes[0]], int(steps[0]), finals[0])
 
 
@@ -406,32 +406,6 @@ def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> n
 MIN_TRIALS_PER_PROCESS = 1024
 
 
-def _cpu_count() -> int:
-    """CPUs in this process's affinity mask."""
-    return len(os.sched_getaffinity(0))
-
-
-def _worker_chunks(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` ranges splitting ``range(total)`` in order."""
-    bounds = np.linspace(0, total, max(1, workers) + 1).astype(int)
-    return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-
-
-def ensemble_processes(trials: int, workers: int | None = None) -> int:
-    """Processes :func:`run_ensemble` walks ``trials`` in.
-
-    ``workers`` caps the count (``None``: every CPU in the affinity mask),
-    and so do the CPUs and the number of ranges of at least
-    ``MIN_TRIALS_PER_PROCESS`` trials.
-    """
-    cpus = _cpu_count()
-    if workers is None:
-        workers = cpus
-    elif workers < 1:
-        raise ValueError("workers must be at least 1")
-    return max(1, min(workers, cpus, trials // MIN_TRIALS_PER_PROCESS))
-
-
 def ensemble_bytes(trials: int, processes: int) -> int:
     """Rough peak bytes of :func:`run_ensemble` over all its processes.
 
@@ -445,7 +419,7 @@ def ensemble_bytes(trials: int, processes: int) -> int:
     return processes * (planes + 2048 * width) + 49 * trials
 
 
-def _walk_range(phi0, trials: int, params: SpinWalkParams, trial_offset: int):
+def _walk_range(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
     """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
 
     Batches of up to ``_MAX_BATCH`` trials walk one after the other.
@@ -471,41 +445,22 @@ def run_ensemble(
     ``WalkResult`` values, ``steps`` the kick counts and ``final_states``
     the (trials, 2) spinors at stopping time.
 
-    The trials are split into contiguous ranges, one per process (see
-    :func:`ensemble_processes`; ``workers=None`` allows every CPU in the
-    affinity mask).  This process walks the first range and forked
-    processes walk the others, returning int8 outcome codes, step counts
-    and final states.  Within a range all trials walk as one batch up to
-    2¹⁵ trials (``_MAX_BATCH``); wider ranges are split into batches of
-    that width.  Fields are drawn in blocks whose buffers hold about 2²⁰
-    trial-steps, so memory stays bounded whatever ``max_steps`` is.  Every
-    trial is a pure function of its substream ``(seed, trial)``, the same
-    bits at any batch width and process count.
+    The trials are split into contiguous ranges of at least
+    ``MIN_TRIALS_PER_PROCESS`` trials, one per process (see
+    :func:`~hilbertbridge.stats_util.walk_ranges`; ``workers=None`` allows
+    every CPU in the affinity mask).  This process walks the first range
+    and forked processes walk the others, returning int8 outcome codes,
+    step counts and final states.  Within a range all trials walk as one
+    batch up to 2¹⁵ trials (``_MAX_BATCH``); wider ranges are split into
+    batches of that width.  Fields are drawn in blocks whose buffers hold
+    about 2²⁰ trial-steps, so memory stays bounded whatever ``max_steps``
+    is.  Every trial is a pure function of its substream ``(seed, trial)``,
+    the same bits at any batch width and process count.
     """
     phi0 = _as_unit_spinor(phi0)
-    chunks = _worker_chunks(trials, ensemble_processes(trials, workers))
-    if len(chunks) < 2:
-        codes, steps_out, finals = _walk_range(phi0, trials, params, 0)
-    else:
-        codes, steps_out, finals = _walk_forked(phi0, chunks, params)
+    walk = functools.partial(_walk_range, phi0, params)
+    codes, steps_out, finals = walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, workers)
     return _OUTCOMES[codes], steps_out, finals
-
-
-def _walk_forked(phi0, chunks, params: SpinWalkParams):
-    """:func:`_walk_range` over ``chunks``: the first here, the rest forked."""
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
-
-    # fork: the children inherit the imported library; spawned children
-    # import it again, which added 0.5–0.7 s to each 2-process call
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(chunks) - 1, mp_context=context) as pool:
-        futures = [pool.submit(_walk_range, phi0, hi - lo, params, lo)
-                   for lo, hi in chunks[1:]]
-        lo, hi = chunks[0]
-        parts = [_walk_range(phi0, hi - lo, params, lo)]
-        parts += [future.result() for future in futures]
-    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def born_statistics(phi0, trials: int, params: SpinWalkParams) -> BornHistogram:

@@ -13,6 +13,7 @@ from hilbertbridge import cli
 from hilbertbridge import experiments as ex
 from hilbertbridge import position_measurement as pm
 from hilbertbridge import spin_measurement as sm
+from hilbertbridge import stats_util
 from hilbertbridge.stats_util import RngStream
 import reference_walks
 
@@ -206,7 +207,7 @@ class TestPositionBorn:
 
 class TestDeterminism:
     def test_worker_chunks_cover_range_in_order(self):
-        chunks = sm._worker_chunks(10, 3)
+        chunks = stats_util._trial_ranges(10, 3)
         assert chunks[0][0] == 0
         assert chunks[-1][1] == 10
         for (a, b), (c, d) in zip(chunks, chunks[1:]):
@@ -226,6 +227,35 @@ class TestDeterminism:
             ex.run(cfg, workers=workers)
             dirs.append(out)
         for fname in ("spin-born-trials.csv", "spin-born-summary.json"):
+            a = (dirs[0] / fname).read_bytes()
+            b = (dirs[1] / fname).read_bytes()
+            assert a == b
+
+    def test_position_born_outputs_identical_at_1_and_8_workers(
+            self, tmp_path, monkeypatch):
+        made = []
+
+        class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+        dirs = []
+        for workers in (1, 8):
+            out = tmp_path / f"w{workers}"
+            cfg = ex.ExperimentConfig(
+                experiment="position-born",
+                parameters={"n_cells": 4},
+                seed=11,
+                trials=2 * pm.MIN_TRIALS_PER_PROCESS,
+                output_dir=str(out),
+            )
+            ex.run(cfg, workers=workers)
+            dirs.append(out)
+        assert made == [(1,)]
+        for fname in ("position-born-trials.csv", "position-born-summary.json"):
             a = (dirs[0] / fname).read_bytes()
             b = (dirs[1] / fname).read_bytes()
             assert a == b
@@ -273,7 +303,7 @@ class TestWalksAgainstReference:
                 made.append(args)
                 super().__init__(*args, **kwargs)
 
-        monkeypatch.setattr(sm, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
         monkeypatch.setattr(sm, "MIN_TRIALS_PER_PROCESS", 8)
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
         cfg = ex.ExperimentConfig("spin-born", {"z0": 0.4}, seed=40, trials=40,
@@ -376,7 +406,7 @@ class TestMemoryBudget:
         assert not tmp_path.joinpath("out").exists()
 
     def test_estimate_grows_with_trials_processes_and_format(self, monkeypatch):
-        monkeypatch.setattr(sm, "_cpu_count", lambda: 2)
+        monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
         spin = ex.REGISTRY["spin-born"].peak_bytes
         small, large = (ex.ExperimentConfig("spin-born", seed=1, trials=t)
                         for t in (10_000, 1_000_000))
@@ -392,7 +422,8 @@ class TestMemoryBudget:
         small, large = (ex.ExperimentConfig("position-born", {"n_cells": 8}, seed=1,
                                             trials=t) for t in (10_000, 20_000))
         assert cell(large, 1) - cell(small, 1) == 10_000 * (16 + 16 * 8 + 400)
-        assert pm.ensemble_bytes(10_000, 30) - pm.ensemble_bytes(5_000, 30) == 5_000 * 496
+        assert cell(large, 1) < cell(large, 2)
+        assert pm.ensemble_bytes(10_000, 30, 1) - pm.ensemble_bytes(5_000, 30, 1) == 5_000 * 496
 
     def test_cli_exits_2_with_message(self, four_gib, tmp_path, capsys):
         rc = cli.main(["spin-born", "--seed", "1", "--trials", "5000000",

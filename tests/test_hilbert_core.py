@@ -152,6 +152,21 @@ def test_wave_function_extent_is_its_shape():
         GridWaveFunction(np.array([1.0, np.nan]), [0.0], 0.5)
 
 
+def test_with_values_refuses_samples_of_another_extent(delta_grid):
+    grid = Grid([0.0], 0.5, (4,))
+    for bad in (np.zeros(7), np.zeros((4, 1)), np.zeros(())):
+        with pytest.raises(ValueError, match="extent"):
+            grid.with_values(bad)
+    psi = grid.with_values(np.ones(4))
+    assert psi.extent == (4,)
+    with pytest.raises(ValueError, match="extent"):
+        psi.with_values(np.ones(3))
+    # the library's own callers pass samples of their grid's extent
+    delta = delta_approximant(0.25, delta_grid, SPEC1)
+    assert delta.extent == delta_grid.extent
+    assert rho_sigma_apply(delta, SPEC1).extent == delta_grid.extent
+
+
 def test_coverage_slack_is_relative_to_the_margin():
     grid = Grid([-1.0], 0.1, (21,))
     grid.require_coverage(np.array([0.0]), 1.0 + 0.9e-9)

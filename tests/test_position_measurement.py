@@ -1,5 +1,7 @@
 """Cell discretization, walk modes, Gabor states, magnitude estimates."""
 
+import concurrent.futures.process
+import functools
 import math
 
 import numpy as np
@@ -9,6 +11,7 @@ from scipy.linalg import expm
 
 import reference_walks
 from hilbertbridge import position_measurement as pm
+from hilbertbridge import stats_util
 from hilbertbridge.hilbert_core import (
     GridResolutionError,
     GridWaveFunction,
@@ -407,6 +410,77 @@ def test_ensemble_matches_eigh_walk(masses, monkeypatch):
     assert list(zip(cells.tolist(), steps.tolist())) == want
     # absorbed trials and trials still unresolved at max_steps are compared
     assert (cells >= 0).any() and (cells < 0).any()
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Three CPUs, forks from 8 trials a process; records every pool made."""
+    made = []
+
+    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
+    monkeypatch.setattr(pm, "MIN_TRIALS_PER_PROCESS", 8)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+    return made
+
+
+def assert_same_run(a, b):
+    for x, y in zip(a, b, strict=True):
+        assert x.tobytes() == y.tobytes()
+
+
+def walk_with_finals(state, trials, p, workers):
+    """``(cells, steps, finals)``: the engine's ranges fanned out as it does."""
+    walk = functools.partial(pm._walk_range, state, p)
+    return stats_util.walk_ranges(walk, trials, pm.MIN_TRIALS_PER_PROCESS, workers)
+
+
+@pytest.mark.parametrize("workers, children", [(2, 1), (None, 2)])
+# a batch width of 5 or 3 splits every range
+@pytest.mark.parametrize("batch", [None, 5, 3])
+def test_forked_run_equals_one_process(pools, monkeypatch, workers, children, batch):
+    if batch is not None:
+        monkeypatch.setattr(pm, "_BATCH", batch)
+    # 0.899 of the mass just outside the 0.9 cap: within 40 kicks some walks
+    # absorb and some do not
+    masses = np.r_[0.899, np.full(3, 0.101 / 3)]
+    amps = np.sqrt(masses) * np.exp(1j * np.arange(4))
+    state = CellState(amps / np.linalg.norm(amps))
+    p = iso_params(absorb_eps=0.1, max_steps=40, seed=413)
+    one = run_position_ensemble(state, 40, p, workers=1)
+    assert not pools
+    forked = run_position_ensemble(state, 40, p, workers=workers)
+    assert pools == [(children,)]
+    assert_same_run(forked, one)
+    assert (one[0] >= 0).any() and (one[0] < 0).any()
+    assert_same_run(walk_with_finals(state, 40, p, workers),
+                    walk_with_finals(state, 40, p, 1))
+
+
+def test_forked_run_from_inside_the_cap(pools):
+    state = CellState(np.eye(5)[2] + 0j)
+    forked = walk_with_finals(state, 30, iso_params(seed=414), 2)
+    assert pools == [(1,)]
+    assert_same_run(forked, walk_with_finals(state, 30, iso_params(seed=414), 1))
+    assert (forked[0] == 2).all() and not forked[1].any()
+    assert (forked[2] == state.amplitudes).all()
+
+
+def test_no_pool_below_the_trial_threshold(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was created")
+
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
+    trials = 2 * pm.MIN_TRIALS_PER_PROCESS - 1
+    assert stats_util.range_processes(trials, pm.MIN_TRIALS_PER_PROCESS, 2) == 1
+    p = iso_params(max_steps=1, seed=415)
+    cells, steps = run_position_ensemble(fixed_profile(3), trials, p, workers=2)
+    assert len(cells) == trials and (steps == 1).all()
 
 
 def test_walks_start_from_a_strided_state():

@@ -9,6 +9,7 @@ from scipy import stats
 
 import reference_walks
 from hilbertbridge import spin_measurement as sm
+from hilbertbridge import stats_util
 from hilbertbridge.spin_measurement import (
     BornHistogram,
     SpinWalkParams,
@@ -283,7 +284,7 @@ def pools(monkeypatch):
             made.append(args)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(sm, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
     monkeypatch.setattr(sm, "MIN_TRIALS_PER_PROCESS", 8)
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
     return made
@@ -327,23 +328,24 @@ def test_no_pool_below_the_trial_threshold(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a process pool was created")
 
-    monkeypatch.setattr(sm, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
     trials = 2 * sm.MIN_TRIALS_PER_PROCESS - 1
-    assert sm.ensemble_processes(trials, 2) == 1
+    assert stats_util.range_processes(trials, sm.MIN_TRIALS_PER_PROCESS, 2) == 1
     p = short_walks(max_steps=1, seed=13)
     results, steps, _ = run_ensemble(state_with_height(0.2), trials, p, workers=2)
     assert len(results) == trials and (steps == 1).all()
 
 
 def test_process_count_is_capped_and_validated(monkeypatch):
-    monkeypatch.setattr(sm, "_cpu_count", lambda: 4)
-    trials = 10 * sm.MIN_TRIALS_PER_PROCESS
-    assert sm.ensemble_processes(trials) == 4
-    assert sm.ensemble_processes(trials, 3) == 3
-    assert sm.ensemble_processes(trials, 16) == 4
-    assert sm.ensemble_processes(3 * sm.MIN_TRIALS_PER_PROCESS, 16) == 3
-    assert sm.ensemble_processes(0) == 1
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 4)
+    least = sm.MIN_TRIALS_PER_PROCESS
+    trials = 10 * least
+    assert stats_util.range_processes(trials, least) == 4
+    assert stats_util.range_processes(trials, least, 3) == 3
+    assert stats_util.range_processes(trials, least, 16) == 4
+    assert stats_util.range_processes(3 * least, least, 16) == 3
+    assert stats_util.range_processes(0, least) == 1
     for bad in (0, -2):
         with pytest.raises(ValueError, match="workers"):
             run_ensemble(EQUAL, 10, params(), workers=bad)
