@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 from hilbertbridge import experiments
+from hilbertbridge.stats_util import check_seed
 
 __all__ = ["Diagnostic", "main", "parse_config_text", "validate_config"]
 
@@ -109,14 +110,11 @@ def _check_section(path: str, name: str, body: dict) -> list[Diagnostic]:
                 )
         elif canon in ("seed", "trials"):
             try:
-                int(value, 0)
-            except ValueError:
-                diags.append(
-                    Diagnostic(
-                        path, lineno,
-                        f"field {key!r}: expected an integer, got {value!r}",
-                    )
-                )
+                number = _int_field(value, key)
+                if canon == "seed":
+                    check_seed(number)
+            except ValueError as exc:
+                diags.append(Diagnostic(path, lineno, str(exc)))
         elif canon == "format":
             if value.lower() not in ("csv", "json"):
                 diags.append(

@@ -30,7 +30,8 @@ from hilbertbridge import (
     state_geometry,
     stats_util,
 )
-from hilbertbridge.stats_util import RngStream, SparseTableError, chi_square_gof
+from hilbertbridge.stats_util import (RngStream, SparseTableError, check_seed,
+                                      chi_square_gof, resolve_workers)
 
 __all__ = [
     "CriterionCheck",
@@ -148,6 +149,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"{self.experiment} is stochastic; a seed is required"
             )
+        if self.seed is not None:
+            check_seed(self.seed)
         if self.format not in (OutputFormat.CSV, OutputFormat.JSON):
             raise ValueError(f"unknown output format {self.format!r}")
         if self.trials is not None and self.trials < 1:
@@ -205,9 +208,9 @@ class Experiment:
     schema: dict
     stochastic: bool
     default_trials: int
-    runner: Callable[[ExperimentConfig, int], ExperimentResult]
-    # rough peak bytes of a run at a worker count, where trials drive it
-    peak_bytes: Callable[[ExperimentConfig, int], int] | None = None
+    runner: Callable[[ExperimentConfig], ExperimentResult]
+    # rough peak bytes of a run, where trials drive it
+    peak_bytes: Callable[[ExperimentConfig], int] | None = None
 
 
 def _check(name, measured, reference, tolerance, mode, source) -> CriterionCheck:
@@ -231,7 +234,7 @@ def _spinor_at_height(z: float) -> np.ndarray:
     return np.array([math.sqrt((1 - z) / 2), math.sqrt((1 + z) / 2)], dtype=complex)
 
 
-def _run_spin_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_spin_born(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     params = spin_measurement.SpinWalkParams(
         dt=p["step_angle"],
@@ -243,9 +246,7 @@ def _run_spin_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     )
     phi0 = _spinor_at_height(p["z0"])
     trials = cfg.resolved_trials
-    results, steps, finals = spin_measurement.run_ensemble(
-        phi0, trials, params, workers=workers
-    )
+    results, steps, finals = spin_measurement.run_ensemble(phi0, trials, params)
 
     final_z = np.abs(finals[:, 1]) ** 2 - np.abs(finals[:, 0]) ** 2
     rows = [
@@ -267,16 +268,16 @@ def _run_spin_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 _ROW_BYTES = {OutputFormat.CSV: 400, OutputFormat.JSON: 1400}
 
 
-def _spin_born_bytes(cfg: ExperimentConfig, workers: int) -> int:
+def _spin_born_bytes(cfg: ExperimentConfig) -> int:
     trials = cfg.resolved_trials
     processes = stats_util.range_processes(
-        trials, spin_measurement.MIN_TRIALS_PER_PROCESS, workers
+        trials, spin_measurement.MIN_TRIALS_PER_PROCESS
     )
     return (spin_measurement.ensemble_bytes(trials, processes)
             + _ROW_BYTES[cfg.format] * trials)
 
 
-def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_position_born(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     n = int(p["n_cells"])
     params = position_measurement.PositionWalkParams(
@@ -291,9 +292,7 @@ def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     raw = gen.normal(size=n) + 1j * gen.normal(size=n)
     state0 = position_measurement.CellState(raw / np.linalg.norm(raw))
     trials = cfg.resolved_trials
-    cells, steps = position_measurement.run_position_ensemble(
-        state0, trials, params, workers=workers
-    )
+    cells, steps = position_measurement.run_position_ensemble(state0, trials, params)
     rows = [(t, int(cells[t]), int(steps[t])) for t in range(trials)]
 
     resolved = cells >= 0
@@ -314,17 +313,17 @@ def _run_position_born(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     return ExperimentResult(("trial", "cell", "steps"), rows, checks)
 
 
-def _position_born_bytes(cfg: ExperimentConfig, workers: int) -> int:
+def _position_born_bytes(cfg: ExperimentConfig) -> int:
     trials = cfg.resolved_trials
     n = int(cfg.parameters["n_cells"])
     processes = stats_util.range_processes(
-        trials, position_measurement.MIN_TRIALS_PER_PROCESS, workers
+        trials, position_measurement.MIN_TRIALS_PER_PROCESS
     )
     return (position_measurement.ensemble_bytes(trials, n, processes)
             + _ROW_BYTES[cfg.format] * trials)
 
 
-def _run_isotropy(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_isotropy(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     spin_params = spin_measurement.SpinWalkParams(
         dt=p["step_angle"], field_std=1.0, seed=cfg.resolved_seed
@@ -369,7 +368,7 @@ def _run_isotropy(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 # geometry experiments
 
 
-def _run_curvature(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_curvature(cfg: ExperimentConfig) -> ExperimentResult:
     n = int(cfg.parameters["levels"])
     phi = np.array([1.0, 0.0], dtype=complex)
     spin_curv = state_geometry.state_sectional_curvature(
@@ -407,7 +406,7 @@ def _random_hermitian(gen: np.random.Generator, n: int) -> np.ndarray:
     )
 
 
-def _run_uncertainty(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_uncertainty(cfg: ExperimentConfig) -> ExperimentResult:
     max_levels = int(cfg.parameters["max_levels"])
     rows = []
     worst_rel = 0.0
@@ -459,7 +458,7 @@ def _packet_and_grid(sigma, momentum, mass, spacing_frac, half_width_sigmas=10.0
     return pkt, grid
 
 
-def _run_decomposition(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_decomposition(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     sigma, momentum, mass = p["sigma"], p["momentum"], p["mass"]
     force = p["force"]
@@ -491,7 +490,7 @@ def _run_decomposition(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     return ExperimentResult(("component", "measured", "reference"), rows, checks)
 
 
-def _run_ehrenfest(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_ehrenfest(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     pkt, grid = _packet_and_grid(p["sigma"], p["momentum"], p["mass"],
                                  p["spacing_frac"])
@@ -523,7 +522,7 @@ def _run_ehrenfest(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     )
 
 
-def _run_reconstruct(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_reconstruct(cfg: ExperimentConfig) -> ExperimentResult:
     n = int(cfg.parameters["levels"])
     x_op, p_op = state_geometry.oscillator_matrices(n)
     zero = np.zeros((n, n), dtype=complex)
@@ -554,7 +553,7 @@ def _run_reconstruct(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 # transition-rule experiments
 
 
-def _run_born_bridge(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_born_bridge(cfg: ExperimentConfig) -> ExperimentResult:
     sigma = cfg.parameters["sigma"]
     n_pairs = cfg.resolved_trials
     rows = []
@@ -606,7 +605,7 @@ def _run_born_bridge(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 # classical-limit experiment
 
 
-def _run_action(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_action(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     omega, amp, mass, sigma = p["omega"], p["amplitude"], p["mass"], p["sigma"]
     n_samples = int(p["samples"])
@@ -664,7 +663,7 @@ def _run_action(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
 # conservation experiments
 
 
-def _run_continuity(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_continuity(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     sigma, momentum = p["sigma"], p["momentum"]
 
@@ -705,7 +704,7 @@ def _run_continuity(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     return ExperimentResult(("case", "h", "dt", "value"), rows, checks)
 
 
-def _run_diffusion(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_diffusion(cfg: ExperimentConfig) -> ExperimentResult:
     from scipy.stats import chi, kstest, linregress
 
     p = cfg.parameters
@@ -737,7 +736,7 @@ def _run_diffusion(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
     return ExperimentResult(("step", "time", "msd"), rows, checks)
 
 
-def _run_state_msd(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_state_msd(cfg: ExperimentConfig) -> ExperimentResult:
     from scipy.stats import linregress
 
     p = cfg.parameters
@@ -805,7 +804,7 @@ _RATE_ANCHORS = {
 }
 
 
-def _run_estimates(cfg: ExperimentConfig, workers: int) -> ExperimentResult:
+def _run_estimates(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
     report = position_measurement.magnitude_estimates(
         wavelength=p["wavelength"], mass=p["mass"], temperature=p["temperature"]
@@ -1104,38 +1103,17 @@ def memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def resolve_workers(explicit: int | None = None) -> int:
-    """Cap on the worker processes of the spin and cell walks.
-
-    ``explicit`` when given, else ``HB_THREADS``, else every CPU in the
-    affinity mask.
-    """
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"workers must be at least 1, got {explicit}")
-        return int(explicit)
-    raw = os.environ.get("HB_THREADS")
-    if raw is None:
-        return stats_util.cpu_count()
-    try:
-        workers = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HB_THREADS must be a positive integer, got {raw!r}") from exc
-    if workers < 1:
-        raise ValueError(f"HB_THREADS must be a positive integer, got {raw!r}")
-    return workers
-
-
-def run(config: ExperimentConfig, workers: int | None = None) -> RunSummary:
+def run(config: ExperimentConfig) -> RunSummary:
     """Execute one experiment; outputs are written even when checks fail.
 
-    Raises :class:`MemoryBudgetError` before any work when the run's
-    estimated peak memory exceeds :func:`memory_budget`.
+    Raises :class:`ValueError` for a bad ``HB_THREADS`` and
+    :class:`MemoryBudgetError` when the run's estimated peak memory exceeds
+    :func:`memory_budget`, both before any work.
     """
     entry = REGISTRY[config.experiment]
-    n_workers = resolve_workers(workers)
+    resolve_workers()
     if entry.peak_bytes is not None:
-        need, budget = entry.peak_bytes(config, n_workers), memory_budget()
+        need, budget = entry.peak_bytes(config), memory_budget()
         if need > budget:
             raise MemoryBudgetError(
                 f"{config.experiment} with {config.resolved_trials} trials needs "
@@ -1143,7 +1121,7 @@ def run(config: ExperimentConfig, workers: int | None = None) -> RunSummary:
                 f"budget (half of physical memory); lower --trials"
             )
     start = time.perf_counter()
-    result = entry.runner(config, n_workers)
+    result = entry.runner(config)
     wall = time.perf_counter() - start
     summary = RunSummary(
         experiment=config.experiment,

@@ -28,7 +28,7 @@ from scipy import constants
 
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
-from hilbertbridge.stats_util import RngStream, TestReport, walk_ranges
+from hilbertbridge.stats_util import RngStream, TestReport, check_seed, walk_ranges
 
 __all__ = [
     "GeneratorMode",
@@ -145,8 +145,7 @@ class PositionWalkParams:
             raise ValueError("absorb_eps must lie in (0, 0.1]")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_seed(self.seed)
         if self.step_phase > _MAX_STEP_PHASE:
             raise ValueError(
                 f"step phase {self.step_phase:g} exceeds {_MAX_STEP_PHASE}"
@@ -568,10 +567,7 @@ def ensemble_bytes(trials: int, n: int, processes: int) -> int:
 
 
 def run_position_ensemble(
-    state0: CellState,
-    trials: int,
-    params: PositionWalkParams,
-    workers: int | None = None,
+    state0: CellState, trials: int, params: PositionWalkParams,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
 
@@ -579,13 +575,15 @@ def run_position_ensemble(
     bit, whichever batch of up to ``_BATCH`` trials and whichever process
     it walks in.  The trials are split into contiguous ranges of at least
     ``MIN_TRIALS_PER_PROCESS`` trials, one per process, as in
-    :func:`~hilbertbridge.stats_util.walk_ranges` (``workers=None``: every
-    CPU in the affinity mask).
+    :func:`~hilbertbridge.stats_util.walk_ranges` (``HB_THREADS`` caps
+    them); a start already inside the cap absorbs at once and forks nothing.
     """
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("ensemble driver supports the ISOTROPIC mode only")
     walk = functools.partial(_walk_range, state0, params)
-    return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, workers)[:2]
+    if _cell_masses(state0.amplitudes).max() >= 1.0 - params.absorb_eps:
+        return walk(trials, 0)[:2]
+    return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS)[:2]
 
 
 def _walk_range(

@@ -23,8 +23,8 @@ from typing import Callable
 import numpy as np
 
 from hilbertbridge.state_geometry import hopf_map
-from hilbertbridge.stats_util import (RngStream, TestReport, direction_uniformity,
-                                      walk_ranges)
+from hilbertbridge.stats_util import (RngStream, TestReport, check_seed,
+                                      direction_uniformity, walk_ranges)
 
 __all__ = [
     "WalkResult",
@@ -85,8 +85,7 @@ class SpinWalkParams:
             raise ValueError("absorb_eps must lie in (0, 0.1]")
         if self.max_steps < 1:
             raise ValueError("max_steps must be at least 1")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit in 64 bits")
+        check_seed(self.seed)
         if self.step_angle > _MAX_STEP_ANGLE:
             raise ValueError(
                 f"step angle {self.step_angle:g} exceeds {_MAX_STEP_ANGLE}; "
@@ -434,10 +433,7 @@ def _walk_range(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
 
 
 def run_ensemble(
-    phi0,
-    trials: int,
-    params: SpinWalkParams,
-    workers: int | None = None,
+    phi0, trials: int, params: SpinWalkParams,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Outcomes for trials 0..trials−1, identical to per-trial run_walk.
 
@@ -447,19 +443,22 @@ def run_ensemble(
 
     The trials are split into contiguous ranges of at least
     ``MIN_TRIALS_PER_PROCESS`` trials, one per process (see
-    :func:`~hilbertbridge.stats_util.walk_ranges`; ``workers=None`` allows
-    every CPU in the affinity mask).  This process walks the first range
-    and forked processes walk the others, returning int8 outcome codes,
-    step counts and final states.  Within a range all trials walk as one
-    batch up to 2¹⁵ trials (``_MAX_BATCH``); wider ranges are split into
-    batches of that width.  Fields are drawn in blocks whose buffers hold
+    :func:`~hilbertbridge.stats_util.walk_ranges`; ``HB_THREADS`` caps
+    them).  This process walks the first range and forked processes walk
+    the others, returning int8 outcome codes, step counts and final states;
+    a start already inside the cap absorbs at once and forks nothing.
+    Within a range all trials walk as one batch up to 2¹⁵ trials
+    (``_MAX_BATCH``); wider ranges are split into batches of that width.  Fields are drawn in blocks whose buffers hold
     about 2²⁰ trial-steps, so memory stays bounded whatever ``max_steps``
     is.  Every trial is a pure function of its substream ``(seed, trial)``,
     the same bits at any batch width and process count.
     """
     phi0 = _as_unit_spinor(phi0)
     walk = functools.partial(_walk_range, phi0, params)
-    codes, steps_out, finals = walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, workers)
+    if abs(_height(phi0)) >= params.absorb_z:
+        codes, steps_out, finals = walk(trials, 0)
+    else:
+        codes, steps_out, finals = walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS)
     return _OUTCOMES[codes], steps_out, finals
 
 

@@ -1,9 +1,9 @@
 """Statistical machinery shared by the Monte Carlo experiments.
 
 Seeded counter-based RNG substreams, the process fan-out that walks ranges
-of those substreams in forked processes, and the small set of
-goodness-of-fit / uniformity tests the experiment suites need.  This is not
-a general statistics library.
+of those substreams in forked processes (capped by ``HB_THREADS``), and the
+small set of goodness-of-fit / uniformity tests the experiment suites need.
+This is not a general statistics library.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ __all__ = [
     "RngStream",
     "SparseTableError",
     "TestReport",
+    "check_seed",
     "chi_square_gof",
     "cpu_count",
     "direction_uniformity",
     "range_processes",
+    "resolve_workers",
     "two_proportion_z",
     "walk_ranges",
 ]
@@ -44,24 +46,41 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a seed that does not fit the 64-bit word of the Philox key."""
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError("seed must fit in 64 bits")
+
+
 def cpu_count() -> int:
     """CPUs in this process's affinity mask."""
     return len(os.sched_getaffinity(0))
 
 
-def range_processes(trials: int, min_trials: int, workers: int | None = None) -> int:
+def resolve_workers() -> int:
+    """Cap on the processes of the spin and cell walks.
+
+    ``HB_THREADS`` when set, else every CPU in the affinity mask.
+    """
+    raw = os.environ.get("HB_THREADS")
+    if raw is None:
+        return cpu_count()
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"HB_THREADS must be a positive integer, got {raw!r}")
+    return workers
+
+
+def range_processes(trials: int, min_trials: int) -> int:
     """Processes :func:`walk_ranges` walks ``trials`` in.
 
-    ``workers`` caps the count (``None``: every CPU in the affinity mask),
-    and so do the CPUs and the number of ranges of at least ``min_trials``
-    trials.
+    :func:`resolve_workers` caps the count, and so do the CPUs and the
+    number of ranges of at least ``min_trials`` trials.
     """
-    cpus = cpu_count()
-    if workers is None:
-        workers = cpus
-    elif workers < 1:
-        raise ValueError("workers must be at least 1")
-    return max(1, min(workers, cpus, trials // min_trials))
+    return max(1, min(resolve_workers(), cpu_count(), trials // min_trials))
 
 
 def _trial_ranges(total: int, parts: int) -> list[tuple[int, int]]:
@@ -70,17 +89,17 @@ def _trial_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def walk_ranges(walk_range: Callable[[int, int], tuple], trials: int, min_trials: int,
-                workers: int | None = None) -> tuple[np.ndarray, ...]:
+def walk_ranges(walk_range: Callable[[int, int], tuple], trials: int,
+                min_trials: int) -> tuple[np.ndarray, ...]:
     """Columns of ``walk_range(count, trial_offset)`` over trials 0..trials−1.
 
-    The trials are split into contiguous ranges, one per process (see
-    :func:`range_processes`).  This process walks the first range and forked
-    processes walk the others; each range's columns, one row per trial, are
-    concatenated in trial order.  ``walk_range`` must be picklable, e.g. a
-    ``functools.partial`` of a module-level function.
+    The trials are split into contiguous ranges, one per process, as many
+    as :func:`range_processes` allows.  This process walks the first range
+    and forked processes walk the others; each range's columns, one row per
+    trial, are concatenated in trial order.  ``walk_range`` must be
+    picklable, e.g. a ``functools.partial`` of a module-level function.
     """
-    ranges = _trial_ranges(trials, range_processes(trials, min_trials, workers))
+    ranges = _trial_ranges(trials, range_processes(trials, min_trials))
     if len(ranges) < 2:
         return walk_range(trials, 0)
     import multiprocessing

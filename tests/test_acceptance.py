@@ -375,15 +375,16 @@ def test_c13_diffusion(capsys):
     assert ok, f"slope={fit.slope:.4f} ks_p={ks.pvalue:.2e}"
 
 
-def test_c14_determinism(capsys, tmp_path):
+def test_c14_determinism(capsys, tmp_path, monkeypatch):
     blobs = {}
     for workers in (1, 8):
+        monkeypatch.setenv("HB_THREADS", str(workers))
         out = tmp_path / f"w{workers}"
         cfg = ex.ExperimentConfig(
             experiment="spin-born", parameters={"z0": 0.4}, seed=11,
             trials=600, output_dir=str(out),
         )
-        ex.run(cfg, workers=workers)
+        ex.run(cfg)
         blobs[workers] = tuple(
             (out / name).read_bytes()
             for name in ("spin-born-trials.csv", "spin-born-summary.json")
@@ -393,7 +394,7 @@ def test_c14_determinism(capsys, tmp_path):
         experiment="spin-born", parameters={"z0": 0.4}, seed=11,
         trials=600, output_dir=str(rerun_dir),
     )
-    ex.run(cfg, workers=1)
+    ex.run(cfg)
     rerun = tuple(
         (rerun_dir / name).read_bytes()
         for name in ("spin-born-trials.csv", "spin-born-summary.json")

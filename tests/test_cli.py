@@ -72,6 +72,18 @@ class TestRun:
         assert "HB_THREADS" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("args", [
+        ["diffusion", "--seed", "-1"],
+        ["uncertainty-identity", "--seed", "-1"],
+        ["born-bridge", "--seed", str(2**64)],
+    ], ids=["diffusion", "uncertainty-identity", "born-bridge"])
+    def test_seed_outside_64_bits_exits_2_without_outputs(self, tmp_path, capsys,
+                                                          args):
+        rc = cli.main([*args, "--output-dir", str(tmp_path)])
+        assert rc == 2
+        assert "seed must fit in 64 bits" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("args, message", [
         (["spin-born", "--z0", "2"], "z must lie in"),
         (["spin-born", "--step-angle", "0.2"], "step angle 0.2 exceeds"),
@@ -199,6 +211,16 @@ class TestValidate:
         out = capsys.readouterr().out
         assert f"{config}:4" in out
         assert "z0" in out
+
+    def test_seed_outside_64_bits_reports_line_number(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_text(
+            f"[diffusion]\ntrials = 10\nseed = {2**64}\n[born-bridge]\nseed = -1\n"
+        )
+        assert cli.main(["validate", str(config)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert f"{config}:3: seed must fit in 64 bits" in out
+        assert f"{config}:5: seed must fit in 64 bits" in out
 
     def test_parse_error_reports_line_number(self, tmp_path, capsys):
         config = tmp_path / "bad.conf"

@@ -213,9 +213,11 @@ class TestDeterminism:
         for (a, b), (c, d) in zip(chunks, chunks[1:]):
             assert b == c
 
-    def test_spin_born_outputs_identical_at_1_and_8_workers(self, tmp_path):
+    def test_spin_born_outputs_identical_at_1_and_8_workers(self, tmp_path,
+                                                            monkeypatch):
         dirs = []
         for workers in (1, 8):
+            monkeypatch.setenv("HB_THREADS", str(workers))
             out = tmp_path / f"w{workers}"
             cfg = ex.ExperimentConfig(
                 experiment="spin-born",
@@ -224,7 +226,7 @@ class TestDeterminism:
                 trials=400,
                 output_dir=str(out),
             )
-            ex.run(cfg, workers=workers)
+            ex.run(cfg)
             dirs.append(out)
         for fname in ("spin-born-trials.csv", "spin-born-summary.json"):
             a = (dirs[0] / fname).read_bytes()
@@ -244,6 +246,7 @@ class TestDeterminism:
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
         dirs = []
         for workers in (1, 8):
+            monkeypatch.setenv("HB_THREADS", str(workers))
             out = tmp_path / f"w{workers}"
             cfg = ex.ExperimentConfig(
                 experiment="position-born",
@@ -252,7 +255,7 @@ class TestDeterminism:
                 trials=2 * pm.MIN_TRIALS_PER_PROCESS,
                 output_dir=str(out),
             )
-            ex.run(cfg, workers=workers)
+            ex.run(cfg)
             dirs.append(out)
         assert made == [(1,)]
         for fname in ("position-born-trials.csv", "position-born-summary.json"):
@@ -308,7 +311,7 @@ class TestWalksAgainstReference:
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
         cfg = ex.ExperimentConfig("spin-born", {"z0": 0.4}, seed=40, trials=40,
                                   output_dir=str(tmp_path))
-        ex.run(cfg, workers=2)
+        ex.run(cfg)
         assert made == [(1,)]
         rows = self.rows(tmp_path / "spin-born-trials.csv")
         p = cfg.parameters
@@ -349,23 +352,10 @@ class TestWorkers:
         monkeypatch.setenv("HB_THREADS", "3")
         assert ex.resolve_workers() == 3
 
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("HB_THREADS", "3")
-        assert ex.resolve_workers(2) == 2
-
     def test_unset_env_defaults_to_affinity_mask(self, monkeypatch):
         monkeypatch.delenv("HB_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5})
         assert ex.resolve_workers() == 3
-
-    @pytest.mark.parametrize("workers", [0, -3])
-    def test_explicit_count_below_one_is_refused(self, workers, tmp_path):
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            ex.resolve_workers(workers)
-        cfg = ex.ExperimentConfig("curvature", output_dir=str(tmp_path / "out"))
-        with pytest.raises(ValueError, match="workers must be at least 1"):
-            ex.run(cfg, workers=workers)
-        assert not tmp_path.joinpath("out").exists()
 
     def test_bad_env_value_raises(self, monkeypatch):
         monkeypatch.setenv("HB_THREADS", "many")
@@ -384,7 +374,7 @@ class TestMemoryBudget:
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         assert ex.memory_budget() == 2**31
 
-        def must_not_run(cfg, workers):
+        def must_not_run(cfg):
             raise AssertionError("the run started")
 
         for name in ("spin-born", "position-born"):
@@ -407,7 +397,14 @@ class TestMemoryBudget:
 
     def test_estimate_grows_with_trials_processes_and_format(self, monkeypatch):
         monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
-        spin = ex.REGISTRY["spin-born"].peak_bytes
+
+        def estimate(name):
+            def at(cfg, processes):
+                monkeypatch.setenv("HB_THREADS", str(processes))
+                return ex.REGISTRY[name].peak_bytes(cfg)
+            return at
+
+        spin = estimate("spin-born")
         small, large = (ex.ExperimentConfig("spin-born", seed=1, trials=t)
                         for t in (10_000, 1_000_000))
         as_json = ex.ExperimentConfig("spin-born", seed=1, trials=10_000,
@@ -418,7 +415,7 @@ class TestMemoryBudget:
         assert spin(small, 1) > 120 * 2**20
         # past one batch, a cell-walk trial adds its cell and steps (16 bytes),
         # its final state (16·N bytes) and its CSV row
-        cell = ex.REGISTRY["position-born"].peak_bytes
+        cell = estimate("position-born")
         small, large = (ex.ExperimentConfig("position-born", {"n_cells": 8}, seed=1,
                                             trials=t) for t in (10_000, 20_000))
         assert cell(large, 1) - cell(small, 1) == 10_000 * (16 + 16 * 8 + 400)

@@ -433,16 +433,17 @@ def assert_same_run(a, b):
         assert x.tobytes() == y.tobytes()
 
 
-def walk_with_finals(state, trials, p, workers):
+def walk_with_finals(state, trials, p):
     """``(cells, steps, finals)``: the engine's ranges fanned out as it does."""
     walk = functools.partial(pm._walk_range, state, p)
-    return stats_util.walk_ranges(walk, trials, pm.MIN_TRIALS_PER_PROCESS, workers)
+    return stats_util.walk_ranges(walk, trials, pm.MIN_TRIALS_PER_PROCESS)
 
 
-@pytest.mark.parametrize("workers, children", [(2, 1), (None, 2)])
+# the HB_THREADS cap (None: unset, every CPU)
+@pytest.mark.parametrize("threads, children", [(2, 1), (None, 2)])
 # a batch width of 5 or 3 splits every range
 @pytest.mark.parametrize("batch", [None, 5, 3])
-def test_forked_run_equals_one_process(pools, monkeypatch, workers, children, batch):
+def test_forked_run_equals_one_process(pools, monkeypatch, threads, children, batch):
     if batch is not None:
         monkeypatch.setattr(pm, "_BATCH", batch)
     # 0.899 of the mass just outside the 0.9 cap: within 40 kicks some walks
@@ -451,23 +452,28 @@ def test_forked_run_equals_one_process(pools, monkeypatch, workers, children, ba
     amps = np.sqrt(masses) * np.exp(1j * np.arange(4))
     state = CellState(amps / np.linalg.norm(amps))
     p = iso_params(absorb_eps=0.1, max_steps=40, seed=413)
-    one = run_position_ensemble(state, 40, p, workers=1)
-    assert not pools
-    forked = run_position_ensemble(state, 40, p, workers=workers)
-    assert pools == [(children,)]
+    if threads is not None:
+        monkeypatch.setenv("HB_THREADS", str(threads))
+    forked = run_position_ensemble(state, 40, p)
+    forked_finals = walk_with_finals(state, 40, p)
+    assert pools == [(children,)] * 2
+    monkeypatch.setenv("HB_THREADS", "1")
+    one = run_position_ensemble(state, 40, p)
+    assert pools == [(children,)] * 2
     assert_same_run(forked, one)
     assert (one[0] >= 0).any() and (one[0] < 0).any()
-    assert_same_run(walk_with_finals(state, 40, p, workers),
-                    walk_with_finals(state, 40, p, 1))
+    assert_same_run(forked_finals, walk_with_finals(state, 40, p))
 
 
 def test_forked_run_from_inside_the_cap(pools):
+    # three CPUs and 30 trials would fork two processes, but a start that has
+    # already absorbed has nothing to walk
     state = CellState(np.eye(5)[2] + 0j)
-    forked = walk_with_finals(state, 30, iso_params(seed=414), 2)
-    assert pools == [(1,)]
-    assert_same_run(forked, walk_with_finals(state, 30, iso_params(seed=414), 1))
-    assert (forked[0] == 2).all() and not forked[1].any()
-    assert (forked[2] == state.amplitudes).all()
+    p = iso_params(seed=414)
+    cells, steps = run_position_ensemble(state, 30, p)
+    assert not pools
+    assert (cells == 2).all() and not steps.any()
+    assert (pm._walk_range(state, p, 30, 0)[2] == state.amplitudes).all()
 
 
 def test_no_pool_below_the_trial_threshold(monkeypatch):
@@ -476,11 +482,15 @@ def test_no_pool_below_the_trial_threshold(monkeypatch):
 
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
-    trials = 2 * pm.MIN_TRIALS_PER_PROCESS - 1
-    assert stats_util.range_processes(trials, pm.MIN_TRIALS_PER_PROCESS, 2) == 1
     p = iso_params(max_steps=1, seed=415)
-    cells, steps = run_position_ensemble(fixed_profile(3), trials, p, workers=2)
-    assert len(cells) == trials and (steps == 1).all()
+    # too few trials for two ranges, and HB_THREADS=1 above the threshold
+    for threads, trials in ((None, 2 * pm.MIN_TRIALS_PER_PROCESS - 1),
+                            ("1", 4 * pm.MIN_TRIALS_PER_PROCESS)):
+        if threads is not None:
+            monkeypatch.setenv("HB_THREADS", threads)
+        assert stats_util.range_processes(trials, pm.MIN_TRIALS_PER_PROCESS) == 1
+        cells, steps = run_position_ensemble(fixed_profile(3), trials, p)
+        assert len(cells) == trials and (steps == 1).all()
 
 
 def test_walks_start_from_a_strided_state():

@@ -263,9 +263,9 @@ def test_ensemble_batches_concatenate_to_unsplit_run(monkeypatch):
     # at _MAX_BATCH = 16, 40 trials walk as the batches 0–15, 16–31, 32–39
     p = short_walks(max_steps=6, seed=9)
     phi0 = state_with_height(0.86)
-    whole = run_ensemble(phi0, 40, p, workers=1)
+    whole = run_ensemble(phi0, 40, p)
     monkeypatch.setattr(sm, "_MAX_BATCH", 16)
-    split = run_ensemble(phi0, 40, p, workers=1)
+    split = run_ensemble(phi0, 40, p)
     assert_same_run(split, whole)
     for t in range(14, 19):  # straddles the first batch split
         solo = reference_walks.run_walk(phi0, p, stream_id=t)
@@ -296,18 +296,22 @@ def assert_same_run(a, b):
     assert a[2].tobytes() == b[2].tobytes()
 
 
-@pytest.mark.parametrize("workers, children", [(2, 1), (None, 2)])
+# the HB_THREADS cap (None: unset, every CPU)
+@pytest.mark.parametrize("threads, children", [(2, 1), (None, 2)])
 # module constants patched; a batch width of 5 or 3 splits every range
 @pytest.mark.parametrize("kw", [{}, {"_MAX_BATCH": 5}, {"_MAX_BATCH": 3}])
-def test_forked_run_equals_one_process(pools, monkeypatch, workers, children, kw):
+def test_forked_run_equals_one_process(pools, monkeypatch, threads, children, kw):
     # 40 kicks leave some walks UNRESOLVED
     for name, value in kw.items():
         monkeypatch.setattr(sm, name, value)
     p = short_walks(max_steps=40, seed=12)
     phi0 = state_with_height(0.75)
-    one = run_ensemble(phi0, 50, p, workers=1)
-    assert not pools
-    forked = run_ensemble(phi0, 50, p, workers=workers)
+    if threads is not None:
+        monkeypatch.setenv("HB_THREADS", str(threads))
+    forked = run_ensemble(phi0, 50, p)
+    assert pools == [(children,)]
+    monkeypatch.setenv("HB_THREADS", "1")
+    one = run_ensemble(phi0, 50, p)
     assert pools == [(children,)]
     assert_same_run(forked, one)
     unresolved = one[0] == WalkResult.UNRESOLVED
@@ -315,13 +319,15 @@ def test_forked_run_equals_one_process(pools, monkeypatch, workers, children, kw
 
 
 def test_forked_run_from_inside_the_cap(pools):
+    # three CPUs and 30 trials would fork two processes, but a start that has
+    # already absorbed has nothing to walk
     p = short_walks(seed=3)
     phi0 = state_with_height(-0.95)
-    forked = run_ensemble(phi0, 30, p, workers=2)
-    assert pools == [(1,)]
-    assert_same_run(forked, run_ensemble(phi0, 30, p, workers=1))
-    assert all(r is WalkResult.DOWN for r in forked[0])
-    assert not forked[1].any()
+    results, steps, finals = run_ensemble(phi0, 30, p)
+    assert not pools
+    assert all(r is WalkResult.DOWN for r in results)
+    assert not steps.any()
+    assert (finals == phi0).all()
 
 
 def test_no_pool_below_the_trial_threshold(monkeypatch):
@@ -330,11 +336,15 @@ def test_no_pool_below_the_trial_threshold(monkeypatch):
 
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
     monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
-    trials = 2 * sm.MIN_TRIALS_PER_PROCESS - 1
-    assert stats_util.range_processes(trials, sm.MIN_TRIALS_PER_PROCESS, 2) == 1
     p = short_walks(max_steps=1, seed=13)
-    results, steps, _ = run_ensemble(state_with_height(0.2), trials, p, workers=2)
-    assert len(results) == trials and (steps == 1).all()
+    # too few trials for two ranges, and HB_THREADS=1 above the threshold
+    for threads, trials in ((None, 2 * sm.MIN_TRIALS_PER_PROCESS - 1),
+                            ("1", 4 * sm.MIN_TRIALS_PER_PROCESS)):
+        if threads is not None:
+            monkeypatch.setenv("HB_THREADS", threads)
+        assert stats_util.range_processes(trials, sm.MIN_TRIALS_PER_PROCESS) == 1
+        results, steps, _ = run_ensemble(state_with_height(0.2), trials, p)
+        assert len(results) == trials and (steps == 1).all()
 
 
 def test_process_count_is_capped_and_validated(monkeypatch):
@@ -342,13 +352,16 @@ def test_process_count_is_capped_and_validated(monkeypatch):
     least = sm.MIN_TRIALS_PER_PROCESS
     trials = 10 * least
     assert stats_util.range_processes(trials, least) == 4
-    assert stats_util.range_processes(trials, least, 3) == 3
-    assert stats_util.range_processes(trials, least, 16) == 4
-    assert stats_util.range_processes(3 * least, least, 16) == 3
+    monkeypatch.setenv("HB_THREADS", "3")
+    assert stats_util.range_processes(trials, least) == 3
+    monkeypatch.setenv("HB_THREADS", "16")
+    assert stats_util.range_processes(trials, least) == 4
+    assert stats_util.range_processes(3 * least, least) == 3
     assert stats_util.range_processes(0, least) == 1
-    for bad in (0, -2):
-        with pytest.raises(ValueError, match="workers"):
-            run_ensemble(EQUAL, 10, params(), workers=bad)
+    for bad in ("0", "-2"):
+        monkeypatch.setenv("HB_THREADS", bad)
+        with pytest.raises(ValueError, match="HB_THREADS"):
+            run_ensemble(EQUAL, 10, params())
 
 
 def test_componentwise_norm_equals_linalg_norm_bitwise():
