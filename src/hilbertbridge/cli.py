@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import re
 import sys
 import time
 from pathlib import Path
 
 from hilbertbridge import experiments
-from hilbertbridge.stats_util import check_seed
 
 __all__ = ["Diagnostic", "main", "parse_config_text", "validate_config"]
 
@@ -90,61 +90,55 @@ def _canonical_key(experiment: str, key: str) -> str:
     return _PARAM_ALIASES.get(experiment, {}).get(key, key)
 
 
-def _check_section(path: str, name: str, body: dict) -> list[Diagnostic]:
-    header_line = body["_line"]
-    if name not in experiments.REGISTRY:
-        return [Diagnostic(path, header_line, f"unknown experiment {name!r}")]
-    entry = experiments.REGISTRY[name]
-    diags: list[Diagnostic] = []
+def _section_values(name: str, body: dict) -> dict:
+    """Raw values of a parsed section, keyed by canonical name."""
+    return {_canonical_key(name, k): v[0] for k, v in body.items() if k != "_line"}
+
+
+def _int_field(raw, field: str) -> int:
+    try:
+        return int(str(raw), 0)
+    except ValueError:
+        raise ValueError(f"field {field!r}: expected an integer, got {raw!r}")
+
+
+def _section_config(name: str, values: dict) -> experiments.ExperimentConfig:
+    """The config of experiment ``name`` from raw values keyed by canonical
+    name; ``values`` is consumed."""
+    seed, trials = (_int_field(values.pop(key), key) if key in values else None
+                    for key in ("seed", "trials"))
+    output_dir = str(values.pop("output_dir", "hb-output"))
+    fmt = str(values.pop("format", experiments.OutputFormat.CSV)).lower()
+    return experiments.ExperimentConfig(name, values, seed, trials, output_dir, fmt)
+
+
+def _refusal_line(name: str, body: dict, message: str) -> int:
+    """Line of the first key of a section ``message`` names, else its header."""
     for key, located in body.items():
-        if key == "_line":
-            continue
-        value, lineno = located
-        canon = _canonical_key(name, key)
-        if canon in entry.schema:
-            try:
-                entry.schema[canon].coerce(value)
-            except ValueError as exc:
-                diags.append(
-                    Diagnostic(path, lineno, f"parameter {key!r}: {exc}")
-                )
-        elif canon in ("seed", "trials"):
-            try:
-                number = _int_field(value, key)
-                if canon == "seed":
-                    check_seed(number)
-            except ValueError as exc:
-                diags.append(Diagnostic(path, lineno, str(exc)))
-        elif canon == "format":
-            if value.lower() not in ("csv", "json"):
-                diags.append(
-                    Diagnostic(
-                        path, lineno,
-                        f"field 'format': expected csv or json, got {value!r}",
-                    )
-                )
-        elif canon != "output_dir":
-            diags.append(Diagnostic(path, lineno, f"unknown key {key!r}"))
-    if "trials" not in body:
-        diags.append(
-            Diagnostic(path, header_line, f"section [{name}] is missing 'trials'")
-        )
-    if entry.stochastic and "seed" not in body:
-        diags.append(
-            Diagnostic(
-                path, header_line,
-                f"section [{name}] is missing 'seed' (stochastic experiment)",
-            )
-        )
-    return diags
+        pattern = rf"(?<!\w){re.escape(_canonical_key(name, key))}(?!\w)"
+        if key != "_line" and re.search(pattern, message):
+            return located[1]
+    return body["_line"]
 
 
 def validate_config(path: str) -> list[Diagnostic]:
-    """Schema-check a config file without running anything."""
-    text = Path(path).read_text()
-    sections, diags = parse_config_text(text, path)
+    """Check a config file as a run checks it, without running anything.
+
+    Each section must name an experiment and carry ``trials``, and its
+    config must pass :func:`experiments.prepare`.
+    """
+    sections, diags = parse_config_text(Path(path).read_text(), path)
     for name, body in sections.items():
-        diags.extend(_check_section(path, name, body))
+        if name not in experiments.REGISTRY:
+            diags.append(Diagnostic(path, body["_line"], f"unknown experiment {name!r}"))
+            continue
+        if "trials" not in body:
+            diags.append(Diagnostic(path, body["_line"],
+                                    f"section [{name}] is missing 'trials'"))
+        try:
+            experiments.prepare(_section_config(name, _section_values(name, body)))
+        except ValueError as exc:
+            diags.append(Diagnostic(path, _refusal_line(name, body, str(exc)), str(exc)))
     return sorted(diags, key=lambda d: d.line)
 
 
@@ -153,12 +147,7 @@ def _load_file_section(path: str, experiment: str) -> dict:
     sections, diags = parse_config_text(Path(path).read_text(), path)
     if diags:
         raise ValueError("\n".join(str(d) for d in diags))
-    body = sections.get(experiment, {})
-    return {
-        _canonical_key(experiment, k): v[0]
-        for k, v in body.items()
-        if k != "_line"
-    }
+    return _section_values(experiment, sections.get(experiment, {}))
 
 
 def _experiment_parser(name: str) -> argparse.ArgumentParser:
@@ -185,41 +174,12 @@ def _experiment_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def _int_field(raw, field: str) -> int:
-    try:
-        return int(str(raw), 0)
-    except ValueError:
-        raise ValueError(f"field {field!r}: expected an integer, got {raw!r}")
-
-
 def _build_config(name: str, ns: argparse.Namespace) -> experiments.ExperimentConfig:
-    entry = experiments.REGISTRY[name]
-    merged: dict = {}
-    if ns.config is not None:
-        merged.update(_load_file_section(ns.config, name))
-    for key in entry.schema:
-        value = getattr(ns, key)
-        if value is not None:
-            merged[key] = value
-    for key in _COMMON_KEYS:
-        value = getattr(ns, key)
-        if value is not None:
-            merged[key] = value
-
-    seed = _int_field(merged.pop("seed"), "seed") if "seed" in merged else None
-    trials = (
-        _int_field(merged.pop("trials"), "trials") if "trials" in merged else None
-    )
-    output_dir = merged.pop("output_dir", "hb-output")
-    fmt = str(merged.pop("format", experiments.OutputFormat.CSV)).lower()
-    return experiments.ExperimentConfig(
-        experiment=name,
-        parameters=merged,
-        seed=seed,
-        trials=trials,
-        output_dir=str(output_dir),
-        format=fmt,
-    )
+    values = {} if ns.config is None else _load_file_section(ns.config, name)
+    for key in (*experiments.REGISTRY[name].schema, *_COMMON_KEYS):
+        if getattr(ns, key) is not None:
+            values[key] = getattr(ns, key)
+    return _section_config(name, values)
 
 
 def _cmd_list() -> int:

@@ -33,6 +33,7 @@ __all__ = [
     "DiffusionParams",
     "BrownianResult",
     "StateMsd",
+    "check_msd_trials",
     "evolve_grid",
     "probability_current",
     "continuity_residual",
@@ -320,6 +321,16 @@ def _position_msd(
     return out
 
 
+# fewest trials whose mean square angle state_density_msd estimates
+MIN_MSD_TRIALS = 100
+
+
+def check_msd_trials(trials: int) -> None:
+    """Refuse fewer trials than :func:`state_density_msd` averages over."""
+    if trials < MIN_MSD_TRIALS:
+        raise ValueError(f"need at least {MIN_MSD_TRIALS} trials")
+
+
 def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     """Ensemble ⟨θ²⟩ against step count for the measurement walks.
 
@@ -328,8 +339,7 @@ def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     :class:`PositionWalkParams` in ISOTROPIC mode.  No absorption is
     applied — this probes the free early-time diffusion of the state.
     """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
+    check_msd_trials(trials)
     if isinstance(params, SpinWalkParams):
         series = _free_walk_msd(start, trials, params, n_steps)
     elif isinstance(params, PositionWalkParams):

@@ -41,6 +41,7 @@ __all__ = [
     "RunSummary",
     "catalog",
     "experiment_names",
+    "prepare",
     "run",
     "write_outputs",
 ]
@@ -66,7 +67,7 @@ class ParamSpec:
                 raise ValueError("expected an integer")
             if isinstance(raw, str):
                 return int(raw, 0)
-            if isinstance(raw, float) and raw != int(raw):
+            if isinstance(raw, float) and not raw.is_integer():
                 raise ValueError(f"expected an integer, got {raw}")
             return int(raw)
         if self.kind != "real":
@@ -141,14 +142,13 @@ class ExperimentConfig:
                 resolved[key] = spec.coerce(raw)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"parameter {key!r}: {exc}") from exc
-        unknown = set(self.parameters) - set(entry.schema)
+        unknown = sorted(set(self.parameters) - set(entry.schema))
         if unknown:
-            raise ValueError(f"unknown parameters: {sorted(unknown)}")
+            raise ValueError(f"unknown parameters of {self.experiment}: unknown key "
+                             + ", ".join(map(repr, unknown)))
         object.__setattr__(self, "parameters", resolved)
         if entry.stochastic and self.seed is None:
-            raise ValueError(
-                f"{self.experiment} is stochastic; a seed is required"
-            )
+            raise ValueError(f"missing 'seed': {self.experiment} is stochastic")
         if self.seed is not None:
             check_seed(self.seed)
         if self.format not in (OutputFormat.CSV, OutputFormat.JSON):
@@ -209,8 +209,9 @@ class Experiment:
     stochastic: bool
     default_trials: int
     runner: Callable[[ExperimentConfig], ExperimentResult]
-    # rough peak bytes of a run, where trials drive it
-    peak_bytes: Callable[[ExperimentConfig], int] | None = None
+    # the library inputs of a run, built without running it; refuses what the
+    # library refuses and runs over the memory budget
+    inputs: Callable[[ExperimentConfig], tuple] | None = None
 
 
 def _check(name, measured, reference, tolerance, mode, source) -> CriterionCheck:
@@ -234,17 +235,44 @@ def _spinor_at_height(z: float) -> np.ndarray:
     return np.array([math.sqrt((1 - z) / 2), math.sqrt((1 + z) / 2)], dtype=complex)
 
 
+def _stop_rule(cfg: ExperimentConfig) -> dict:
+    """A walk's absorb_eps and max_steps where the schema has them."""
+    return {key: cfg.parameters[key] for key in ("absorb_eps", "max_steps")
+            if key in cfg.parameters}
+
+
+def _spin_params(cfg: ExperimentConfig) -> spin_measurement.SpinWalkParams:
+    return spin_measurement.SpinWalkParams(
+        dt=cfg.parameters["step_angle"], field_std=1.0, seed=cfg.resolved_seed,
+        **_stop_rule(cfg),
+    )
+
+
+def _cell_params(cfg: ExperimentConfig) -> position_measurement.PositionWalkParams:
+    p = cfg.parameters
+    return position_measurement.PositionWalkParams(
+        tau=p["tau"], v_std=p["v_std"], seed=cfg.resolved_seed, **_stop_rule(cfg)
+    )
+
+
+def _require_memory(cfg: ExperimentConfig, need: int) -> None:
+    budget = memory_budget()
+    if need > budget:
+        raise MemoryBudgetError(
+            f"{cfg.experiment} with {cfg.resolved_trials} trials needs about "
+            f"{need / 2**30:.1f} GiB, over the {budget / 2**30:.1f} GiB budget "
+            f"(half of physical memory); lower --trials"
+        )
+
+
+def _spin_born_inputs(cfg: ExperimentConfig) -> tuple:
+    _require_memory(cfg, _spin_born_bytes(cfg))
+    return _spin_params(cfg), _spinor_at_height(cfg.parameters["z0"])
+
+
 def _run_spin_born(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
-    params = spin_measurement.SpinWalkParams(
-        dt=p["step_angle"],
-        field_std=1.0,
-        mu=1.0,
-        absorb_eps=p["absorb_eps"],
-        max_steps=p["max_steps"],
-        seed=cfg.resolved_seed,
-    )
-    phi0 = _spinor_at_height(p["z0"])
+    params, phi0 = _spin_born_inputs(cfg)
     trials = cfg.resolved_trials
     results, steps, finals = spin_measurement.run_ensemble(phi0, trials, params)
 
@@ -277,20 +305,20 @@ def _spin_born_bytes(cfg: ExperimentConfig) -> int:
             + _ROW_BYTES[cfg.format] * trials)
 
 
-def _run_position_born(cfg: ExperimentConfig) -> ExperimentResult:
-    p = cfg.parameters
-    n = int(p["n_cells"])
-    params = position_measurement.PositionWalkParams(
-        tau=p["tau"],
-        v_std=p["v_std"],
-        absorb_eps=p["absorb_eps"],
-        max_steps=p["max_steps"],
-        seed=cfg.resolved_seed,
-    )
+def _position_born_inputs(cfg: ExperimentConfig) -> tuple:
+    # the budget first: it bounds n_cells before the start is drawn
+    _require_memory(cfg, _position_born_bytes(cfg))
+    params = _cell_params(cfg)
     # fixed-seed start amplitudes from a reserved substream
+    n = int(cfg.parameters["n_cells"])
     gen = RngStream(cfg.resolved_seed, 2**63).generator()
     raw = gen.normal(size=n) + 1j * gen.normal(size=n)
-    state0 = position_measurement.CellState(raw / np.linalg.norm(raw))
+    return params, position_measurement.CellState(raw / np.linalg.norm(raw))
+
+
+def _run_position_born(cfg: ExperimentConfig) -> ExperimentResult:
+    params, state0 = _position_born_inputs(cfg)
+    n = len(state0)
     trials = cfg.resolved_trials
     cells, steps = position_measurement.run_position_ensemble(state0, trials, params)
     rows = [(t, int(cells[t]), int(steps[t])) for t in range(trials)]
@@ -323,24 +351,23 @@ def _position_born_bytes(cfg: ExperimentConfig) -> int:
             + _ROW_BYTES[cfg.format] * trials)
 
 
+def _isotropy_inputs(cfg: ExperimentConfig) -> tuple:
+    n = int(cfg.parameters["n_cells"])
+    uniform = np.full(n, 1 / math.sqrt(max(n, 1)), dtype=complex)
+    return (_spin_params(cfg), _cell_params(cfg),
+            position_measurement.CellState(uniform))
+
+
 def _run_isotropy(cfg: ExperimentConfig) -> ExperimentResult:
     p = cfg.parameters
-    spin_params = spin_measurement.SpinWalkParams(
-        dt=p["step_angle"], field_std=1.0, seed=cfg.resolved_seed
-    )
+    spin_params, pos_params, state = _isotropy_inputs(cfg)
     phi0 = _spinor_at_height(0.0)
     n_kicks = cfg.resolved_trials
     report = spin_measurement.isotropy_test(phi0, n_kicks, spin_params)
     disp = spin_measurement.tangent_displacements(phi0, n_kicks, spin_params)
     rows = [(i, float(d[0]), float(d[1])) for i, d in enumerate(disp)]
 
-    n_cells = int(p["n_cells"])
-    pos_params = position_measurement.PositionWalkParams(
-        tau=p["tau"], v_std=p["v_std"], seed=cfg.resolved_seed
-    )
-    state = position_measurement.CellState(
-        np.full(n_cells, 1 / math.sqrt(n_cells), dtype=complex)
-    )
+    n_cells = len(state)
     diag = position_measurement.velocity_isotropy_diagnostic(
         state,
         samples=int(p["samples"]),
@@ -400,12 +427,6 @@ def _run_curvature(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(("case", "curvature"), rows, checks)
 
 
-def _random_hermitian(gen: np.random.Generator, n: int) -> np.ndarray:
-    return position_measurement.hermitian_generator(
-        gen.normal(size=(n, n)), gen.normal(size=(n, n))
-    )
-
-
 def _run_uncertainty(cfg: ExperimentConfig) -> ExperimentResult:
     max_levels = int(cfg.parameters["max_levels"])
     rows = []
@@ -414,8 +435,9 @@ def _run_uncertainty(cfg: ExperimentConfig) -> ExperimentResult:
     for k in range(cfg.resolved_trials):
         gen = RngStream(cfg.resolved_seed, k).generator()
         n = int(gen.integers(2, max_levels + 1))
-        a = _random_hermitian(gen, n)
-        b = _random_hermitian(gen, n)
+        # real part, then imaginary part: the recorded outputs keep this order
+        a, b = (position_measurement.hermitian_generator(
+            gen.normal(size=(n, n)), gen.normal(size=(n, n))) for _ in range(2))
         phi = gen.normal(size=n) + 1j * gen.normal(size=n)
         phi = phi / np.linalg.norm(phi)
         product, area_sq, inner_sq = state_geometry.uncertainty_identity(a, b, phi)
@@ -736,39 +758,34 @@ def _run_diffusion(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(("step", "time", "msd"), rows, checks)
 
 
+def _state_msd_inputs(cfg: ExperimentConfig) -> tuple:
+    density_diffusion.check_msd_trials(cfg.resolved_trials)
+    basis = np.eye(1, int(cfg.parameters["n_cells"]), dtype=complex)[0]
+    return _spin_params(cfg), _cell_params(cfg), position_measurement.CellState(basis)
+
+
 def _run_state_msd(cfg: ExperimentConfig) -> ExperimentResult:
     from scipy.stats import linregress
 
     p = cfg.parameters
     trials = cfg.resolved_trials
+    spin_params, pos_params, basis = _state_msd_inputs(cfg)
     n_steps = int(p["n_steps"])
 
-    spin_params = spin_measurement.SpinWalkParams(
-        dt=p["step_angle"], field_std=1.0, seed=cfg.resolved_seed
-    )
     spin_out = density_diffusion.state_density_msd(
         _spinor_at_height(0.0), spin_params, n_steps=n_steps, trials=trials
     )
     spin_fit = linregress(spin_out.steps, spin_out.mean_square_angle)
 
-    n_cells = int(p["n_cells"])
-    pos_params = position_measurement.PositionWalkParams(
-        tau=p["tau"], v_std=p["v_std"], seed=cfg.resolved_seed
-    )
-    basis = np.zeros(n_cells, dtype=complex)
-    basis[0] = 1.0
+    n_cells = len(basis)
     pos_out = density_diffusion.state_density_msd(
-        position_measurement.CellState(basis), pos_params,
-        n_steps=n_steps, trials=trials,
+        basis, pos_params, n_steps=n_steps, trials=trials,
     )
     pos_fit = linregress(pos_out.steps, pos_out.mean_square_angle)
 
-    control_params = position_measurement.PositionWalkParams(
-        tau=0.0, v_std=p["v_std"], seed=cfg.resolved_seed
-    )
     control = density_diffusion.state_density_msd(
-        position_measurement.CellState(basis), control_params,
-        n_steps=n_steps, trials=max(100, trials // 10),
+        basis, dataclasses.replace(pos_params, tau=0.0), n_steps=n_steps,
+        trials=max(density_diffusion.MIN_MSD_TRIALS, trials // 10),
     )
 
     spin_ref = 2 * spin_params.step_angle**2
@@ -864,7 +881,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             20_000,
             _run_spin_born,
-            _spin_born_bytes,
+            _spin_born_inputs,
         ),
         Experiment(
             "position-born",
@@ -880,7 +897,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             20_000,
             _run_position_born,
-            _position_born_bytes,
+            _position_born_inputs,
         ),
         Experiment(
             "isotropy",
@@ -896,6 +913,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             4_000,
             _run_isotropy,
+            _isotropy_inputs,
         ),
         Experiment(
             "curvature",
@@ -1018,6 +1036,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             3_000,
             _run_state_msd,
+            _state_msd_inputs,
         ),
         Experiment(
             "estimates",
@@ -1103,23 +1122,26 @@ def memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
+def prepare(config: ExperimentConfig) -> None:
+    """Refuse, before any work, what a run of ``config`` would refuse.
+
+    Raises :class:`ValueError` for a bad ``HB_THREADS`` or library inputs
+    the walks refuse, and :class:`MemoryBudgetError` when the run's
+    estimated peak memory exceeds :func:`memory_budget`.
+    """
+    resolve_workers()
+    inputs = REGISTRY[config.experiment].inputs
+    if inputs is not None:
+        inputs(config)
+
+
 def run(config: ExperimentConfig) -> RunSummary:
     """Execute one experiment; outputs are written even when checks fail.
 
-    Raises :class:`ValueError` for a bad ``HB_THREADS`` and
-    :class:`MemoryBudgetError` when the run's estimated peak memory exceeds
-    :func:`memory_budget`, both before any work.
+    :func:`prepare` refuses a config before any work.
     """
     entry = REGISTRY[config.experiment]
-    resolve_workers()
-    if entry.peak_bytes is not None:
-        need, budget = entry.peak_bytes(config), memory_budget()
-        if need > budget:
-            raise MemoryBudgetError(
-                f"{config.experiment} with {config.resolved_trials} trials needs "
-                f"about {need / 2**30:.1f} GiB, over the {budget / 2**30:.1f} GiB "
-                f"budget (half of physical memory); lower --trials"
-            )
+    prepare(config)
     start = time.perf_counter()
     result = entry.runner(config)
     wall = time.perf_counter() - start

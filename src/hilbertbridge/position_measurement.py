@@ -143,8 +143,8 @@ class PositionWalkParams:
             raise ValueError("v_std and hbar must be positive")
         if not 0 < self.absorb_eps <= 0.1:
             raise ValueError("absorb_eps must lie in (0, 0.1]")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not 1 <= self.max_steps < 2**63:  # step counts are int64
+            raise ValueError("max_steps must lie in [1, 2**63)")
         check_seed(self.seed)
         if self.step_phase > _MAX_STEP_PHASE:
             raise ValueError(
@@ -520,21 +520,13 @@ def run_measurement(
 ) -> MeasurementOutcome:
     """Walk until one cell holds at least 1 − absorb_eps of the mass.
 
-    An ISOTROPIC walk is trial ``stream_id`` of :func:`run_position_ensemble`.
+    The walk is trial ``stream_id`` of :func:`run_position_ensemble`, which
+    walks ISOTROPIC kicks only.
     """
-    if params.generator_mode is GeneratorMode.ISOTROPIC:
-        cells, steps, finals = _walk_range(state0, params, 1, stream_id)
-        cell = int(cells[0])
-        return MeasurementOutcome(cell if cell >= 0 else None, int(steps[0]),
-                                  CellState(finals[0]))
-    state, gen = state0, RngStream(params.seed, stream_id).generator()
-    for steps in range(params.max_steps + 1):
-        masses = _cell_masses(state.amplitudes)
-        if masses.max() >= 1.0 - params.absorb_eps:
-            return MeasurementOutcome(int(masses.argmax()), steps, state)
-        if steps < params.max_steps:
-            state = diag_potential_step(state, gen, params)
-    return MeasurementOutcome(None, params.max_steps, state)
+    cells, steps, finals = _walk_range(state0, params, 1, stream_id)
+    cell = int(cells[0])
+    return MeasurementOutcome(cell if cell >= 0 else None, int(steps[0]),
+                              CellState(finals[0]))
 
 
 # a block of kicks takes as many kicks (8 to 256) as keep its draw, generator
@@ -578,12 +570,17 @@ def run_position_ensemble(
     :func:`~hilbertbridge.stats_util.walk_ranges` (``HB_THREADS`` caps
     them); a start already inside the cap absorbs at once and forks nothing.
     """
-    if params.generator_mode is not GeneratorMode.ISOTROPIC:
-        raise ValueError("ensemble driver supports the ISOTROPIC mode only")
     walk = functools.partial(_walk_range, state0, params)
-    if _cell_masses(state0.amplitudes).max() >= 1.0 - params.absorb_eps:
+    if _start_masses(state0, params).max() >= 1.0 - params.absorb_eps:
         return walk(trials, 0)[:2]
     return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS)[:2]
+
+
+def _start_masses(state0: CellState, params: PositionWalkParams) -> np.ndarray:
+    """|C_n|² of a walk's start; the engine walks ISOTROPIC kicks only."""
+    if params.generator_mode is not GeneratorMode.ISOTROPIC:
+        raise ValueError("the cell walk supports the ISOTROPIC mode only")
+    return _cell_masses(state0.amplitudes)
 
 
 def _walk_range(
@@ -593,10 +590,10 @@ def _walk_range(
 
     Batches of up to ``_BATCH`` trials walk one after the other.
     """
+    masses0 = _start_masses(state0, params)
     cells = np.full(trials, -1, dtype=np.int64)
     steps_out = np.full(trials, params.max_steps, dtype=np.int64)
     finals = np.tile(state0.amplitudes, (trials, 1))
-    masses0 = _cell_masses(state0.amplitudes)
     if masses0.max() >= 1.0 - params.absorb_eps:
         cells[:] = int(np.argmax(masses0))
         steps_out[:] = 0

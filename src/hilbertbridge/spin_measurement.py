@@ -83,8 +83,8 @@ class SpinWalkParams:
             raise ValueError("mu and hbar must be positive")
         if not 0 < self.absorb_eps <= 0.1:
             raise ValueError("absorb_eps must lie in (0, 0.1]")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be at least 1")
+        if not 1 <= self.max_steps < 2**63:  # step counts are int64
+            raise ValueError("max_steps must lie in [1, 2**63)")
         check_seed(self.seed)
         if self.step_angle > _MAX_STEP_ANGLE:
             raise ValueError(

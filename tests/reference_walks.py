@@ -2,8 +2,8 @@
 
 Each walk takes one trial one kick at a time, with the plainest kernel that
 draws the same numbers: a spin walk that kicks a (1, 2) state with
-:func:`_step_batch`, a cell walk that composes ``isotropic_step`` (or
-``diag_potential_step``) kicks, and a cell walk with its own GUE formula
+:func:`_step_batch`, a cell walk that composes ``isotropic_step`` kicks,
+and a cell walk with its own GUE formula
 and ``eigh`` kicks.  The library's single walks are one-trial runs of the
 ensemble engines, so comparing an ensemble with them would compare the
 engine with itself; the tests compare with these instead.
@@ -14,10 +14,8 @@ import numpy as np
 from hilbertbridge.density_diffusion import _apply_unitary_batch
 from hilbertbridge.position_measurement import (
     CellState,
-    GeneratorMode,
     MeasurementOutcome,
     PositionWalkParams,
-    diag_potential_step,
     isotropic_step,
 )
 from hilbertbridge.spin_measurement import (
@@ -62,10 +60,6 @@ def run_measurement(
     state0: CellState, params: PositionWalkParams, stream_id: int = 0
 ) -> MeasurementOutcome:
     """One cell walk, one kick at a time, until a cell holds 1 − absorb_eps."""
-    if params.generator_mode is GeneratorMode.ISOTROPIC:
-        step = isotropic_step
-    else:
-        step = diag_potential_step
     state = state0
     gen = RngStream(params.seed, stream_id).generator()
     for steps in range(params.max_steps + 1):
@@ -76,7 +70,7 @@ def run_measurement(
             return MeasurementOutcome(cell=top, steps=steps, final_state=state)
         if steps == params.max_steps:
             break
-        state = step(state, gen, params)
+        state = isotropic_step(state, gen, params)
     return MeasurementOutcome(cell=None, steps=params.max_steps, final_state=state)
 
 

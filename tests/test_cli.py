@@ -5,6 +5,29 @@ import json
 import pytest
 
 from hilbertbridge import cli
+from hilbertbridge import experiments
+
+# (section text, line of the refusal within it, message) of config values a
+# run refuses; ``hb validate`` must refuse each at that line
+REFUSALS = {
+    "trials-0": ("[diffusion]\nseed = 1\ntrials = 0\n", 3, "trials must be positive"),
+    "trials-negative": ("[diffusion]\nseed = 1\ntrials = -1\n", 3,
+                        "trials must be positive"),
+    "seed-negative": ("[born-bridge]\ntrials = 2\nseed = -1\n", 3,
+                      "seed must fit in 64 bits"),
+    "seed-2**64": (f"[born-bridge]\ntrials = 2\nseed = {2**64}\n", 3,
+                   "seed must fit in 64 bits"),
+    "z0": ("[spin-born]\nseed = 1\ntrials = 8\nz0 = 2\n", 1, "z must lie in"),
+    "step-angle": ("[spin-born]\nseed = 1\ntrials = 8\nstep_angle = 0.2\n", 1,
+                   "step angle 0.2 exceeds"),
+    "n-cells": ("[position-born]\nseed = 1\ntrials = 8\nn_cells = 1\n", 1,
+                "length >= 2"),
+    "state-msd-trials": ("[state-msd]\nseed = 1\ntrials = 5\n", 3,
+                         "at least 100 trials"),
+    "tau-nan": ("[position-born]\nseed = 1\ntrials = 8\ntau = nan\n", 4, "finite"),
+    "max-steps": (f"[position-born]\nseed = 1\ntrials = 8\nmax_steps = {10**23}\n",
+                  4, "max_steps must lie in"),
+}
 
 
 class TestList:
@@ -89,7 +112,9 @@ class TestRun:
         (["spin-born", "--step-angle", "0.2"], "step angle 0.2 exceeds"),
         (["position-born", "--n-cells", "1"], "length >= 2"),
         (["state-msd", "--trials", "5"], "at least 100 trials"),
-    ], ids=["z0", "step-angle", "n-cells", "trials"])
+        (["position-born", "--trials", "8", "--max-steps", str(10**23)],
+         "max_steps must lie in"),
+    ], ids=["z0", "step-angle", "n-cells", "trials", "max-steps"])
     def test_library_refusal_exits_2_without_outputs(self, tmp_path, capsys,
                                                      args, message):
         rc = cli.main([*args, "--seed", "1", "--output-dir", str(tmp_path)])
@@ -249,6 +274,37 @@ class TestValidate:
     def test_unreadable_path_exits_2(self, tmp_path, capsys):
         assert cli.main(["validate", str(tmp_path / "nope.conf")]) == 2
         assert "cannot read" in capsys.readouterr().err
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("text, line, message", REFUSALS.values(), ids=REFUSALS)
+    def test_validate_and_run_refuse_alike(self, tmp_path, capsys, text, line,
+                                           message):
+        config = tmp_path / "bad.conf"
+        config.write_text(text)
+        assert cli.main(["validate", str(config)]) == 1
+        out = capsys.readouterr().out.splitlines()
+        assert len(out) == 1 and out[0].startswith(f"{config}:{line}: ")
+        assert message in out[0]
+
+        name = text[1:text.index("]")]
+        out_dir = tmp_path / "out"
+        rc = cli.main([name, "--config", str(config), "--output-dir", str(out_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out_dir.exists()
+
+    def test_every_section_at_its_defaults_validates(self, tmp_path, capsys):
+        config = tmp_path / "defaults.conf"
+        config.write_text("".join(
+            f"[{name}]\nseed = 1\ntrials = {entry.default_trials}\n"
+            + "".join(f"{key} = {spec.default!r}\n"
+                      for key, spec in entry.schema.items())
+            for name, entry in experiments.REGISTRY.items()
+        ))
+        assert cli.main(["validate", str(config)]) == 0
+        assert capsys.readouterr().out == f"{config}: ok\n"
 
 
 class TestParseConfigText:

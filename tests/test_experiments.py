@@ -90,6 +90,8 @@ class TestConfig:
             ex.ExperimentConfig(
                 experiment="curvature", parameters={"levels": 4.5}
             )
+        with pytest.raises(ValueError, match="parameter 'max_steps': .*integer"):
+            ex.ExperimentConfig("spin-born", {"max_steps": float("inf")}, seed=1)
 
     def test_defaults_fill_missing_parameters(self):
         cfg = ex.ExperimentConfig(experiment="spin-born", seed=3)
@@ -398,13 +400,13 @@ class TestMemoryBudget:
     def test_estimate_grows_with_trials_processes_and_format(self, monkeypatch):
         monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
 
-        def estimate(name):
+        def estimate(peak_bytes):
             def at(cfg, processes):
                 monkeypatch.setenv("HB_THREADS", str(processes))
-                return ex.REGISTRY[name].peak_bytes(cfg)
+                return peak_bytes(cfg)
             return at
 
-        spin = estimate("spin-born")
+        spin = estimate(ex._spin_born_bytes)
         small, large = (ex.ExperimentConfig("spin-born", seed=1, trials=t)
                         for t in (10_000, 1_000_000))
         as_json = ex.ExperimentConfig("spin-born", seed=1, trials=10_000,
@@ -415,7 +417,7 @@ class TestMemoryBudget:
         assert spin(small, 1) > 120 * 2**20
         # past one batch, a cell-walk trial adds its cell and steps (16 bytes),
         # its final state (16·N bytes) and its CSV row
-        cell = estimate("position-born")
+        cell = estimate(ex._position_born_bytes)
         small, large = (ex.ExperimentConfig("position-born", {"n_cells": 8}, seed=1,
                                             trials=t) for t in (10_000, 20_000))
         assert cell(large, 1) - cell(small, 1) == 10_000 * (16 + 16 * 8 + 400)

@@ -521,16 +521,11 @@ def test_basis_state_absorbs_immediately():
     out = run_measurement(state, iso_params())
     assert out.cell == 4
     assert out.steps == 0
-
-
-def test_diagonal_mode_never_resolves():
-    state = fixed_profile(4)
-    out = run_measurement(state, diag_params(max_steps=500))
-    assert out.cell is None
-    assert out.steps == 500
-    np.testing.assert_allclose(
-        np.abs(out.final_state.amplitudes), np.abs(state.amplitudes), atol=1e-13
-    )
+    # the engine walks ISOTROPIC kicks only, even where no kick is needed
+    for walk in (lambda p: run_measurement(state, p),
+                 lambda p: run_position_ensemble(state, 4, p)):
+        with pytest.raises(ValueError, match="ISOTROPIC mode only"):
+            walk(diag_params())
 
 
 def test_ensemble_matches_scalar_measurements(monkeypatch):
@@ -561,15 +556,6 @@ def test_run_measurement_equals_reference(n):
             assert got.final_state.amplitudes.tobytes() == want.final_state.amplitudes.tobytes()
             outcomes.append(got.cell)
     assert None in outcomes and 0 in outcomes and outcomes[-1] == 1
-
-
-def test_diagonal_run_measurement_equals_reference():
-    state = fixed_profile(4)
-    p = diag_params(max_steps=50)
-    got = run_measurement(state, p, stream_id=3)
-    want = reference_walks.run_measurement(state, p, stream_id=3)
-    assert (got.cell, got.steps) == (want.cell, want.steps) == (None, 50)
-    assert got.final_state.amplitudes.tobytes() == want.final_state.amplitudes.tobytes()
 
 
 def test_balanced_two_cell_walk_splits_evenly():
