@@ -28,7 +28,6 @@ from hilbertbridge import (
     position_measurement,
     spin_measurement,
     state_geometry,
-    stats_util,
 )
 from hilbertbridge.stats_util import (RngStream, SparseTableError, check_seed,
                                       chi_square_gof, resolve_workers)
@@ -56,26 +55,23 @@ class OutputFormat:
     JSON = "json"
 
 
-@dataclasses.dataclass(frozen=True)
-class ParamSpec:
-    kind: str  # "int" | "real"
-    default: object
+def _coerce(default, raw):
+    """``raw`` as a value of ``default``'s type, int or float.
 
-    def coerce(self, raw):
-        if self.kind == "int":
-            if isinstance(raw, bool):
-                raise ValueError("expected an integer")
-            if isinstance(raw, str):
-                return int(raw, 0)
-            if isinstance(raw, float) and not raw.is_integer():
-                raise ValueError(f"expected an integer, got {raw}")
-            return int(raw)
-        if self.kind != "real":
-            raise ValueError(f"unknown parameter kind {self.kind!r}")
-        value = float(raw)
-        if not math.isfinite(value):
-            raise ValueError(f"expected a finite number, got {raw!r}")
-        return value
+    An int refuses bools and fractions; a float refuses non-finite values.
+    """
+    if isinstance(default, int):
+        if isinstance(raw, bool):
+            raise ValueError("expected an integer")
+        if isinstance(raw, str):
+            return int(raw, 0)
+        if isinstance(raw, float) and not raw.is_integer():
+            raise ValueError(f"expected an integer, got {raw}")
+        return int(raw)
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
@@ -136,10 +132,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         entry = REGISTRY[self.experiment]
         resolved = {}
-        for key, spec in entry.schema.items():
-            raw = self.parameters.get(key, spec.default)
+        for key, default in entry.schema.items():
+            raw = self.parameters.get(key, default)
             try:
-                resolved[key] = spec.coerce(raw)
+                resolved[key] = _coerce(default, raw)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"parameter {key!r}: {exc}") from exc
         unknown = sorted(set(self.parameters) - set(entry.schema))
@@ -205,13 +201,14 @@ class Experiment:
     name: str
     description: str
     topic: str
-    schema: dict
+    schema: dict  # parameter name -> default; the default's type is the kind
     stochastic: bool
     default_trials: int
-    runner: Callable[[ExperimentConfig], ExperimentResult]
+    # called as runner(config, *inputs(config))
+    runner: Callable[..., ExperimentResult]
     # the library inputs of a run, built without running it; refuses what the
     # library refuses and runs over the memory budget
-    inputs: Callable[[ExperimentConfig], tuple] | None = None
+    inputs: Callable[[ExperimentConfig], tuple] = lambda cfg: ()
 
 
 def _check(name, measured, reference, tolerance, mode, source) -> CriterionCheck:
@@ -255,7 +252,14 @@ def _cell_params(cfg: ExperimentConfig) -> position_measurement.PositionWalkPara
     )
 
 
-def _require_memory(cfg: ExperimentConfig, need: int) -> None:
+# bytes of one trial's row tuple and output text (measured per trial between
+# 5·10⁵ and 2·10⁶ trials: spin-born CSV 330, JSON 1300; position-born CSV 200)
+_ROW_BYTES = {OutputFormat.CSV: 400, OutputFormat.JSON: 1400}
+
+
+def _require_memory(cfg: ExperimentConfig, walk_bytes: int) -> None:
+    """Refuse a run whose walk and output rows exceed :func:`memory_budget`."""
+    need = walk_bytes + _ROW_BYTES[cfg.format] * cfg.resolved_trials
     budget = memory_budget()
     if need > budget:
         raise MemoryBudgetError(
@@ -266,13 +270,12 @@ def _require_memory(cfg: ExperimentConfig, need: int) -> None:
 
 
 def _spin_born_inputs(cfg: ExperimentConfig) -> tuple:
-    _require_memory(cfg, _spin_born_bytes(cfg))
+    _require_memory(cfg, spin_measurement.ensemble_bytes(cfg.resolved_trials))
     return _spin_params(cfg), _spinor_at_height(cfg.parameters["z0"])
 
 
-def _run_spin_born(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_spin_born(cfg: ExperimentConfig, params, phi0) -> ExperimentResult:
     p = cfg.parameters
-    params, phi0 = _spin_born_inputs(cfg)
     trials = cfg.resolved_trials
     results, steps, finals = spin_measurement.run_ensemble(phi0, trials, params)
 
@@ -291,33 +294,18 @@ def _run_spin_born(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(("trial", "result", "steps", "final_z"), rows, checks)
 
 
-# bytes of one trial's row tuple and output text (measured per trial between
-# 5·10⁵ and 2·10⁶ trials: spin-born CSV 330, JSON 1300; position-born CSV 200)
-_ROW_BYTES = {OutputFormat.CSV: 400, OutputFormat.JSON: 1400}
-
-
-def _spin_born_bytes(cfg: ExperimentConfig) -> int:
-    trials = cfg.resolved_trials
-    processes = stats_util.range_processes(
-        trials, spin_measurement.MIN_TRIALS_PER_PROCESS
-    )
-    return (spin_measurement.ensemble_bytes(trials, processes)
-            + _ROW_BYTES[cfg.format] * trials)
-
-
 def _position_born_inputs(cfg: ExperimentConfig) -> tuple:
     # the budget first: it bounds n_cells before the start is drawn
-    _require_memory(cfg, _position_born_bytes(cfg))
+    n = int(cfg.parameters["n_cells"])
+    _require_memory(cfg, position_measurement.ensemble_bytes(cfg.resolved_trials, n))
     params = _cell_params(cfg)
     # fixed-seed start amplitudes from a reserved substream
-    n = int(cfg.parameters["n_cells"])
     gen = RngStream(cfg.resolved_seed, 2**63).generator()
     raw = gen.normal(size=n) + 1j * gen.normal(size=n)
     return params, position_measurement.CellState(raw / np.linalg.norm(raw))
 
 
-def _run_position_born(cfg: ExperimentConfig) -> ExperimentResult:
-    params, state0 = _position_born_inputs(cfg)
+def _run_position_born(cfg: ExperimentConfig, params, state0) -> ExperimentResult:
     n = len(state0)
     trials = cfg.resolved_trials
     cells, steps = position_measurement.run_position_ensemble(state0, trials, params)
@@ -341,16 +329,6 @@ def _run_position_born(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(("trial", "cell", "steps"), rows, checks)
 
 
-def _position_born_bytes(cfg: ExperimentConfig) -> int:
-    trials = cfg.resolved_trials
-    n = int(cfg.parameters["n_cells"])
-    processes = stats_util.range_processes(
-        trials, position_measurement.MIN_TRIALS_PER_PROCESS
-    )
-    return (position_measurement.ensemble_bytes(trials, n, processes)
-            + _ROW_BYTES[cfg.format] * trials)
-
-
 def _isotropy_inputs(cfg: ExperimentConfig) -> tuple:
     n = int(cfg.parameters["n_cells"])
     uniform = np.full(n, 1 / math.sqrt(max(n, 1)), dtype=complex)
@@ -358,14 +336,12 @@ def _isotropy_inputs(cfg: ExperimentConfig) -> tuple:
             position_measurement.CellState(uniform))
 
 
-def _run_isotropy(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_isotropy(cfg: ExperimentConfig, spin_params, pos_params,
+                  state) -> ExperimentResult:
     p = cfg.parameters
-    spin_params, pos_params, state = _isotropy_inputs(cfg)
-    phi0 = _spinor_at_height(0.0)
-    n_kicks = cfg.resolved_trials
-    report = spin_measurement.isotropy_test(phi0, n_kicks, spin_params)
-    disp = spin_measurement.tangent_displacements(phi0, n_kicks, spin_params)
-    rows = [(i, float(d[0]), float(d[1])) for i, d in enumerate(disp)]
+    report = spin_measurement.isotropy_test(_spinor_at_height(0.0),
+                                            cfg.resolved_trials, spin_params)
+    rows = [(i, float(d[0]), float(d[1])) for i, d in enumerate(report.displacements)]
 
     n_cells = len(state)
     diag = position_measurement.velocity_isotropy_diagnostic(
@@ -395,14 +371,17 @@ def _run_isotropy(cfg: ExperimentConfig) -> ExperimentResult:
 # geometry experiments
 
 
-def _run_curvature(cfg: ExperimentConfig) -> ExperimentResult:
-    n = int(cfg.parameters["levels"])
+def _curvature_inputs(cfg: ExperimentConfig) -> tuple:
+    return state_geometry.oscillator_matrices(int(cfg.parameters["levels"]))
+
+
+def _run_curvature(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
+    n = len(x_op)
     phi = np.array([1.0, 0.0], dtype=complex)
     spin_curv = state_geometry.state_sectional_curvature(
         state_geometry.PAULI_X, state_geometry.PAULI_Y, phi
     )
 
-    x_op, p_op = state_geometry.oscillator_matrices(n)
     vacuum = np.zeros(n, dtype=complex)
     vacuum[0] = 1.0
     osc_curv = state_geometry.state_sectional_curvature(x_op, p_op, vacuum)
@@ -726,17 +705,21 @@ def _run_continuity(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(("case", "h", "dt", "value"), rows, checks)
 
 
-def _run_diffusion(cfg: ExperimentConfig) -> ExperimentResult:
-    from scipy.stats import chi, kstest, linregress
-
+def _diffusion_inputs(cfg: ExperimentConfig) -> tuple:
     p = cfg.parameters
-    params = density_diffusion.DiffusionParams(
+    return (density_diffusion.DiffusionParams(
         diffusivity=p["diffusivity"],
         walkers=max(cfg.resolved_trials, 10_000),
         dt=p["dt"],
         t_final=p["t_final"],
         seed=cfg.resolved_seed,
-    )
+    ),)
+
+
+def _run_diffusion(cfg: ExperimentConfig, params) -> ExperimentResult:
+    from scipy.stats import chi, kstest, linregress
+
+    p = cfg.parameters
     out = density_diffusion.brownian_ensemble(params)
     fit = linregress(out.times, out.mean_square_displacement)
     scale = math.sqrt(2 * p["diffusivity"] * p["t_final"])
@@ -764,12 +747,12 @@ def _state_msd_inputs(cfg: ExperimentConfig) -> tuple:
     return _spin_params(cfg), _cell_params(cfg), position_measurement.CellState(basis)
 
 
-def _run_state_msd(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_state_msd(cfg: ExperimentConfig, spin_params, pos_params,
+                   basis) -> ExperimentResult:
     from scipy.stats import linregress
 
     p = cfg.parameters
     trials = cfg.resolved_trials
-    spin_params, pos_params, basis = _state_msd_inputs(cfg)
     n_steps = int(p["n_steps"])
 
     spin_out = density_diffusion.state_density_msd(
@@ -821,11 +804,15 @@ _RATE_ANCHORS = {
 }
 
 
-def _run_estimates(cfg: ExperimentConfig) -> ExperimentResult:
+def _estimates_inputs(cfg: ExperimentConfig) -> tuple:
     p = cfg.parameters
-    report = position_measurement.magnitude_estimates(
+    return (position_measurement.magnitude_estimates(
         wavelength=p["wavelength"], mass=p["mass"], temperature=p["temperature"]
-    )
+    ),)
+
+
+def _run_estimates(cfg: ExperimentConfig, report) -> ExperimentResult:
+    p = cfg.parameters
     quantities = [
         ("compton_shift", report.compton_shift),
         ("energy_transfer", report.energy_transfer),
@@ -872,12 +859,7 @@ REGISTRY: dict[str, Experiment] = {
             "spin-born",
             "spin walk absorption frequencies against the (1−z)/2 height rule",
             "measurement",
-            {
-                "z0": ParamSpec("real", 0.0),
-                "step_angle": ParamSpec("real", 0.02),
-                "absorb_eps": ParamSpec("real", 0.005),
-                "max_steps": ParamSpec("int", 50_000),
-            },
+            {"z0": 0.0, "step_angle": 0.02, "absorb_eps": 0.005, "max_steps": 50_000},
             True,
             20_000,
             _run_spin_born,
@@ -887,13 +869,8 @@ REGISTRY: dict[str, Experiment] = {
             "position-born",
             "cell walk absorption frequencies against the |C_n|² weights",
             "measurement",
-            {
-                "n_cells": ParamSpec("int", 8),
-                "tau": ParamSpec("real", 0.05),
-                "v_std": ParamSpec("real", 1.0),
-                "absorb_eps": ParamSpec("real", 0.02),
-                "max_steps": ParamSpec("int", 400),
-            },
+            {"n_cells": 8, "tau": 0.05, "v_std": 1.0, "absorb_eps": 0.02,
+             "max_steps": 400},
             True,
             20_000,
             _run_position_born,
@@ -903,13 +880,8 @@ REGISTRY: dict[str, Experiment] = {
             "isotropy",
             "direction uniformity and tangent-space geometry of walk kicks",
             "measurement",
-            {
-                "step_angle": ParamSpec("real", 0.04),
-                "n_cells": ParamSpec("int", 4),
-                "tau": ParamSpec("real", 0.04),
-                "v_std": ParamSpec("real", 1.0),
-                "samples": ParamSpec("int", 10_000),
-            },
+            {"step_angle": 0.04, "n_cells": 4, "tau": 0.04, "v_std": 1.0,
+             "samples": 10_000},
             True,
             4_000,
             _run_isotropy,
@@ -919,16 +891,17 @@ REGISTRY: dict[str, Experiment] = {
             "curvature",
             "sectional curvature of the state sphere equals one",
             "geometry",
-            {"levels": ParamSpec("int", 16)},
+            {"levels": 16},
             False,
             1,
             _run_curvature,
+            _curvature_inputs,
         ),
         Experiment(
             "uncertainty-identity",
             "variance-product identity and the uncertainty inequality",
             "geometry",
-            {"max_levels": ParamSpec("int", 16)},
+            {"max_levels": 16},
             True,
             100,
             _run_uncertainty,
@@ -937,13 +910,8 @@ REGISTRY: dict[str, Experiment] = {
             "decomposition",
             "state-velocity split into phase, drift, force and spreading rates",
             "dynamics",
-            {
-                "sigma": ParamSpec("real", 0.8),
-                "momentum": ParamSpec("real", 0.9),
-                "force": ParamSpec("real", 0.6),
-                "mass": ParamSpec("real", 1.2),
-                "spacing_frac": ParamSpec("real", 1e-3),
-            },
+            {"sigma": 0.8, "momentum": 0.9, "force": 0.6, "mass": 1.2,
+             "spacing_frac": 1e-3},
             False,
             1,
             _run_decomposition,
@@ -952,13 +920,8 @@ REGISTRY: dict[str, Experiment] = {
             "ehrenfest",
             "mean position and momentum rates against the classical sides",
             "dynamics",
-            {
-                "sigma": ParamSpec("real", 1.0),
-                "momentum": ParamSpec("real", 0.8),
-                "force": ParamSpec("real", 0.5),
-                "mass": ParamSpec("real", 1.0),
-                "spacing_frac": ParamSpec("real", 1e-3),
-            },
+            {"sigma": 1.0, "momentum": 0.8, "force": 0.5, "mass": 1.0,
+             "spacing_frac": 1e-3},
             False,
             1,
             _run_ehrenfest,
@@ -967,7 +930,7 @@ REGISTRY: dict[str, Experiment] = {
             "hamiltonian-reconstruct",
             "commutator equations pin the Hamiltonian on the interior band",
             "dynamics",
-            {"levels": ParamSpec("int", 24)},
+            {"levels": 24},
             False,
             1,
             _run_reconstruct,
@@ -976,7 +939,7 @@ REGISTRY: dict[str, Experiment] = {
             "born-bridge",
             "squared-overlap rule against Gaussian-distance and density forms",
             "transition-rules",
-            {"sigma": ParamSpec("real", 1.0)},
+            {"sigma": 1.0},
             True,
             50,
             _run_born_bridge,
@@ -985,13 +948,7 @@ REGISTRY: dict[str, Experiment] = {
             "action-equivalence",
             "embedded-path speed, projected kinematics and the action integral",
             "classical-limit",
-            {
-                "omega": ParamSpec("real", 1.3),
-                "amplitude": ParamSpec("real", 0.7),
-                "mass": ParamSpec("real", 1.0),
-                "sigma": ParamSpec("real", 0.5),
-                "samples": ParamSpec("int", 240),
-            },
+            {"omega": 1.3, "amplitude": 0.7, "mass": 1.0, "sigma": 0.5, "samples": 240},
             False,
             1,
             _run_action,
@@ -1000,11 +957,7 @@ REGISTRY: dict[str, Experiment] = {
             "continuity",
             "probability-current residual order and the packet flux identity",
             "conservation",
-            {
-                "sigma": ParamSpec("real", 1.0),
-                "momentum": ParamSpec("real", 1.0),
-                "spacing_frac": ParamSpec("real", 1e-3),
-            },
+            {"sigma": 1.0, "momentum": 1.0, "spacing_frac": 1e-3},
             False,
             1,
             _run_continuity,
@@ -1013,26 +966,18 @@ REGISTRY: dict[str, Experiment] = {
             "diffusion",
             "Brownian ensemble against the heat kernel and the 6Kt law",
             "conservation",
-            {
-                "diffusivity": ParamSpec("real", 0.7),
-                "dt": ParamSpec("real", 0.02),
-                "t_final": ParamSpec("real", 1.0),
-            },
+            {"diffusivity": 0.7, "dt": 0.02, "t_final": 1.0},
             True,
             100_000,
             _run_diffusion,
+            _diffusion_inputs,
         ),
         Experiment(
             "state-msd",
             "early-time mean squared projective displacement of the walks",
             "conservation",
-            {
-                "step_angle": ParamSpec("real", 0.04),
-                "n_cells": ParamSpec("int", 4),
-                "tau": ParamSpec("real", 0.04),
-                "v_std": ParamSpec("real", 1.0),
-                "n_steps": ParamSpec("int", 10),
-            },
+            {"step_angle": 0.04, "n_cells": 4, "tau": 0.04, "v_std": 1.0,
+             "n_steps": 10},
             True,
             3_000,
             _run_state_msd,
@@ -1042,14 +987,11 @@ REGISTRY: dict[str, Experiment] = {
             "estimates",
             "photon-scattering magnitude chain and the thermal photon census",
             "orders-of-magnitude",
-            {
-                "wavelength": ParamSpec("real", 1e-9),
-                "mass": ParamSpec("real", _ELECTRON_MASS),
-                "temperature": ParamSpec("real", 500.0),
-            },
+            {"wavelength": 1e-9, "mass": _ELECTRON_MASS, "temperature": 500.0},
             False,
             1,
             _run_estimates,
+            _estimates_inputs,
         ),
     ]
 }
@@ -1122,28 +1064,25 @@ def memory_budget() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // 2
 
 
-def prepare(config: ExperimentConfig) -> None:
-    """Refuse, before any work, what a run of ``config`` would refuse.
+def prepare(config: ExperimentConfig) -> tuple:
+    """The library inputs of a run of ``config``, built before any work.
 
     Raises :class:`ValueError` for a bad ``HB_THREADS`` or library inputs
-    the walks refuse, and :class:`MemoryBudgetError` when the run's
+    the experiment refuses, and :class:`MemoryBudgetError` when the run's
     estimated peak memory exceeds :func:`memory_budget`.
     """
     resolve_workers()
-    inputs = REGISTRY[config.experiment].inputs
-    if inputs is not None:
-        inputs(config)
+    return REGISTRY[config.experiment].inputs(config)
 
 
 def run(config: ExperimentConfig) -> RunSummary:
     """Execute one experiment; outputs are written even when checks fail.
 
-    :func:`prepare` refuses a config before any work.
+    :func:`prepare` builds its inputs, or refuses it, before any work.
     """
-    entry = REGISTRY[config.experiment]
-    prepare(config)
+    inputs = prepare(config)
     start = time.perf_counter()
-    result = entry.runner(config)
+    result = REGISTRY[config.experiment].runner(config, *inputs)
     wall = time.perf_counter() - start
     summary = RunSummary(
         experiment=config.experiment,

@@ -28,7 +28,8 @@ from scipy import constants
 
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
-from hilbertbridge.stats_util import RngStream, TestReport, check_seed, walk_ranges
+from hilbertbridge.stats_util import (RngStream, TestReport, check_seed,
+                                      range_processes, walk_ranges)
 
 __all__ = [
     "GeneratorMode",
@@ -523,7 +524,7 @@ def run_measurement(
     The walk is trial ``stream_id`` of :func:`run_position_ensemble`, which
     walks ISOTROPIC kicks only.
     """
-    cells, steps, finals = _walk_range(state0, params, 1, stream_id)
+    cells, steps, finals = _walk_batch(state0, params, 1, stream_id)
     cell = int(cells[0])
     return MeasurementOutcome(cell if cell >= 0 else None, int(steps[0]),
                               CellState(finals[0]))
@@ -545,17 +546,18 @@ def _kick_bytes(n: int) -> int:
     return 32 * n * n + 16 * (_TAYLOR_ORDER_MAX + 1)
 
 
-def ensemble_bytes(trials: int, n: int, processes: int) -> int:
+def ensemble_bytes(trials: int, n: int) -> int:
     """Rough peak bytes of :func:`run_position_ensemble` at N = ``n``.
 
     Each process holds one batch's block of kicks, its two Taylor power
     buffers and its random generators (about 1 KiB each); every trial's
-    outputs come on top.
+    outputs come on top, held twice while the batches' outputs are joined.
     """
+    processes = range_processes(trials, MIN_TRIALS_PER_PROCESS)
     k = min(-(-trials // processes), _BATCH)
     block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
     powers = 2 * (_TAYLOR_ORDER_MAX + 1) * k * n * 16
-    return processes * (block + powers + 1024 * k) + (16 + 16 * n) * trials
+    return processes * (block + powers + 1024 * k) + 2 * (16 + 16 * n) * trials
 
 
 def run_position_ensemble(
@@ -564,57 +566,48 @@ def run_position_ensemble(
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
 
     Trial ``t`` is ``run_measurement(state0, params, stream_id=t)`` bit for
-    bit, whichever batch of up to ``_BATCH`` trials and whichever process
-    it walks in.  The trials are split into contiguous ranges of at least
-    ``MIN_TRIALS_PER_PROCESS`` trials, one per process, as in
-    :func:`~hilbertbridge.stats_util.walk_ranges` (``HB_THREADS`` caps
-    them); a start already inside the cap absorbs at once and forks nothing.
+    bit, whichever batch and whichever process it walks in.
+    :func:`~hilbertbridge.stats_util.walk_ranges` splits the trials into
+    contiguous ranges of at least ``MIN_TRIALS_PER_PROCESS`` trials, one per
+    process (``HB_THREADS`` caps them), and each range into batches of up to
+    ``_BATCH`` trials; a start already inside the cap absorbs at once and
+    forks nothing.
     """
-    walk = functools.partial(_walk_range, state0, params)
-    if _start_masses(state0, params).max() >= 1.0 - params.absorb_eps:
+    walk = functools.partial(_walk_batch, state0, params)
+    if _start_cell(state0, params) >= 0:
         return walk(trials, 0)[:2]
-    return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS)[:2]
+    return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, _BATCH)[:2]
 
 
-def _start_masses(state0: CellState, params: PositionWalkParams) -> np.ndarray:
-    """|C_n|² of a walk's start; the engine walks ISOTROPIC kicks only."""
+def _start_cell(state0: CellState, params: PositionWalkParams) -> int:
+    """The cell already holding 1 − absorb_eps of the start's mass, else −1.
+
+    The engine walks ISOTROPIC kicks only.
+    """
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("the cell walk supports the ISOTROPIC mode only")
-    return _cell_masses(state0.amplitudes)
+    masses = _cell_masses(state0.amplitudes)
+    cell = int(np.argmax(masses))
+    return cell if masses[cell] >= 1.0 - params.absorb_eps else -1
 
 
-def _walk_range(
+def _walk_batch(
     state0: CellState, params: PositionWalkParams, trials: int, trial_offset: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(cells, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
 
-    Batches of up to ``_BATCH`` trials walk one after the other.
+    The trials walk together.  Draws come in blocks of kicks; a block's
+    generators, series orders and weights are built for all its kicks at
+    once.  A trial that absorbs is recorded, zeroed so it cannot absorb
+    again, and dropped at block end.
     """
-    masses0 = _start_masses(state0, params)
-    cells = np.full(trials, -1, dtype=np.int64)
-    steps_out = np.full(trials, params.max_steps, dtype=np.int64)
+    cell = _start_cell(state0, params)
+    cells = np.full(trials, cell, dtype=np.int64)
+    steps_out = np.full(trials, 0 if cell >= 0 else params.max_steps, dtype=np.int64)
     finals = np.tile(state0.amplitudes, (trials, 1))
-    if masses0.max() >= 1.0 - params.absorb_eps:
-        cells[:] = int(np.argmax(masses0))
-        steps_out[:] = 0
+    if cell >= 0:
         return cells, steps_out, finals
-    for start in range(0, trials, _BATCH):
-        ids = np.arange(start, min(start + _BATCH, trials))
-        _walk_batch(state0, ids, trial_offset, params, cells, steps_out, finals)
-    return cells, steps_out, finals
-
-
-def _walk_batch(
-    state0: CellState, ids: np.ndarray, trial_offset: int,
-    params: PositionWalkParams, cells: np.ndarray, steps_out: np.ndarray,
-    finals: np.ndarray,
-) -> None:
-    """Walk trials ``ids`` together, writing their cells, steps and final states.
-
-    Draws come in blocks of kicks; a block's generators, series orders and
-    weights are built for all its kicks at once.  A trial that absorbs is
-    recorded, zeroed so it cannot absorb again, and dropped at block end.
-    """
+    ids = np.arange(trials)
     n = len(state0)
     threshold = 1.0 - params.absorb_eps
     per_kick = _kick_bytes(n)
@@ -658,6 +651,7 @@ def _walk_batch(
             gens = [g for g, live in zip(gens, keep) if live]
             kick.keep(keep)
     finals[ids] = kick.states
+    return cells, steps_out, finals
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +713,7 @@ def magnitude_estimates(
     of the state velocity, plus the thermal photon census ≈ 2.02×10⁷ T³.
     """
     if wavelength <= 0 or mass <= 0 or temperature <= 0:
-        raise ValueError("inputs must be positive")
+        raise ValueError("wavelength, mass and temperature must be positive")
     h, c, hbar = constants.h, constants.c, constants.hbar
     compton_shift = (h / (mass * c)) * (1 - math.cos(math.pi / 2))
     photon_in = h * c / wavelength

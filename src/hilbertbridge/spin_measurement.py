@@ -24,7 +24,8 @@ import numpy as np
 
 from hilbertbridge.state_geometry import hopf_map
 from hilbertbridge.stats_util import (RngStream, TestReport, check_seed,
-                                      direction_uniformity, walk_ranges)
+                                      direction_uniformity, range_processes,
+                                      walk_ranges)
 
 __all__ = [
     "WalkResult",
@@ -137,6 +138,7 @@ class IsotropyReport:
     direction: TestReport
     axial: TestReport
     component_normality: tuple[TestReport, TestReport]
+    displacements: np.ndarray  # the tested (n_steps, 2) tangent components
 
     @property
     def passed(self) -> bool:
@@ -196,7 +198,7 @@ def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
     A one-trial ensemble: trial ``t`` of :func:`run_ensemble` is exactly
     ``run_walk(phi0, params, stream_id=t)``.
     """
-    codes, steps, finals = _walk_range(_as_unit_spinor(phi0), params, 1, stream_id)
+    codes, steps, finals = _walk_batch(_as_unit_spinor(phi0), params, 1, stream_id)
     return WalkOutcome(_OUTCOMES[codes[0]], int(steps[0]), finals[0])
 
 
@@ -310,15 +312,29 @@ def _kick_window(slots0, slots1, planes, k0: int, width: int, u, v) -> None:
         np.add(n1, u, out=n1)
 
 
-def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
-                codes, steps_out, finals) -> None:
-    """Walk trials ``ids`` to absorption, writing their rows of the outputs."""
-    zc = params.absorb_z
+def _start_code(phi0, params: SpinWalkParams) -> int | None:
+    """``_UP`` or ``_DOWN`` for a start already inside a cap, else None."""
     z0 = _height(phi0)
-    if abs(z0) >= zc:
-        codes[ids] = _UP if z0 > 0 else _DOWN
-        finals[ids] = phi0
-        return
+    if abs(z0) < params.absorb_z:
+        return None
+    return _UP if z0 > 0 else _DOWN
+
+
+def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
+    """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
+
+    The trials walk together to absorption.
+    """
+    codes = np.empty(trials, dtype=np.int8)
+    steps_out = np.zeros(trials, dtype=np.int64)
+    finals = np.empty((trials, 2), dtype=complex)
+    start = _start_code(phi0, params)
+    if start is not None:
+        codes[:] = start
+        finals[:] = phi0
+        return codes, steps_out, finals
+    zc = params.absorb_z
+    ids = np.arange(trials)
     gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
     n = ids.size
     real, cplx = _plane_buffers(n, params.max_steps)
@@ -368,6 +384,7 @@ def _walk_batch(phi0, ids, params: SpinWalkParams, trial_offset: int,
         codes[ids] = _UNRESOLVED
         steps_out[ids] = params.max_steps
         finals[ids] = ring[:, -1].T
+    return codes, steps_out, finals
 
 
 def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> np.ndarray:
@@ -405,31 +422,19 @@ def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> n
 MIN_TRIALS_PER_PROCESS = 1024
 
 
-def ensemble_bytes(trials: int, processes: int) -> int:
+def ensemble_bytes(trials: int) -> int:
     """Rough peak bytes of :func:`run_ensemble` over all its processes.
 
     Each process holds 5 real and 5 complex block planes of 2²⁰ trial-steps
     (120 MiB) and, per trial of its widest batch, a generator (about
-    0.6 KiB) and a ring of states (1 KiB); the returned arrays take 49 bytes
-    a trial.
+    0.6 KiB) and a ring of states (1 KiB).  The returned columns take 41
+    bytes a trial, held twice while the batches' columns are joined, and
+    the outcome table 8 more.
     """
+    processes = range_processes(trials, MIN_TRIALS_PER_PROCESS)
     width = min(-(-trials // processes), _MAX_BATCH)
     planes = 5 * _BLOCK_BUDGET * (8 + 16)
-    return processes * (planes + 2048 * width) + 49 * trials
-
-
-def _walk_range(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
-    """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
-
-    Batches of up to ``_MAX_BATCH`` trials walk one after the other.
-    """
-    codes = np.empty(trials, dtype=np.int8)
-    steps_out = np.zeros(trials, dtype=np.int64)
-    finals = np.empty((trials, 2), dtype=complex)
-    for lo in range(0, trials, _MAX_BATCH):
-        ids = np.arange(lo, min(lo + _MAX_BATCH, trials))
-        _walk_batch(phi0, ids, params, trial_offset, codes, steps_out, finals)
-    return codes, steps_out, finals
+    return processes * (planes + 2048 * width) + 90 * trials
 
 
 def run_ensemble(
@@ -441,24 +446,24 @@ def run_ensemble(
     ``WalkResult`` values, ``steps`` the kick counts and ``final_states``
     the (trials, 2) spinors at stopping time.
 
-    The trials are split into contiguous ranges of at least
-    ``MIN_TRIALS_PER_PROCESS`` trials, one per process (see
-    :func:`~hilbertbridge.stats_util.walk_ranges`; ``HB_THREADS`` caps
-    them).  This process walks the first range and forked processes walk
-    the others, returning int8 outcome codes, step counts and final states;
-    a start already inside the cap absorbs at once and forks nothing.
-    Within a range all trials walk as one batch up to 2¹⁵ trials
-    (``_MAX_BATCH``); wider ranges are split into batches of that width.  Fields are drawn in blocks whose buffers hold
+    :func:`~hilbertbridge.stats_util.walk_ranges` splits the trials into
+    contiguous ranges of at least ``MIN_TRIALS_PER_PROCESS`` trials, one
+    per process (``HB_THREADS`` caps them), and each range into batches of
+    up to 2¹⁵ trials (``_MAX_BATCH``).  This process walks the first range
+    and forked processes walk the others, returning int8 outcome codes,
+    step counts and final states; a start already inside the cap absorbs at
+    once and forks nothing.  Fields are drawn in blocks whose buffers hold
     about 2²⁰ trial-steps, so memory stays bounded whatever ``max_steps``
     is.  Every trial is a pure function of its substream ``(seed, trial)``,
     the same bits at any batch width and process count.
     """
     phi0 = _as_unit_spinor(phi0)
-    walk = functools.partial(_walk_range, phi0, params)
-    if abs(_height(phi0)) >= params.absorb_z:
+    walk = functools.partial(_walk_batch, phi0, params)
+    if _start_code(phi0, params) is not None:
         codes, steps_out, finals = walk(trials, 0)
     else:
-        codes, steps_out, finals = walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS)
+        codes, steps_out, finals = walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS,
+                                               _MAX_BATCH)
     return _OUTCOMES[codes], steps_out, finals
 
 
@@ -551,6 +556,7 @@ def isotropy_test(
         direction=direction,
         axial=axial,
         component_normality=(normality[0], normality[1]),
+        displacements=disp,
     )
 
 

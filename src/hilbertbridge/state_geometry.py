@@ -224,7 +224,7 @@ def oscillator_matrices(n: int) -> tuple[np.ndarray, np.ndarray]:
     [p̂, x̂] e₀ = −i e₀ holds to machine precision.
     """
     if n < 2:
-        raise ValueError(f"need at least 2 levels, got {n}")
+        raise ValueError(f"levels must be at least 2, got {n}")
     off = np.sqrt(np.arange(1, n) / 2.0)
     x = np.diag(off, 1) + np.diag(off, -1)
     p = np.diag(-1j * off, 1) + np.diag(1j * off, -1)

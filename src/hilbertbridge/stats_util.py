@@ -89,30 +89,37 @@ def _trial_ranges(total: int, parts: int) -> list[tuple[int, int]]:
     return [(int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
 
-def walk_ranges(walk_range: Callable[[int, int], tuple], trials: int,
-                min_trials: int) -> tuple[np.ndarray, ...]:
-    """Columns of ``walk_range(count, trial_offset)`` over trials 0..trials−1.
+def walk_ranges(walk_batch: Callable[[int, int], tuple], trials: int,
+                min_trials: int, batch: int) -> tuple[np.ndarray, ...]:
+    """Columns of ``walk_batch(count, trial_offset)`` over trials 0..trials−1.
 
     The trials are split into contiguous ranges, one per process, as many
-    as :func:`range_processes` allows.  This process walks the first range
-    and forked processes walk the others; each range's columns, one row per
-    trial, are concatenated in trial order.  ``walk_range`` must be
-    picklable, e.g. a ``functools.partial`` of a module-level function.
+    as :func:`range_processes` allows, and each range into batches of at
+    most ``batch`` trials, walked in order.  This process walks the first
+    range's batches and forked processes walk the others; the batches'
+    columns, one row per trial, are concatenated in trial order, and a
+    single batch's columns are returned as they are.  ``walk_batch`` must
+    be picklable, e.g. a ``functools.partial`` of a module-level function.
     """
-    ranges = _trial_ranges(trials, range_processes(trials, min_trials))
+    ranges = [[(min(batch, hi - start), start) for start in range(lo, hi, batch)]
+              for lo, hi in _trial_ranges(trials, range_processes(trials, min_trials))]
     if len(ranges) < 2:
-        return walk_range(trials, 0)
-    import multiprocessing
-    from concurrent.futures.process import ProcessPoolExecutor
+        ranges = ranges or [[(0, 0)]]  # no trials: one empty batch
+        parts = [walk_batch(*args) for args in ranges[0]]
+    else:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
 
-    # fork: the children inherit the imported library; spawned children
-    # import it again, which added 0.5–0.7 s to each 2-process call
-    context = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(len(ranges) - 1, mp_context=context) as pool:
-        futures = [pool.submit(walk_range, hi - lo, lo) for lo, hi in ranges[1:]]
-        lo, hi = ranges[0]
-        parts = [walk_range(hi - lo, lo)]
-        parts += [future.result() for future in futures]
+        # fork: the children inherit the imported library; spawned children
+        # import it again, which added 0.5–0.7 s to each 2-process call
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(len(ranges) - 1, mp_context=context) as pool:
+            futures = [pool.submit(walk_batch, *args)
+                       for batches in ranges[1:] for args in batches]
+            parts = [walk_batch(*args) for args in ranges[0]]
+            parts += [future.result() for future in futures]
+    if len(parts) == 1:
+        return parts[0]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

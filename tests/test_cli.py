@@ -27,6 +27,12 @@ REFUSALS = {
     "tau-nan": ("[position-born]\nseed = 1\ntrials = 8\ntau = nan\n", 4, "finite"),
     "max-steps": (f"[position-born]\nseed = 1\ntrials = 8\nmax_steps = {10**23}\n",
                   4, "max_steps must lie in"),
+    "dt-0": ("[diffusion]\nseed = 1\ntrials = 8\ndt = 0\n", 4,
+             "dt and t_final must be positive"),
+    "temperature-negative": ("[estimates]\ntrials = 1\ntemperature = -1\n", 3,
+                             "temperature must be positive"),
+    "levels-1": ("[curvature]\ntrials = 1\nlevels = 1\n", 3,
+                 "levels must be at least 2"),
 }
 
 
@@ -299,8 +305,8 @@ class TestRefusals:
         config = tmp_path / "defaults.conf"
         config.write_text("".join(
             f"[{name}]\nseed = 1\ntrials = {entry.default_trials}\n"
-            + "".join(f"{key} = {spec.default!r}\n"
-                      for key, spec in entry.schema.items())
+            + "".join(f"{key} = {default!r}\n"
+                      for key, default in entry.schema.items())
             for name, entry in experiments.REGISTRY.items()
         ))
         assert cli.main(["validate", str(config)]) == 0

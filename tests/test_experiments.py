@@ -99,13 +99,15 @@ class TestConfig:
         assert cfg.parameters["absorb_eps"] == 0.005
 
 
-class TestParamSpec:
+class TestParameterCoercion:
+    """A parameter's kind is its default's type."""
+
     def test_int_from_string(self):
-        assert ex.ParamSpec("int", 0).coerce("42") == 42
+        assert ex._coerce(0, "42") == 42
 
     def test_bool_is_not_an_int(self):
         with pytest.raises(ValueError):
-            ex.ParamSpec("int", 0).coerce(True)
+            ex._coerce(0, True)
 
 
 class TestCriterionCheck:
@@ -205,6 +207,23 @@ class TestPositionBorn:
         assert by_name["chi_square_p_value"].measured == 0.0
         assert not by_name["chi_square_p_value"].passed
         assert (tmp_path / "position-born-summary.json").exists()
+
+    def test_run_builds_its_inputs_once(self, tmp_path, monkeypatch):
+        entry = ex.REGISTRY["position-born"]
+        calls = []
+
+        def inputs(cfg):
+            calls.append(cfg)
+            return entry.inputs(cfg)
+
+        # under both names a run could reach the hook by
+        monkeypatch.setattr(ex, entry.inputs.__name__, inputs)
+        monkeypatch.setitem(ex.REGISTRY, "position-born",
+                            dataclasses.replace(entry, inputs=inputs))
+        cfg = ex.ExperimentConfig("position-born", {"n_cells": 2}, seed=3,
+                                  trials=4, output_dir=str(tmp_path))
+        ex.run(cfg)
+        assert calls == [cfg]
 
 
 class TestDeterminism:
@@ -376,7 +395,7 @@ class TestMemoryBudget:
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         assert ex.memory_budget() == 2**31
 
-        def must_not_run(cfg):
+        def must_not_run(cfg, *inputs):
             raise AssertionError("the run started")
 
         for name in ("spin-born", "position-born"):
@@ -400,29 +419,29 @@ class TestMemoryBudget:
     def test_estimate_grows_with_trials_processes_and_format(self, monkeypatch):
         monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
 
-        def estimate(peak_bytes):
-            def at(cfg, processes):
+        def estimate(ensemble_bytes):
+            def at(processes, *args):
                 monkeypatch.setenv("HB_THREADS", str(processes))
-                return peak_bytes(cfg)
+                return ensemble_bytes(*args)
             return at
 
-        spin = estimate(ex._spin_born_bytes)
-        small, large = (ex.ExperimentConfig("spin-born", seed=1, trials=t)
-                        for t in (10_000, 1_000_000))
-        as_json = ex.ExperimentConfig("spin-born", seed=1, trials=10_000,
-                                      format="json")
-        assert spin(small, 1) < spin(large, 1) < spin(large, 2)
-        assert spin(small, 1) < spin(as_json, 1)
+        spin = estimate(sm.ensemble_bytes)
+        assert spin(1, 10_000) < spin(1, 1_000_000) < spin(2, 1_000_000)
         # one process holds 120 MiB of block planes
-        assert spin(small, 1) > 120 * 2**20
-        # past one batch, a cell-walk trial adds its cell and steps (16 bytes),
-        # its final state (16·N bytes) and its CSV row
-        cell = estimate(ex._position_born_bytes)
-        small, large = (ex.ExperimentConfig("position-born", {"n_cells": 8}, seed=1,
-                                            trials=t) for t in (10_000, 20_000))
-        assert cell(large, 1) - cell(small, 1) == 10_000 * (16 + 16 * 8 + 400)
-        assert cell(large, 1) < cell(large, 2)
-        assert pm.ensemble_bytes(10_000, 30, 1) - pm.ensemble_bytes(5_000, 30, 1) == 5_000 * 496
+        assert spin(1, 10_000) > 120 * 2**20
+        # past one batch, a cell-walk trial adds its cell and steps (16 bytes)
+        # and its final state (16·N bytes), held twice while batches are joined
+        cell = estimate(pm.ensemble_bytes)
+        assert cell(1, 20_000, 8) - cell(1, 10_000, 8) == 10_000 * 2 * (16 + 16 * 8)
+        assert cell(1, 20_000, 8) < cell(2, 20_000, 8)
+        assert cell(1, 10_000, 30) - cell(1, 5_000, 30) == 5_000 * 2 * 496
+        # the run adds its rows: 400 bytes a CSV trial, 1400 a JSON one
+        walk = spin(1, 10_000)
+        monkeypatch.setattr(ex, "memory_budget", lambda: walk + 1000 * 10_000)
+        ex.prepare(ex.ExperimentConfig("spin-born", seed=1, trials=10_000))
+        with pytest.raises(ex.MemoryBudgetError):
+            ex.prepare(ex.ExperimentConfig("spin-born", seed=1, trials=10_000,
+                                           format="json"))
 
     def test_cli_exits_2_with_message(self, four_gib, tmp_path, capsys):
         rc = cli.main(["spin-born", "--seed", "1", "--trials", "5000000",

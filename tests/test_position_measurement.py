@@ -435,8 +435,8 @@ def assert_same_run(a, b):
 
 def walk_with_finals(state, trials, p):
     """``(cells, steps, finals)``: the engine's ranges fanned out as it does."""
-    walk = functools.partial(pm._walk_range, state, p)
-    return stats_util.walk_ranges(walk, trials, pm.MIN_TRIALS_PER_PROCESS)
+    walk = functools.partial(pm._walk_batch, state, p)
+    return stats_util.walk_ranges(walk, trials, pm.MIN_TRIALS_PER_PROCESS, pm._BATCH)
 
 
 # the HB_THREADS cap (None: unset, every CPU)
@@ -473,7 +473,7 @@ def test_forked_run_from_inside_the_cap(pools):
     cells, steps = run_position_ensemble(state, 30, p)
     assert not pools
     assert (cells == 2).all() and not steps.any()
-    assert (pm._walk_range(state, p, 30, 0)[2] == state.amplitudes).all()
+    assert (pm._walk_batch(state, p, 30, 0)[2] == state.amplitudes).all()
 
 
 def test_no_pool_below_the_trial_threshold(monkeypatch):
