@@ -29,8 +29,8 @@ from hilbertbridge import (
     spin_measurement,
     state_geometry,
 )
-from hilbertbridge.stats_util import (RngStream, SparseTableError, check_seed,
-                                      chi_square_gof, resolve_workers)
+from hilbertbridge.stats_util import (MIN_DIRECTION_SAMPLES, RngStream, SparseTableError,
+                                      check_seed, chi_square_gof, resolve_workers)
 
 __all__ = [
     "CriterionCheck",
@@ -97,9 +97,7 @@ class CriterionCheck:
         if self.mode == "abs":
             return abs(self.measured - self.reference) <= self.tolerance
         if self.mode == "rel":
-            return abs(self.measured - self.reference) <= self.tolerance * abs(
-                self.reference
-            )
+            return abs(self.measured - self.reference) <= self.tolerance * abs(self.reference)
         if self.mode == "ge":
             return self.measured >= self.reference
         if self.mode == "le":
@@ -107,15 +105,7 @@ class CriterionCheck:
         raise ValueError(f"unknown check mode {self.mode!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "measured": self.measured,
-            "reference": self.reference,
-            "tolerance": self.tolerance,
-            "mode": self.mode,
-            "source": self.source,
-            "passed": self.passed,
-        }
+        return {**dataclasses.asdict(self), "passed": self.passed}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -212,14 +202,8 @@ class Experiment:
 
 
 def _check(name, measured, reference, tolerance, mode, source) -> CriterionCheck:
-    return CriterionCheck(
-        name=name,
-        measured=float(measured),
-        reference=float(reference),
-        tolerance=float(tolerance),
-        mode=mode,
-        source=source,
-    )
+    return CriterionCheck(name, float(measured), float(reference), float(tolerance),
+                          mode, source)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +313,19 @@ def _run_position_born(cfg: ExperimentConfig, params, state0) -> ExperimentResul
     return ExperimentResult(("trial", "cell", "steps"), rows, checks)
 
 
+def _at_least(key: str, value: int, floor: int) -> int:
+    """``value`` of parameter ``key``, refused below the library's ``floor``."""
+    if value < floor:
+        raise ValueError(f"{key} must be at least {floor}, got {value}")
+    return value
+
+
 def _isotropy_inputs(cfg: ExperimentConfig) -> tuple:
-    n = int(cfg.parameters["n_cells"])
-    uniform = np.full(n, 1 / math.sqrt(max(n, 1)), dtype=complex)
+    p = cfg.parameters
+    _at_least("trials", cfg.resolved_trials, MIN_DIRECTION_SAMPLES)
+    _at_least("samples", int(p["samples"]), position_measurement.MIN_DIAGNOSTIC_SAMPLES)
+    n = _at_least("n_cells", int(p["n_cells"]), position_measurement.MIN_DIAGNOSTIC_CELLS)
+    uniform = np.full(n, 1 / math.sqrt(n), dtype=complex)
     return (_spin_params(cfg), _cell_params(cfg),
             position_measurement.CellState(uniform))
 
@@ -523,9 +517,13 @@ def _run_ehrenfest(cfg: ExperimentConfig) -> ExperimentResult:
     )
 
 
-def _run_reconstruct(cfg: ExperimentConfig) -> ExperimentResult:
-    n = int(cfg.parameters["levels"])
-    x_op, p_op = state_geometry.oscillator_matrices(n)
+def _reconstruct_inputs(cfg: ExperimentConfig) -> tuple:
+    levels = _at_least("levels", int(cfg.parameters["levels"]), packet_dynamics.MIN_TRUNCATION)
+    return state_geometry.oscillator_matrices(levels)
+
+
+def _run_reconstruct(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
+    n = len(x_op)
     zero = np.zeros((n, n), dtype=complex)
     keep = packet_dynamics.interior_slice(n)
     rows = []
@@ -934,6 +932,7 @@ REGISTRY: dict[str, Experiment] = {
             False,
             1,
             _run_reconstruct,
+            _reconstruct_inputs,
         ),
         Experiment(
             "born-bridge",
@@ -1035,23 +1034,15 @@ def write_outputs(summary: RunSummary, result: ExperimentResult,
     if fmt == OutputFormat.CSV:
         trials_path = out / f"{summary.experiment}-trials.csv"
         lines = [",".join(result.columns)]
-        lines += [
-            ",".join(_format_cell(v) for v in row) for row in result.rows
-        ]
+        lines += [",".join(_format_cell(v) for v in row) for row in result.rows]
         trials_path.write_text("\n".join(lines) + "\n")
     else:
         trials_path = out / f"{summary.experiment}-trials.json"
-        records = [
-            {col: _json_value(v) for col, v in zip(result.columns, row)}
-            for row in result.rows
-        ]
-        trials_path.write_text(
-            json.dumps(records, sort_keys=True, indent=2) + "\n"
-        )
+        records = [{col: _json_value(v) for col, v in zip(result.columns, row)}
+                   for row in result.rows]
+        trials_path.write_text(json.dumps(records, sort_keys=True, indent=2) + "\n")
     summary_path = out / f"{summary.experiment}-summary.json"
-    summary_path.write_text(
-        json.dumps(summary.as_dict(), sort_keys=True, indent=2) + "\n"
-    )
+    summary_path.write_text(json.dumps(summary.as_dict(), sort_keys=True, indent=2) + "\n")
     return trials_path, summary_path
 
 

@@ -339,6 +339,10 @@ def interior_slice(n: int, pad: int = 4) -> slice:
     return slice(0, n - pad)
 
 
+# smallest truncation whose interior band reconstruct_hamiltonian can pin
+MIN_TRUNCATION = 8
+
+
 def reconstruct_hamiltonian(
     x_op: np.ndarray,
     p_op: np.ndarray,
@@ -362,8 +366,8 @@ def reconstruct_hamiltonian(
     band never enter the equations).
     """
     n = x_op.shape[0]
-    if n < 8:
-        raise ValueError(f"need truncation ≥ 8, got {n}")
+    if n < MIN_TRUNCATION:
+        raise ValueError(f"need truncation ≥ {MIN_TRUNCATION}, got {n}")
     if potential_op is None:
         potential_op = np.zeros((n, n), dtype=complex)
     keep = interior_slice(n, pad=2)  # equations valid for indices ≤ n−3

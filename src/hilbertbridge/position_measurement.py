@@ -450,6 +450,10 @@ def _tangent_basis(psi: np.ndarray) -> np.ndarray:
     return u[:, : n - 1]
 
 
+# fewest cells and samples velocity_isotropy_diagnostic reports on
+MIN_DIAGNOSTIC_CELLS, MIN_DIAGNOSTIC_SAMPLES = 3, 10_000
+
+
 def velocity_isotropy_diagnostic(
     state: CellState,
     samples: int,
@@ -464,9 +468,9 @@ def velocity_isotropy_diagnostic(
     2(N−1) real dimensions.  The report states what the distribution does;
     it does not presume isotropy.
     """
-    if len(state) < 3:
-        raise ValueError("diagnostic needs at least 3 cells")
-    if samples < 10_000:
+    if len(state) < MIN_DIAGNOSTIC_CELLS:
+        raise ValueError(f"diagnostic needs at least {MIN_DIAGNOSTIC_CELLS} cells")
+    if samples < MIN_DIAGNOSTIC_SAMPLES:
         raise ValueError("diagnostic needs at least 10^4 samples for power")
     psi = state.amplitudes
     n = psi.size

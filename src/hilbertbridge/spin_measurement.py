@@ -206,48 +206,51 @@ def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
 # vectorized ensemble
 
 
-# Block buffers hold at most about _BLOCK_BUDGET trial-steps of kick
-# coefficients: the block length is that budget over the survivors, clipped
-# so that the per-trial refill and the per-step overhead stay amortised.
+# A block of fields holds at most about _BLOCK_BUDGET trial-steps: the block
+# length is that budget over the survivors, clipped so that the per-trial
+# refill and the per-step overhead stay amortised.
 _BLOCK_BUDGET = 1 << 20
 _MIN_BLOCK, _MAX_BLOCK = 32, 256
 # widest batch whose shortest block still fits the budget
 _MAX_BATCH = _BLOCK_BUDGET // _MIN_BLOCK
-# kicked states held between two absorption scans
+# kicks (coefficient planes and kicked states) held between two absorption scans
 _SCAN = 32
 # trials whose draws are transposed together (their rows stay in cache)
 _TILE = 64
 
 
-def _kick_coefficients(gens, block: int, params: SpinWalkParams,
-                       real: np.ndarray, cplx: np.ndarray):
-    """Complex ``(c, s, bz, bp, bm)`` planes of shape (block, n).
-
-    Each generator draws its next ``block`` fields into its own contiguous
-    row of a tile of trials, and each tile is transposed into step-major
-    rows of ``real`` (5, ≥ block·n); the planes are written to ``cplx``
-    (5, ≥ block·n).  Every element goes through the same floating-point
-    operations as in ``_step_batch`` of ``tests/reference_walks.py``, the
-    per-kick walk the engine is checked against: ``Generator.normal`` is
-    ``loc + scale * z``, ``(f0² + f1²) + f2²`` is the order in which
-    ``np.linalg.norm`` sums a 3-vector, and a real factor of a complex
-    product is promoted to complex there too, so ``c`` and ``bz`` are
-    stored promoted.
-    """
+def _draw_fields(gens, block: int, params: SpinWalkParams, buf: np.ndarray) -> np.ndarray:
+    """The ``n`` generators' next ``block`` fields, a (block, 3, n) view of ``buf``."""
     n = len(gens)
-    size = block * n
-    fields = real[:3].reshape(-1)[: 3 * size].reshape(block * 3, n)
+    fields = buf[: 3 * block * n].reshape(block * 3, n)
     tile = np.empty((min(_TILE, n), block * 3))
     for lo in range(0, n, _TILE):
         rows = tile[: min(_TILE, n - lo)]
         for row, gen in zip(rows, gens[lo : lo + _TILE]):
             gen.standard_normal(out=row)
         fields[:, lo : lo + len(rows)] = rows.T
+    # Generator.normal is loc + scale * z
     np.multiply(fields, params.field_std, out=fields)
     np.add(fields, 0.0, out=fields)
-    f0, f1, f2 = fields.reshape(block, 3, n).transpose(1, 0, 2)
-    norm, lam = (real[3 + i, :size].reshape(block, n) for i in range(2))
-    c, s, bz, bp, bm = (cplx[i, :size].reshape(block, n) for i in range(5))
+    return fields.reshape(block, 3, n)
+
+
+def _kick_planes(fields: np.ndarray, params: SpinWalkParams,
+                 real: np.ndarray, cplx: np.ndarray):
+    """Complex ``(c, s, bz, bp, bm)`` planes (width, n) of a (width, 3, n) field window.
+
+    They go to ``real`` (2, ≥ width·n) and ``cplx`` (5, ≥ width·n); f0 and f1
+    are divided by the norm in place.  Every element goes through the same
+    floating-point operations as in ``_step_batch`` of
+    ``tests/reference_walks.py``, the per-kick walk the engine is checked
+    against: :func:`_draw_fields` repeats ``Generator.normal``, ``(f0² + f1²)
+    + f2²`` is the order in which ``np.linalg.norm`` sums a 3-vector, and a
+    real factor of a complex product is promoted to complex there too, so
+    ``c`` and ``bz`` are stored promoted.
+    """
+    f0, f1, f2 = fields.transpose(1, 0, 2)
+    norm, lam = (r[: f2.size].reshape(f2.shape) for r in real)
+    c, s, bz, bp, bm = (r[: f2.size].reshape(f2.shape) for r in cplx)
 
     np.multiply(f0, f0, out=norm)
     np.multiply(f1, f1, out=lam)
@@ -274,26 +277,24 @@ def _kick_coefficients(gens, block: int, params: SpinWalkParams,
     return c, s, bz, bp, bm
 
 
-def _plane_buffers(n: int, max_steps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficient plane buffers for ``n`` trials and any later, smaller block."""
+def _buffers(n: int, max_steps: int):
+    """Field block, real and complex window planes for ``n`` trials and fewer."""
     cap = min(max(_BLOCK_BUDGET, _MIN_BLOCK * n), _MAX_BLOCK * n, max_steps * n)
-    return np.empty((5, cap)), np.empty((5, cap), dtype=complex)
+    rows = min(_SCAN, max_steps) * n
+    return np.empty(3 * cap), np.empty((2, rows)), np.empty((5, rows), dtype=complex)
 
 
 def _block_length(n: int, steps_left: int) -> int:
     return min(max(_BLOCK_BUDGET // n, _MIN_BLOCK), _MAX_BLOCK, steps_left)
 
 
-def _kick_window(slots0, slots1, planes, k0: int, width: int, u, v) -> None:
-    """Kick ``k0 + j`` of a block's ``planes`` moves ring slot j − 1 into slot j.
+def _kick_window(slots0, slots1, planes, u, v) -> None:
+    """Kick j of a window's (width, n) ``planes`` moves ring slot j − 1 into slot j.
 
     ``slots0``/``slots1`` list the two components' rows of a (2, _SCAN, n)
     ring, slot −1 holding the last kicked states; ``u``, ``v`` are scratch.
     """
-    c, s, bz, bp, bm = planes
-    for j in range(width):
-        k = k0 + j
-        ck, sk, zk, pk, mk = c[k], s[k], bz[k], bp[k], bm[k]
+    for j, (ck, sk, zk, pk, mk) in enumerate(zip(*planes)):
         p0, p1 = slots0[j - 1], slots1[j - 1]
         n0, n1 = slots0[j], slots1[j]
         # n0 = c*p0 + s*(bz*p0 + bm*p1)
@@ -337,14 +338,14 @@ def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
     ids = np.arange(trials)
     gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
     n = ids.size
-    real, cplx = _plane_buffers(n, params.max_steps)
+    field_buf, real, cplx = _buffers(n, params.max_steps)
     ring_buf = np.empty(2 * _SCAN * n, dtype=complex)
     ring = ring_buf.reshape(2, _SCAN, n)
     ring[:, -1] = phi0[:, None]
     step = 0
     while n and step < params.max_steps:
         block = _block_length(n, params.max_steps - step)
-        planes = _kick_coefficients(gens, block, params, real, cplx)
+        fields = _draw_fields(gens, block, params, field_buf)
         slots = list(ring[0]), list(ring[1])
         u, v = np.empty((2, n), dtype=complex)
         # rows that absorb mid-block keep stepping (their outputs are already
@@ -352,12 +353,15 @@ def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
         alive = np.ones(n, dtype=bool)
         for w0 in range(0, block, _SCAN):
             width = min(_SCAN, block - w0)
-            _kick_window(*slots, planes, w0, width, u, v)
+            planes = _kick_planes(fields[w0 : w0 + width], params, real, cplx)
+            _kick_window(*slots, planes, u, v)
 
-            # absorption scan: each row's first crossing in this window
+            # absorption scan in the spent real planes: each row's first crossing
             window = ring[:, :width]
-            z = np.abs(window[1]) ** 2 - np.abs(window[0]) ** 2
-            hit = (np.abs(z) >= zc) & alive
+            z, mag = (r[: width * n].reshape(width, n) for r in real)
+            np.square(np.abs(window[1], out=z), out=z)
+            np.subtract(z, np.square(np.abs(window[0], out=mag), out=mag), out=z)
+            hit = (np.abs(z, out=mag) >= zc) & alive
             rows = np.flatnonzero(hit.any(axis=0))
             if rows.size:
                 first = hit[:, rows].argmax(axis=0)
@@ -394,7 +398,7 @@ def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> n
     """
     phi0 = _as_unit_spinor(phi0)
     gens = [RngStream(params.seed, t).generator() for t in range(trials)]
-    real, cplx = _plane_buffers(trials, n_steps)
+    field_buf, real, cplx = _buffers(trials, n_steps)
     ring = np.empty((2, _SCAN, trials), dtype=complex)
     ring[:, -1] = phi0[:, None]
     slots = list(ring[0]), list(ring[1])
@@ -404,10 +408,11 @@ def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> n
     step = 0
     while step < n_steps:
         block = _block_length(trials, n_steps - step)
-        planes = _kick_coefficients(gens, block, params, real, cplx)
+        fields = _draw_fields(gens, block, params, field_buf)
         for w0 in range(0, block, _SCAN):
             width = min(_SCAN, block - w0)
-            _kick_window(*slots, planes, w0, width, u, v)
+            planes = _kick_planes(fields[w0 : w0 + width], params, real, cplx)
+            _kick_window(*slots, planes, u, v)
             for j in range(width):
                 pairs[:, 0], pairs[:, 1] = slots[0][j], slots[1][j]
                 overlap = np.abs(pairs @ phi0.conj())
@@ -425,16 +430,16 @@ MIN_TRIALS_PER_PROCESS = 1024
 def ensemble_bytes(trials: int) -> int:
     """Rough peak bytes of :func:`run_ensemble` over all its processes.
 
-    Each process holds 5 real and 5 complex block planes of 2²⁰ trial-steps
-    (120 MiB) and, per trial of its widest batch, a generator (about
-    0.6 KiB) and a ring of states (1 KiB).  The returned columns take 41
-    bytes a trial, held twice while the batches' columns are joined, and
-    the outcome table 8 more.
+    Each process holds a block of fields of up to 2²⁰ trial-steps (24 MiB)
+    and, per trial of its widest batch, a scan window of coefficient planes
+    (3 KiB), a ring of states (1 KiB), a generator (about 0.6 KiB) and scan
+    masks, scratch and outputs (0.15 KiB).  The returned columns take 41
+    bytes a trial, held twice while the batches' columns are joined, and the
+    outcome table 8 more.
     """
     processes = range_processes(trials, MIN_TRIALS_PER_PROCESS)
     width = min(-(-trials // processes), _MAX_BATCH)
-    planes = 5 * _BLOCK_BUDGET * (8 + 16)
-    return processes * (planes + 2048 * width) + 90 * trials
+    return processes * (3 * 8 * _BLOCK_BUDGET + 4864 * width) + 90 * trials
 
 
 def run_ensemble(
@@ -452,10 +457,11 @@ def run_ensemble(
     up to 2¹⁵ trials (``_MAX_BATCH``).  This process walks the first range
     and forked processes walk the others, returning int8 outcome codes,
     step counts and final states; a start already inside the cap absorbs at
-    once and forks nothing.  Fields are drawn in blocks whose buffers hold
-    about 2²⁰ trial-steps, so memory stays bounded whatever ``max_steps``
-    is.  Every trial is a pure function of its substream ``(seed, trial)``,
-    the same bits at any batch width and process count.
+    once and forks nothing.  Fields are drawn in blocks of about 2²⁰
+    trial-steps and turned into kick coefficients one 32-kick scan window at
+    a time, so memory stays bounded whatever ``max_steps`` is.  Every trial
+    is a pure function of its substream ``(seed, trial)``, the same bits at
+    any batch width and process count.
     """
     phi0 = _as_unit_spinor(phi0)
     walk = functools.partial(_walk_batch, phi0, params)
@@ -480,13 +486,9 @@ def born_statistics(phi0, trials: int, params: SpinWalkParams) -> BornHistogram:
     results, _, _ = run_ensemble(phi0, trials, params)
     n_up = int(np.sum(results == WalkResult.UP))
     n_down = int(np.sum(results == WalkResult.DOWN))
-    return BornHistogram(
-        trials=trials,
-        n_up=n_up,
-        n_down=n_down,
-        n_unresolved=trials - n_up - n_down,
-        reference_down=(1.0 - z0) / 2.0,
-    )
+    return BornHistogram(trials=trials, n_up=n_up, n_down=n_down,
+                         n_unresolved=trials - n_up - n_down,
+                         reference_down=(1.0 - z0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -582,16 +584,11 @@ def lattice_ruin_probability(z0: float, delta: float = 0.01) -> float:
     if k >= n:
         return 0.0
     # interior unknowns u_1..u_{n-1}: u_k = (u_{k-1} + u_{k+1})/2,
-    # boundary u_0 = 1 (down pole hit), u_n = 0
-    size = n - 1
-    main = np.full(size, 2.0)
-    off = np.full(size - 1, -1.0)
-    rhs = np.zeros(size)
+    # boundary u_0 = 1 (down pole hit), u_n = 0; ab is the banded (1, 1) form
+    ab = np.array([[-1.0], [2.0], [-1.0]]) * np.ones(n - 1)
+    ab[0, 0] = ab[2, -1] = 0.0
+    rhs = np.zeros(n - 1)
     rhs[0] = 1.0
-    ab = np.zeros((3, size))
-    ab[0, 1:] = off
-    ab[1] = main
-    ab[2, :-1] = off
     from scipy.linalg import solve_banded
 
     u = solve_banded((1, 1), ab, rhs)

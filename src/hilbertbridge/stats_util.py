@@ -187,6 +187,10 @@ def two_proportion_z(k1: int, n1: int, k2: int, n2: int, alpha: float = 0.0027) 
     return TestReport(statistic=float(z), p_value=p_value, alpha=alpha)
 
 
+# fewest samples direction_uniformity tests
+MIN_DIRECTION_SAMPLES = 100
+
+
 def direction_uniformity(samples, alpha: float = 0.01) -> TestReport:
     """Rayleigh resultant-length test of directions on S^1 or S^2 against uniformity.
 
@@ -198,8 +202,8 @@ def direction_uniformity(samples, alpha: float = 0.01) -> TestReport:
     x = np.asarray(samples, dtype=float)
     if x.ndim != 2 or x.shape[1] not in (2, 3):
         raise ValueError("samples must be (n, 2) or (n, 3)")
-    if x.shape[0] < 100:
-        raise ValueError("need at least 100 samples")
+    if x.shape[0] < MIN_DIRECTION_SAMPLES:
+        raise ValueError(f"need at least {MIN_DIRECTION_SAMPLES} samples")
     norms = np.linalg.norm(x, axis=1)
     good = norms > 0
     u = x[good] / norms[good, None]

@@ -33,6 +33,16 @@ REFUSALS = {
                              "temperature must be positive"),
     "levels-1": ("[curvature]\ntrials = 1\nlevels = 1\n", 3,
                  "levels must be at least 2"),
+    "isotropy-n-cells": ("[isotropy]\nseed = 1\ntrials = 200\nn_cells = 2\n", 4,
+                         "n_cells must be at least 3, got 2"),
+    "isotropy-trials": ("[isotropy]\nseed = 1\ntrials = 10\n", 3,
+                        "trials must be at least 100, got 10"),
+    "isotropy-samples": ("[isotropy]\nseed = 1\ntrials = 200\nsamples = 100\n", 4,
+                         "samples must be at least 10000, got 100"),
+    "reconstruct-levels-6": ("[hamiltonian-reconstruct]\ntrials = 1\nlevels = 6\n", 3,
+                             "levels must be at least 8, got 6"),
+    "reconstruct-levels-4": ("[hamiltonian-reconstruct]\ntrials = 1\nlevels = 4\n", 3,
+                             "levels must be at least 8, got 4"),
 }
 
 

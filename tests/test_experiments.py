@@ -427,8 +427,8 @@ class TestMemoryBudget:
 
         spin = estimate(sm.ensemble_bytes)
         assert spin(1, 10_000) < spin(1, 1_000_000) < spin(2, 1_000_000)
-        # one process holds 120 MiB of block planes
-        assert spin(1, 10_000) > 120 * 2**20
+        # one process holds a 24 MiB block of fields
+        assert spin(1, 10_000) > 24 * 2**20
         # past one batch, a cell-walk trial adds its cell and steps (16 bytes)
         # and its final state (16·N bytes), held twice while batches are joined
         cell = estimate(pm.ensemble_bytes)

@@ -2,6 +2,7 @@
 
 import concurrent.futures.process
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,35 @@ def test_ensemble_matches_scalar_walks_at_other_field_std():
     p = short_walks(dt=0.05, field_std=0.7, seed=8)
     results, _, _ = assert_matches_run_walk(state_with_height(0.3), 80, p)
     assert (results != WalkResult.UNRESOLVED).all()
+
+
+def test_free_walk_msd_equals_per_kick_reference():
+    # 40 kicks cross the edge of the first 32-kick scan window
+    p, trials, n_steps = params(seed=12), 50, 40
+    phi0 = state_with_height(0.3)
+    gens = [RngStream(p.seed, t).generator() for t in range(trials)]
+    states = np.tile(phi0, (trials, 1))
+    want = np.zeros(n_steps + 1)
+    for k in range(1, n_steps + 1):
+        reference_walks._step_batch(states, np.stack([sample_field(g, p) for g in gens]), p)
+        overlap = np.abs(states @ phi0.conj())
+        want[k] = (np.arccos(np.minimum(overlap, 1.0)) ** 2).mean()
+    assert sm._free_walk_msd(phi0, trials, p, n_steps).tobytes() == want.tobytes()
+
+
+def test_walk_peak_memory_is_one_field_block_and_scan_windows(monkeypatch):
+    # 4096 trials walk one full block of 256 kicks in this process: a 24 MiB
+    # block of fields, 32-kick windows of planes and states, and generators
+    # (coefficient planes for the whole block took about 130 MiB)
+    monkeypatch.setenv("HB_THREADS", "1")
+    tracemalloc.start()
+    try:
+        run_ensemble(EQUAL, 4096, params(max_steps=256, seed=9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+    assert peak <= sm.ensemble_bytes(4096)
 
 
 def test_ensemble_batches_concatenate_to_unsplit_run(monkeypatch):
