@@ -16,15 +16,9 @@ import math
 import numpy as np
 from scipy.linalg import solve_banded
 
+from hilbertbridge import position_measurement, spin_measurement
 from hilbertbridge.hilbert_core import GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import PotentialField
-from hilbertbridge.position_measurement import (
-    CellState,
-    GeneratorMode,
-    PositionWalkParams,
-    hermitian_generator,
-)
-from hilbertbridge.spin_measurement import SpinWalkParams, _free_walk_msd
 from hilbertbridge.stats_util import RngStream
 
 __all__ = [
@@ -34,6 +28,7 @@ __all__ = [
     "BrownianResult",
     "StateMsd",
     "check_msd_trials",
+    "check_msd_steps",
     "evolve_grid",
     "probability_current",
     "continuity_residual",
@@ -272,55 +267,6 @@ class StateMsd:
     mean_square_angle: np.ndarray
 
 
-# byte budget of one block of per-kick draws in the cell MSD walk
-_DRAW_BLOCK_BYTES = 1 << 23
-
-
-def _apply_unitary_batch(
-    states: np.ndarray, hams: np.ndarray, params: PositionWalkParams
-) -> np.ndarray:
-    """exp(−iτH/ħ)ψ for a batch of states/generators via eigh.
-
-    The cell walks kick with a Taylor series instead (``position_measurement``);
-    this eigh form stays here because the published state-msd floats were
-    computed with it, and the Taylor form rounds differently.
-    """
-    w, vecs = np.linalg.eigh(hams)
-    y = np.einsum("kba,kb->ka", vecs.conj(), states)
-    y *= np.exp(-1j * params.tau * w / params.hbar)
-    return np.einsum("kab,kb->ka", vecs, y)
-
-
-def _position_msd(
-    state0: CellState, params: PositionWalkParams, n_steps: int, trials: int
-) -> np.ndarray:
-    """⟨θ²⟩ after each of ``n_steps`` eigh kicks of ``trials`` cell walks.
-
-    Generator t fills row t of a step-major block of normals with one draw,
-    which equals per-kick draws; ``tau = 0`` draws nothing.
-    """
-    if params.generator_mode is not GeneratorMode.ISOTROPIC:
-        raise ValueError("projective MSD applies to the ISOTROPIC walk")
-    start, n = state0.amplitudes, len(state0)
-    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
-    block = max(1, min(n_steps, _DRAW_BLOCK_BYTES // (8 * trials * 2 * n * n)))
-    raw = np.empty((block, trials, 2, n, n))
-    states = np.tile(start, (trials, 1))
-    out = np.zeros(n_steps + 1)
-    for k in range(n_steps):
-        if params.tau > 0:
-            if k % block == 0:
-                size = (min(block, n_steps - k), 2, n, n)
-                for t, g in enumerate(gens):
-                    raw[: size[0], t] = g.normal(size=size)
-            noise = raw[k % block]
-            hams = hermitian_generator(noise[:, 0], noise[:, 1], params.v_std)
-            states[:] = _apply_unitary_batch(states, hams, params)
-        ov = np.abs(states @ start.conj())
-        out[k + 1] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
-    return out
-
-
 # fewest trials whose mean square angle state_density_msd estimates
 MIN_MSD_TRIALS = 100
 
@@ -331,19 +277,27 @@ def check_msd_trials(trials: int) -> None:
         raise ValueError(f"need at least {MIN_MSD_TRIALS} trials")
 
 
+def check_msd_steps(n_steps: int) -> None:
+    """Refuse a :func:`state_density_msd` series without a kick."""
+    if n_steps < 1:
+        raise ValueError(f"n_steps must be at least 1, got {n_steps}")
+
+
 def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     """Ensemble ⟨θ²⟩ against step count for the measurement walks.
 
-    ``start``/``params`` select the walk: a 2-spinor with
-    :class:`SpinWalkParams`, or a :class:`CellState` with
-    :class:`PositionWalkParams` in ISOTROPIC mode.  No absorption is
+    ``start``/``params`` select the walk: a 2-spinor with ``SpinWalkParams``,
+    or a ``CellState`` with ``PositionWalkParams`` in ISOTROPIC mode, each
+    kicked by its absorbing engine's block loop.  No absorption is
     applied — this probes the free early-time diffusion of the state.
     """
     check_msd_trials(trials)
-    if isinstance(params, SpinWalkParams):
-        series = _free_walk_msd(start, trials, params, n_steps)
-    elif isinstance(params, PositionWalkParams):
-        series = _position_msd(start, params, n_steps, trials)
+    check_msd_steps(n_steps)
+    if isinstance(params, spin_measurement.SpinWalkParams):
+        walk = spin_measurement
+    elif isinstance(params, position_measurement.PositionWalkParams):
+        walk = position_measurement
     else:
         raise TypeError("params must be spin or position walk parameters")
+    series = walk._free_walk_msd(start, trials, params, n_steps)
     return StateMsd(steps=np.arange(n_steps + 1), mean_square_angle=series)

@@ -400,8 +400,12 @@ def _run_curvature(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
     return ExperimentResult(("case", "curvature"), rows, checks)
 
 
-def _run_uncertainty(cfg: ExperimentConfig) -> ExperimentResult:
-    max_levels = int(cfg.parameters["max_levels"])
+def _uncertainty_inputs(cfg: ExperimentConfig) -> tuple:
+    # each instance draws its level count from 2 … max_levels
+    return (_at_least("max_levels", int(cfg.parameters["max_levels"]), 2),)
+
+
+def _run_uncertainty(cfg: ExperimentConfig, max_levels: int) -> ExperimentResult:
     rows = []
     worst_rel = 0.0
     min_slack = math.inf
@@ -552,8 +556,12 @@ def _run_reconstruct(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
 # transition-rule experiments
 
 
-def _run_born_bridge(cfg: ExperimentConfig) -> ExperimentResult:
-    sigma = cfg.parameters["sigma"]
+def _born_bridge_inputs(cfg: ExperimentConfig) -> tuple:
+    # the kernel width both representations share, refused by KernelSpec unless positive
+    return (hilbert_core.KernelSpec(sigma=cfg.parameters["sigma"]).sigma,)
+
+
+def _run_born_bridge(cfg: ExperimentConfig, sigma: float) -> ExperimentResult:
     n_pairs = cfg.resolved_trials
     rows = []
     worst_relation = 0.0
@@ -604,15 +612,24 @@ def _run_born_bridge(cfg: ExperimentConfig) -> ExperimentResult:
 # classical-limit experiment
 
 
-def _run_action(cfg: ExperimentConfig) -> ExperimentResult:
+def _action_inputs(cfg: ExperimentConfig) -> tuple:
     p = cfg.parameters
-    omega, amp, mass, sigma = p["omega"], p["amplitude"], p["mass"], p["sigma"]
+    # the deviations divide by these; a negative one would pass every ``le`` check
+    for key in ("omega", "amplitude", "mass"):
+        if p[key] <= 0:
+            raise ValueError(f"{key} must be positive, got {p[key]}")
+    _at_least("samples", int(p["samples"]), hilbert_core.MIN_PROJECTION_SAMPLES)
+    return (hilbert_core.KernelSpec(sigma=p["sigma"], dim=1),)
+
+
+def _run_action(cfg: ExperimentConfig, spec) -> ExperimentResult:
+    p = cfg.parameters
+    omega, amp, mass, sigma = p["omega"], p["amplitude"], p["mass"], spec.sigma
     n_samples = int(p["samples"])
     t_final = 2.0 / omega
     times = np.linspace(0.0, t_final, n_samples)
     positions = amp * np.cos(omega * times)[:, None]
     path = hilbert_core.ClassicalPath(times=times, positions=positions)
-    spec = hilbert_core.KernelSpec(sigma=sigma, dim=1)
 
     speed_h = hilbert_core.path_speed_h(path, spec)
     true_speed = np.abs(amp * omega * np.sin(omega * times))
@@ -741,6 +758,7 @@ def _run_diffusion(cfg: ExperimentConfig, params) -> ExperimentResult:
 
 def _state_msd_inputs(cfg: ExperimentConfig) -> tuple:
     density_diffusion.check_msd_trials(cfg.resolved_trials)
+    density_diffusion.check_msd_steps(int(cfg.parameters["n_steps"]))
     basis = np.eye(1, int(cfg.parameters["n_cells"]), dtype=complex)[0]
     return _spin_params(cfg), _cell_params(cfg), position_measurement.CellState(basis)
 
@@ -903,6 +921,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             100,
             _run_uncertainty,
+            _uncertainty_inputs,
         ),
         Experiment(
             "decomposition",
@@ -942,6 +961,7 @@ REGISTRY: dict[str, Experiment] = {
             True,
             50,
             _run_born_bridge,
+            _born_bridge_inputs,
         ),
         Experiment(
             "action-equivalence",
@@ -951,6 +971,7 @@ REGISTRY: dict[str, Experiment] = {
             False,
             1,
             _run_action,
+            _action_inputs,
         ),
         Experiment(
             "continuity",

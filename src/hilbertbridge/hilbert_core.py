@@ -405,6 +405,10 @@ def path_speed_h(path: ClassicalPath, spec: KernelSpec) -> np.ndarray:
     return np.sqrt(np.einsum("ki,ij,kj->k", vel, gram, vel))
 
 
+# fewest samples newtonian_projection takes second differences over
+MIN_PROJECTION_SAMPLES = 5
+
+
 def newtonian_projection(
     path: ClassicalPath, spec: KernelSpec
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -420,8 +424,8 @@ def newtonian_projection(
 
     Returns (velocity, acceleration), each of shape (n_samples, dim).
     """
-    if len(path) < 5:
-        raise ValueError("need at least 5 samples for second differences")
+    if len(path) < MIN_PROJECTION_SAMPLES:
+        raise ValueError(f"need at least {MIN_PROJECTION_SAMPLES} samples for second differences")
     if path.dim != spec.dim:
         raise ValueError("path dimension does not match spec")
     sig = spec.sigma

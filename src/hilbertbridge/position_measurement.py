@@ -202,14 +202,9 @@ def discretize(
 
     shape = lattice.shape
     flat = np.zeros(lattice.cells, dtype=complex)
-    mesh_bins = np.meshgrid(*axis_bins, indexing="ij", sparse=False)
-    mesh_in = np.ones(psi.values.shape, dtype=bool)
-    for axis in range(psi.dim):
-        mesh_in &= np.broadcast_to(
-            inside[axis].reshape([-1 if a == axis else 1 for a in range(psi.dim)]),
-            psi.values.shape,
-        )
-    cell_index = np.ravel_multi_index([m for m in mesh_bins], shape)
+    mesh_bins = np.meshgrid(*axis_bins, indexing="ij")
+    mesh_in = np.logical_and.reduce(np.meshgrid(*inside, indexing="ij"))
+    cell_index = np.ravel_multi_index(mesh_bins, shape)
     h_vol = psi.spacing**psi.dim
     np.add.at(
         flat,
@@ -379,10 +374,12 @@ class _TaylorKick:
 
         A kick's operands are its generators transposed (ψᵀBᵀ = (Bψ)ᵀ is a
         row-vector product), each trial's series weights and the largest
-        series order.  Non-finite generators are refused here.
+        series order.  Non-finite generators are refused here.  ‖B‖²_F is
+        summed one kick at a time, so no squared copy of the stack is held.
         """
-        sq = np.square(hams.view(float))
-        norm2 = sq.reshape(hams.shape[:-2] + (-1,)).sum(axis=-1)
+        norm2 = np.empty(hams.shape[:-2])
+        for h, out in zip(hams, norm2):
+            np.square(h.view(float)).reshape(out.shape + (-1,)).sum(axis=-1, out=out)
         orders = np.searchsorted(_TAYLOR_RADII**2, norm2)
         if orders.max() > _TAYLOR_ORDER_MAX:
             raise FloatingPointError(
@@ -416,9 +413,7 @@ def isotropic_step(
 ) -> CellState:
     """One kick by a unitarily-invariant random Hermitian generator."""
     kick = _TaylorKick(state.amplitudes[None, :], params)
-    raw = rng.normal(size=(1, 1, 2, kick.n, kick.n))
-    hams = hermitian_generator(raw[:, :, 0], raw[:, :, 1], kick.scale)
-    (operands,) = kick.prepare(hams)
+    (operands,) = kick.prepare(_draw_block([rng], kick.n, 1, kick.scale))
     kick.apply(operands)
     return CellState(kick.states[0].copy())
 
@@ -550,6 +545,22 @@ def _kick_bytes(n: int) -> int:
     return 32 * n * n + 16 * (_TAYLOR_ORDER_MAX + 1)
 
 
+def _draw_block(gens, n: int, steps_left: int, scale: float) -> np.ndarray:
+    """The next block of kicks of the k generators, a (span, k, n, n) stack at ``scale``.
+
+    A block takes as many kicks (8 to 256, at most ``steps_left``) as keep its
+    buffers under ``_BLOCK_BYTES``; one draw per generator equals one per kick.
+    """
+    k = len(gens)
+    span = min(max(8, min(256, _BLOCK_BYTES // (k * _kick_bytes(n)))), steps_left)
+    raw = np.empty((k, span, 2, n, n))
+    for row, gen in zip(raw, gens):
+        row[:] = gen.normal(size=(span, 2, n, n))
+    hams = np.empty((span, k, n, n), dtype=complex)
+    hermitian_generator(raw[:, :, 0], raw[:, :, 1], scale, out=hams.transpose(1, 0, 2, 3))
+    return hams
+
+
 def ensemble_bytes(trials: int, n: int) -> int:
     """Rough peak bytes of :func:`run_position_ensemble` at N = ``n``.
 
@@ -583,13 +594,15 @@ def run_position_ensemble(
     return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, _BATCH)[:2]
 
 
-def _start_cell(state0: CellState, params: PositionWalkParams) -> int:
-    """The cell already holding 1 − absorb_eps of the start's mass, else −1.
-
-    The engine walks ISOTROPIC kicks only.
-    """
+def _require_isotropic(params: PositionWalkParams) -> None:
+    """Refuse DIAGONAL kicks: both cell walks kick with GUE generators."""
     if params.generator_mode is not GeneratorMode.ISOTROPIC:
         raise ValueError("the cell walk supports the ISOTROPIC mode only")
+
+
+def _start_cell(state0: CellState, params: PositionWalkParams) -> int:
+    """The cell already holding 1 − absorb_eps of the start's mass, else −1."""
+    _require_isotropic(params)
     masses = _cell_masses(state0.amplitudes)
     cell = int(np.argmax(masses))
     return cell if masses[cell] >= 1.0 - params.absorb_eps else -1
@@ -600,10 +613,10 @@ def _walk_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(cells, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
 
-    The trials walk together.  Draws come in blocks of kicks; a block's
-    generators, series orders and weights are built for all its kicks at
-    once.  A trial that absorbs is recorded, zeroed so it cannot absorb
-    again, and dropped at block end.
+    The trials walk together.  Draws come in blocks of kicks
+    (:func:`_draw_block`); a block's series orders and weights are built
+    for all its kicks at once.  A trial that absorbs is recorded, zeroed so
+    it cannot absorb again, and dropped at block end.
     """
     cell = _start_cell(state0, params)
     cells = np.full(trials, cell, dtype=np.int64)
@@ -612,26 +625,13 @@ def _walk_batch(
     if cell >= 0:
         return cells, steps_out, finals
     ids = np.arange(trials)
-    n = len(state0)
     threshold = 1.0 - params.absorb_eps
-    per_kick = _kick_bytes(n)
     gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
     kick = _TaylorKick(np.tile(state0.amplitudes, (ids.size, 1)), params)
     step = 0
     while step < params.max_steps and ids.size:
         k = ids.size
-        span = min(
-            max(8, min(256, _BLOCK_BYTES // (k * per_kick))),
-            params.max_steps - step,
-        )
-        raw = np.empty((k, span, 2, n, n))
-        for i, gen in enumerate(gens):
-            raw[i] = gen.normal(size=(span, 2, n, n))
-        hams = np.empty((span, k, n, n), dtype=complex)
-        hermitian_generator(
-            raw[:, :, 0], raw[:, :, 1], kick.scale, out=hams.transpose(1, 0, 2, 3)
-        )
-        del raw
+        hams = _draw_block(gens, kick.n, params.max_steps - step, kick.scale)
         done = np.zeros(k, dtype=bool)
 
         for operands in kick.prepare(hams):
@@ -649,6 +649,9 @@ def _walk_batch(
                 if done.all():
                     break
 
+        # free the block's generators and weights before keep() copies the
+        # survivors and the next block is drawn
+        del hams, operands
         if done.any():
             keep = ~done
             ids = ids[keep]
@@ -656,6 +659,43 @@ def _walk_batch(
             kick.keep(keep)
     finals[ids] = kick.states
     return cells, steps_out, finals
+
+
+def _apply_unitary_batch(states: np.ndarray, hams: np.ndarray,
+                         params: PositionWalkParams) -> np.ndarray:
+    """exp(−iτH/ħ)ψ for a batch of states/generators via eigh.
+
+    The absorbing walk kicks with a Taylor series instead; this eigh form
+    stays for :func:`_free_walk_msd` because the published state-msd floats
+    were computed with it, and the Taylor form rounds differently.
+    """
+    w, vecs = np.linalg.eigh(hams)
+    y = np.einsum("kba,kb->ka", vecs.conj(), states)
+    y *= np.exp(-1j * params.tau * w / params.hbar)
+    return np.einsum("kab,kb->ka", vecs, y)
+
+
+def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
+                   n_steps: int) -> np.ndarray:
+    """⟨θ²⟩, θ = arccos |⟨ψ₀|ψ⟩|, after each of 0 … ``n_steps`` eigh kicks.
+
+    Trial ``t`` draws as trial ``t`` of :func:`run_position_ensemble`, at
+    scale ``v_std``, and never stops; ``tau = 0`` draws nothing.
+    """
+    _require_isotropic(params)
+    start, n = state0.amplitudes, len(state0)
+    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
+    states = np.tile(start, (trials, 1))
+    out = np.zeros(n_steps + 1)
+    hams = []  # the drawn kicks not yet applied
+    for step in range(1, n_steps + 1):
+        if params.tau > 0:
+            if not hams:
+                hams = list(_draw_block(gens, n, n_steps - step + 1, params.v_std))
+            states = _apply_unitary_batch(states, hams.pop(0), params)
+        ov = np.abs(states @ start.conj())
+        out[step] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ ruin prediction.
 One engine walks every trial: :func:`run_walk` is a one-trial
 :func:`run_ensemble`, and trials are pure functions of ``(params, trial
 index)`` that may be aggregated in any order.  The never-absorbed walk of
-the state mean-squared displacement kicks with the same kernel.
+the state mean-squared displacement runs on the same block loop.
 """
 
 from __future__ import annotations
@@ -235,13 +235,16 @@ def _draw_fields(gens, block: int, params: SpinWalkParams, buf: np.ndarray) -> n
     return fields.reshape(block, 3, n)
 
 
-def _kick_planes(fields: np.ndarray, params: SpinWalkParams,
-                 real: np.ndarray, cplx: np.ndarray):
-    """Complex ``(c, s, bz, bp, bm)`` planes (width, n) of a (width, 3, n) field window.
+def _kick_window(fields: np.ndarray, params: SpinWalkParams, real: np.ndarray,
+                 cplx: np.ndarray, slots, u: np.ndarray, v: np.ndarray) -> None:
+    """Kick j of a (width, 3, n) field window moves ring slot j − 1 into slot j.
 
-    They go to ``real`` (2, ≥ width·n) and ``cplx`` (5, ≥ width·n); f0 and f1
-    are divided by the norm in place.  Every element goes through the same
-    floating-point operations as in ``_step_batch`` of
+    ``slots`` lists the two components' rows of a (2, _SCAN, n) ring, slot
+    −1 holding the last kicked states; ``u``, ``v`` are scratch.  The kick
+    coefficients ``(c, s, bz, bp, bm)`` are built first, as (width, n)
+    planes in ``real`` (2, ≥ width·n) and ``cplx`` (5, ≥ width·n); f0 and
+    f1 are divided by the norm in place.  Every element goes through the
+    same floating-point operations as in ``_step_batch`` of
     ``tests/reference_walks.py``, the per-kick walk the engine is checked
     against: :func:`_draw_fields` repeats ``Generator.normal``, ``(f0² + f1²)
     + f2²`` is the order in which ``np.linalg.norm`` sums a 3-vector, and a
@@ -274,27 +277,9 @@ def _kick_planes(fields: np.ndarray, params: SpinWalkParams,
     np.multiply(1j, f1, out=bp)
     np.add(f0, bp, out=bp)
     np.conjugate(bp, out=bm)
-    return c, s, bz, bp, bm
 
-
-def _buffers(n: int, max_steps: int):
-    """Field block, real and complex window planes for ``n`` trials and fewer."""
-    cap = min(max(_BLOCK_BUDGET, _MIN_BLOCK * n), _MAX_BLOCK * n, max_steps * n)
-    rows = min(_SCAN, max_steps) * n
-    return np.empty(3 * cap), np.empty((2, rows)), np.empty((5, rows), dtype=complex)
-
-
-def _block_length(n: int, steps_left: int) -> int:
-    return min(max(_BLOCK_BUDGET // n, _MIN_BLOCK), _MAX_BLOCK, steps_left)
-
-
-def _kick_window(slots0, slots1, planes, u, v) -> None:
-    """Kick j of a window's (width, n) ``planes`` moves ring slot j − 1 into slot j.
-
-    ``slots0``/``slots1`` list the two components' rows of a (2, _SCAN, n)
-    ring, slot −1 holding the last kicked states; ``u``, ``v`` are scratch.
-    """
-    for j, (ck, sk, zk, pk, mk) in enumerate(zip(*planes)):
+    slots0, slots1 = slots
+    for j, (ck, sk, zk, pk, mk) in enumerate(zip(c, s, bz, bp, bm)):
         p0, p1 = slots0[j - 1], slots1[j - 1]
         n0, n1 = slots0[j], slots1[j]
         # n0 = c*p0 + s*(bz*p0 + bm*p1)
@@ -321,73 +306,82 @@ def _start_code(phi0, params: SpinWalkParams) -> int | None:
     return _UP if z0 > 0 else _DOWN
 
 
-def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
-    """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
+def _kicked_windows(phi0, gens, params: SpinWalkParams, n_steps: int):
+    """Kick the trials of ``gens`` from ``phi0`` ``n_steps`` times, window by window.
 
-    The trials walk together to absorption.
+    Yields ``(step, window, scratch, rows, alive)``: the (2, width, n) ring
+    view of the states after kicks step + 1 … step + width, the window's
+    spent real planes, the batch indices of the n trials and the block's
+    mask of them.  Rows cleared in ``alive`` are dropped at the block end,
+    except after the last kick; the walk ends when none is alive.
     """
-    codes = np.empty(trials, dtype=np.int8)
-    steps_out = np.zeros(trials, dtype=np.int64)
-    finals = np.empty((trials, 2), dtype=complex)
-    start = _start_code(phi0, params)
-    if start is not None:
-        codes[:] = start
-        finals[:] = phi0
-        return codes, steps_out, finals
-    zc = params.absorb_z
-    ids = np.arange(trials)
-    gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
-    n = ids.size
-    field_buf, real, cplx = _buffers(n, params.max_steps)
+    rows = np.arange(len(gens))
+    n = rows.size
+    field_buf = np.empty(3 * min(max(_BLOCK_BUDGET, _MIN_BLOCK * n), _MAX_BLOCK * n,
+                                 n_steps * n))
+    real = np.empty((2, min(_SCAN, n_steps) * n))
+    cplx = np.empty((5, real.shape[1]), dtype=complex)
     ring_buf = np.empty(2 * _SCAN * n, dtype=complex)
     ring = ring_buf.reshape(2, _SCAN, n)
     ring[:, -1] = phi0[:, None]
     step = 0
-    while n and step < params.max_steps:
-        block = _block_length(n, params.max_steps - step)
+    while True:
+        block = min(max(_BLOCK_BUDGET // n, _MIN_BLOCK), _MAX_BLOCK, n_steps - step)
         fields = _draw_fields(gens, block, params, field_buf)
         slots = list(ring[0]), list(ring[1])
         u, v = np.empty((2, n), dtype=complex)
-        # rows that absorb mid-block keep stepping (their outputs are already
-        # frozen); survivors are compacted at the block end
         alive = np.ones(n, dtype=bool)
         for w0 in range(0, block, _SCAN):
             width = min(_SCAN, block - w0)
-            planes = _kick_planes(fields[w0 : w0 + width], params, real, cplx)
-            _kick_window(*slots, planes, u, v)
-
-            # absorption scan in the spent real planes: each row's first crossing
-            window = ring[:, :width]
-            z, mag = (r[: width * n].reshape(width, n) for r in real)
-            np.square(np.abs(window[1], out=z), out=z)
-            np.subtract(z, np.square(np.abs(window[0], out=mag), out=mag), out=z)
-            hit = (np.abs(z, out=mag) >= zc) & alive
-            rows = np.flatnonzero(hit.any(axis=0))
-            if rows.size:
-                first = hit[:, rows].argmax(axis=0)
-                t = ids[rows]
-                up = z[first, rows] >= zc
-                codes[t[up]] = _UP
-                codes[t[~up]] = _DOWN
-                steps_out[t] = step + w0 + first + 1
-                finals[t] = window[:, first, rows].T
-                alive[rows] = False
-                if not alive.any():
-                    break
-
+            _kick_window(fields[w0 : w0 + width], params, real, cplx, slots, u, v)
+            yield step + w0, ring[:, :width], real, rows, alive
+            if not alive.any():
+                return
         step += block
+        if step == n_steps:
+            return
         keep = np.flatnonzero(alive)
         survivors = ring[:, width - 1, keep]
-        ids = ids[keep]
+        rows = rows[keep]
         gens = [gens[i] for i in keep]
         n = keep.size
         ring = ring_buf[: 2 * _SCAN * n].reshape(2, _SCAN, n)
         ring[:, -1] = survivors
 
-    if n:
-        codes[ids] = _UNRESOLVED
-        steps_out[ids] = params.max_steps
-        finals[ids] = ring[:, -1].T
+
+def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
+    """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
+
+    The trials walk together to absorption.
+    """
+    start = _start_code(phi0, params)
+    codes = np.full(trials, _UNRESOLVED if start is None else start, dtype=np.int8)
+    steps_out = np.full(trials, params.max_steps if start is None else 0, dtype=np.int64)
+    finals = np.tile(phi0, (trials, 1))
+    if start is not None:
+        return codes, steps_out, finals
+    zc = params.absorb_z
+    gens = [RngStream(params.seed, t + trial_offset).generator() for t in range(trials)]
+    for step, window, scratch, rows, alive in _kicked_windows(phi0, gens, params,
+                                                              params.max_steps):
+        # absorption scan in the spent real planes: each row's first crossing
+        width, n = window.shape[1:]
+        z, mag = (r[: width * n].reshape(width, n) for r in scratch)
+        np.square(np.abs(window[1], out=z), out=z)
+        np.subtract(z, np.square(np.abs(window[0], out=mag), out=mag), out=z)
+        hit = (np.abs(z, out=mag) >= zc) & alive
+        cols = np.flatnonzero(hit.any(axis=0))
+        if cols.size:
+            first = hit[:, cols].argmax(axis=0)
+            t = rows[cols]
+            up = z[first, cols] >= zc
+            codes[t[up]] = _UP
+            codes[t[~up]] = _DOWN
+            steps_out[t] = step + first + 1
+            finals[t] = window[:, first, cols].T
+            alive[cols] = False
+    # the rows still alive after the last window are unresolved
+    finals[rows[alive]] = window[:, -1, alive].T
     return codes, steps_out, finals
 
 
@@ -398,27 +392,13 @@ def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> n
     """
     phi0 = _as_unit_spinor(phi0)
     gens = [RngStream(params.seed, t).generator() for t in range(trials)]
-    field_buf, real, cplx = _buffers(trials, n_steps)
-    ring = np.empty((2, _SCAN, trials), dtype=complex)
-    ring[:, -1] = phi0[:, None]
-    slots = list(ring[0]), list(ring[1])
-    u, v = np.empty((2, trials), dtype=complex)
     pairs = np.empty((trials, 2), dtype=complex)  # states as rows
     out = np.zeros(n_steps + 1)
-    step = 0
-    while step < n_steps:
-        block = _block_length(trials, n_steps - step)
-        fields = _draw_fields(gens, block, params, field_buf)
-        for w0 in range(0, block, _SCAN):
-            width = min(_SCAN, block - w0)
-            planes = _kick_planes(fields[w0 : w0 + width], params, real, cplx)
-            _kick_window(*slots, planes, u, v)
-            for j in range(width):
-                pairs[:, 0], pairs[:, 1] = slots[0][j], slots[1][j]
-                overlap = np.abs(pairs @ phi0.conj())
-                out[step + w0 + j + 1] = (np.arccos(np.minimum(overlap, 1.0)) ** 2).mean()
-        step += block
-        ring[:, -1] = ring[:, width - 1]
+    for step, window, *_ in _kicked_windows(phi0, gens, params, n_steps):
+        for j in range(window.shape[1]):
+            pairs[:, 0], pairs[:, 1] = window[:, j]
+            overlap = np.abs(pairs @ phi0.conj())
+            out[step + j + 1] = (np.arccos(np.minimum(overlap, 1.0)) ** 2).mean()
     return out
 
 

@@ -3,19 +3,20 @@
 Each walk takes one trial one kick at a time, with the plainest kernel that
 draws the same numbers: a spin walk that kicks a (1, 2) state with
 :func:`_step_batch`, a cell walk that composes ``isotropic_step`` kicks,
-and a cell walk with its own GUE formula
-and ``eigh`` kicks.  The library's single walks are one-trial runs of the
-ensemble engines, so comparing an ensemble with them would compare the
-engine with itself; the tests compare with these instead.
+and a cell walk with its own GUE formula and the ``eigh`` kick
+``_apply_unitary_batch`` of the cell state-msd walk.  The library's single
+walks and both state-msd walks run on the ensemble engines' block loops,
+so comparing an ensemble with them would compare the engine with itself;
+the tests compare with these instead.
 """
 
 import numpy as np
 
-from hilbertbridge.density_diffusion import _apply_unitary_batch
 from hilbertbridge.position_measurement import (
     CellState,
     MeasurementOutcome,
     PositionWalkParams,
+    _apply_unitary_batch,
     isotropic_step,
 )
 from hilbertbridge.spin_measurement import (

@@ -43,6 +43,26 @@ REFUSALS = {
                              "levels must be at least 8, got 6"),
     "reconstruct-levels-4": ("[hamiltonian-reconstruct]\ntrials = 1\nlevels = 4\n", 3,
                              "levels must be at least 8, got 4"),
+    "uncertainty-max-levels": ("[uncertainty-identity]\nseed = 1\ntrials = 2\n"
+                               "max_levels = 1\n", 4,
+                               "max_levels must be at least 2, got 1"),
+    "action-samples": ("[action-equivalence]\ntrials = 1\nsamples = 3\n", 3,
+                       "samples must be at least 5, got 3"),
+    "action-omega-0": ("[action-equivalence]\ntrials = 1\nomega = 0\n", 3,
+                       "omega must be positive, got 0.0"),
+    "action-amplitude-0": ("[action-equivalence]\ntrials = 1\namplitude = 0\n", 3,
+                           "amplitude must be positive, got 0.0"),
+    "action-amplitude-negative": ("[action-equivalence]\ntrials = 1\namplitude = -0.7\n",
+                                  3, "amplitude must be positive, got -0.7"),
+    "action-mass-0": ("[action-equivalence]\ntrials = 1\nmass = 0\n", 3,
+                      "mass must be positive, got 0.0"),
+    "born-bridge-sigma-0": ("[born-bridge]\nseed = 1\ntrials = 2\nsigma = 0\n", 4,
+                            "sigma must be positive"),
+    "state-msd-n-steps-0": ("[state-msd]\nseed = 1\ntrials = 100\nn_steps = 0\n", 4,
+                            "n_steps must be at least 1, got 0"),
+    "state-msd-n-steps-negative": ("[state-msd]\nseed = 1\ntrials = 100\n"
+                                   "n_steps = -3\n", 4,
+                                   "n_steps must be at least 1, got -3"),
 }
 
 

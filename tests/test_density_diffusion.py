@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hilbertbridge import density_diffusion
+from hilbertbridge import position_measurement
 from hilbertbridge.density_diffusion import (
     DiffusionParams,
     EvolutionParams,
@@ -437,7 +437,7 @@ def _msd_per_step_reference(start, params, n_steps, trials):
         elif params.tau > 0:
             raw = np.stack([g.normal(size=(2, n, n)) for g in gens])
             hams = hermitian_generator(raw[:, 0], raw[:, 1], params.v_std)
-            states = density_diffusion._apply_unitary_batch(states, hams, params)
+            states = position_measurement._apply_unitary_batch(states, hams, params)
         ov = np.abs(states @ start.conj())
         out[k] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
     return out
@@ -472,11 +472,11 @@ def _msd_per_step_reference(start, params, n_steps, trials):
 )
 def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, n_steps,
                                               budget):
-    # cell walks: a budget of one whole run and budgets of one step per
-    # block; the spin walk draws in the ensemble engine's blocks whatever
-    # the budget (300 kicks: a block of 256 and a short one of 44)
+    # cell walks: the engine's budget (one block of 11 kicks) and budgets
+    # below one kick (blocks of 8, then 3); the spin walk draws in its
+    # engine's blocks whatever the budget (300 kicks: 256, then 44)
     if budget is not None:
-        monkeypatch.setattr(density_diffusion, "_DRAW_BLOCK_BYTES", budget)
+        monkeypatch.setattr(position_measurement, "_BLOCK_BYTES", budget)
     out = state_density_msd(start, params, n_steps=n_steps, trials=100)
     ref = _msd_per_step_reference(start, params, n_steps=n_steps, trials=100)
     assert out.mean_square_angle.tobytes() == ref.tobytes()

@@ -3,6 +3,7 @@
 import concurrent.futures.process
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -491,6 +492,22 @@ def test_no_pool_below_the_trial_threshold(monkeypatch):
         assert stats_util.range_processes(trials, pm.MIN_TRIALS_PER_PROCESS) == 1
         cells, steps = run_position_ensemble(fixed_profile(3), trials, p)
         assert len(cells) == trials and (steps == 1).all()
+
+
+@pytest.mark.parametrize("trials, n, kicks", [(2048, 8, 16), (4096, 3, 64)])
+def test_walk_peak_memory_is_within_the_estimate(monkeypatch, trials, n, kicks):
+    # blocks of 8 kicks in this process: a block's draws, generators and
+    # weights, the two power buffers and the generators; the previous
+    # block's generators and weights and a squared copy of the generators
+    # took about a third more
+    monkeypatch.setenv("HB_THREADS", "1")
+    tracemalloc.start()
+    try:
+        run_position_ensemble(fixed_profile(n), trials, iso_params(max_steps=kicks, seed=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pm.ensemble_bytes(trials, n)
 
 
 def test_walks_start_from_a_strided_state():
