@@ -14,7 +14,6 @@ import enum
 import math
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from hilbertbridge import position_measurement, spin_measurement
 from hilbertbridge.hilbert_core import GridResolutionError, GridWaveFunction
@@ -119,6 +118,8 @@ def _split_step_sequence(
 def _midpoint_sequence(
     psi0: GridWaveFunction, potential: PotentialField, params: EvolutionParams
 ) -> list[GridWaveFunction]:
+    from scipy.linalg import solve_banded  # slow to import; only this scheme needs it
+
     if psi0.dim != 1:
         raise ValueError("the implicit midpoint propagator is one-dimensional")
     n = psi0.extent[0]

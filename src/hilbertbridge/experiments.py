@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import constants
 
 from hilbertbridge import (
     born_bridge,
@@ -457,11 +456,18 @@ def _packet_and_grid(sigma, momentum, mass, spacing_frac, half_width_sigmas=10.0
     return pkt, grid
 
 
-def _run_decomposition(cfg: ExperimentConfig) -> ExperimentResult:
+def _packet_inputs(cfg: ExperimentConfig, half_width_sigmas: float = 10.0) -> tuple:
+    # GaussianPacket refuses sigma and mass, grid_covering the spacing;
+    # continuity has no mass parameter and uses a unit mass
+    p = cfg.parameters
+    return _packet_and_grid(p["sigma"], p["momentum"], p.get("mass", 1.0),
+                            p["spacing_frac"], half_width_sigmas)
+
+
+def _run_decomposition(cfg: ExperimentConfig, pkt, grid) -> ExperimentResult:
     p = cfg.parameters
     sigma, momentum, mass = p["sigma"], p["momentum"], p["mass"]
     force = p["force"]
-    pkt, grid = _packet_and_grid(sigma, momentum, mass, p["spacing_frac"])
     potential = packet_dynamics.PotentialField.linear(np.array([force]))
     rel_dev = packet_dynamics.decomposition_check(pkt, potential, grid)
     comps = packet_dynamics.velocity_components(pkt, potential)
@@ -489,10 +495,8 @@ def _run_decomposition(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(("component", "measured", "reference"), rows, checks)
 
 
-def _run_ehrenfest(cfg: ExperimentConfig) -> ExperimentResult:
+def _run_ehrenfest(cfg: ExperimentConfig, pkt, grid) -> ExperimentResult:
     p = cfg.parameters
-    pkt, grid = _packet_and_grid(p["sigma"], p["momentum"], p["mass"],
-                                 p["spacing_frac"])
     psi = packet_dynamics.packet_wavefunction(pkt, grid)
     rows = []
     worst = 0.0
@@ -679,7 +683,11 @@ def _run_action(cfg: ExperimentConfig, spec) -> ExperimentResult:
 # conservation experiments
 
 
-def _run_continuity(cfg: ExperimentConfig) -> ExperimentResult:
+def _continuity_inputs(cfg: ExperimentConfig) -> tuple:
+    return _packet_inputs(cfg, half_width_sigmas=8.0)
+
+
+def _run_continuity(cfg: ExperimentConfig, pkt, grid) -> ExperimentResult:
     p = cfg.parameters
     sigma, momentum = p["sigma"], p["momentum"]
 
@@ -699,7 +707,6 @@ def _run_continuity(cfg: ExperimentConfig) -> ExperimentResult:
     fine = residual_norm(0.025, 1.5e-4)
     order = math.log2(coarse / fine)
 
-    pkt, grid = _packet_and_grid(sigma, momentum, 1.0, p["spacing_frac"], 8.0)
     psi0 = packet_dynamics.packet_wavefunction(pkt, grid)
     j = density_diffusion.probability_current(psi0)[..., 0]
     rho = np.abs(psi0.values) ** 2
@@ -865,7 +872,9 @@ def _run_estimates(cfg: ExperimentConfig, report) -> ExperimentResult:
 # registry
 
 
-_ELECTRON_MASS = constants.m_e
+# CODATA 2022 electron mass in kg, equal to scipy.constants.m_e; a literal keeps
+# scipy.constants out of library load
+_ELECTRON_MASS = 9.1093837139e-31
 
 
 REGISTRY: dict[str, Experiment] = {
@@ -932,6 +941,7 @@ REGISTRY: dict[str, Experiment] = {
             False,
             1,
             _run_decomposition,
+            _packet_inputs,
         ),
         Experiment(
             "ehrenfest",
@@ -942,6 +952,7 @@ REGISTRY: dict[str, Experiment] = {
             False,
             1,
             _run_ehrenfest,
+            _packet_inputs,
         ),
         Experiment(
             "hamiltonian-reconstruct",
@@ -981,6 +992,7 @@ REGISTRY: dict[str, Experiment] = {
             False,
             1,
             _run_continuity,
+            _continuity_inputs,
         ),
         Experiment(
             "diffusion",

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import expm
 
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.state_geometry import fibre_decompose, fs_distance, require_state
@@ -319,6 +318,8 @@ def projective_evolution_speed(
     first element is measured from the states at ±dt, the second computed from
     the fibre decomposition, so the pair quantifies the agreement directly.
     """
+    from scipy.linalg import expm  # slow to import; only this check needs it
+
     phi = require_state(phi)
     u = expm(-1j * hamiltonian * dt / hbar)
     forward = u @ phi

@@ -24,7 +24,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import constants
 
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
@@ -490,9 +489,10 @@ def velocity_isotropy_diagnostic(
     scale = np.where(stds > 0, stds, 1.0)
     z = np.abs(means) / (scale / math.sqrt(samples))
     worst = float(z.max())
-    from scipy.stats import norm as _norm
+    # norm.sf's own kernel; scipy.stats is slow to import
+    from scipy.special import ndtr
 
-    p_single = 2 * _norm.sf(worst)
+    p_single = 2 * ndtr(-worst)
     p_value = float(min(1.0, p_single * coords.shape[1]))  # Bonferroni
     if np.allclose(coords, 0.0):
         p_value = 1.0
@@ -756,6 +756,8 @@ def magnitude_estimates(
     the three returned rates are the translation, force and spreading parts
     of the state velocity, plus the thermal photon census ≈ 2.02×10⁷ T³.
     """
+    from scipy import constants  # slow to import; only the estimates need it
+
     if wavelength <= 0 or mass <= 0 or temperature <= 0:
         raise ValueError("wavelength, mass and temperature must be positive")
     h, c, hbar = constants.h, constants.c, constants.hbar

@@ -63,6 +63,22 @@ REFUSALS = {
     "state-msd-n-steps-negative": ("[state-msd]\nseed = 1\ntrials = 100\n"
                                    "n_steps = -3\n", 4,
                                    "n_steps must be at least 1, got -3"),
+    "decomposition-sigma-0": ("[decomposition]\ntrials = 1\nsigma = 0\n", 3,
+                              "sigma, mass and hbar must be positive"),
+    "decomposition-mass-negative": ("[decomposition]\ntrials = 1\nmass = -1.2\n", 3,
+                                    "sigma, mass and hbar must be positive"),
+    "decomposition-spacing-0": ("[decomposition]\ntrials = 1\nspacing_frac = 0\n", 1,
+                                "spacing must be finite and positive"),
+    "ehrenfest-sigma-negative": ("[ehrenfest]\ntrials = 1\nsigma = -1\n", 3,
+                                 "sigma, mass and hbar must be positive"),
+    "ehrenfest-mass-0": ("[ehrenfest]\ntrials = 1\nmass = 0\n", 3,
+                         "sigma, mass and hbar must be positive"),
+    "ehrenfest-spacing-negative": ("[ehrenfest]\ntrials = 1\nspacing_frac = -1e-3\n", 1,
+                                   "spacing must be finite and positive"),
+    "continuity-sigma-0": ("[continuity]\ntrials = 1\nsigma = 0\n", 3,
+                           "sigma, mass and hbar must be positive"),
+    "continuity-spacing-0": ("[continuity]\ntrials = 1\nspacing_frac = 0\n", 1,
+                             "spacing must be finite and positive"),
 }
 
 

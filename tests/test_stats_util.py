@@ -1,4 +1,5 @@
-"""The process fan-out that walks trial ranges in forked processes."""
+"""The process fan-out that walks trial ranges in forked processes, and the
+p-values of the library's tests."""
 
 import multiprocessing
 import os
@@ -41,3 +42,25 @@ def test_ranges_walk_in_batches_and_join_in_trial_order(monkeypatch):
     # one range of one batch comes back as walked, not copied
     column = np.arange(5)
     assert stats_util.walk_ranges(lambda n, offset: (column,), 5, 10, 8)[0] is column
+
+
+def test_p_value_kernels_equal_scipy_stats_bit_for_bit():
+    """chdtrc and ndtr are the kernels of chi2.sf and norm.sf that the tests call."""
+    from scipy import special, stats
+
+    gen = np.random.default_rng(20)
+    df = np.repeat(np.arange(1, 40), 3000)
+    x = np.concatenate([[0.0], gen.uniform(0.0, 1.0, df.size - 1)]) * (df + 10 * np.sqrt(2 * df))
+    assert (special.chdtrc(df, x).view(np.int64)
+            == stats.chi2.sf(x, df).view(np.int64)).all()
+    z = np.concatenate([[0.0], gen.exponential(3.0, 19_999)])
+    assert (special.ndtr(-z).view(np.int64) == stats.norm.sf(z).view(np.int64)).all()
+
+    # the library's own tests, at a statistic of each kind
+    counts, probs = np.array([30, 20, 50]), np.array([0.25, 0.25, 0.5])
+    report = stats_util.chi_square_gof(counts, probs)
+    assert report.p_value == stats.chi2.sf(report.statistic, 2)
+    report = stats_util.two_proportion_z(40, 100, 55, 100)
+    assert report.p_value == 2.0 * stats.norm.sf(abs(report.statistic))
+    report = stats_util.direction_uniformity(gen.normal(size=(200, 3)) + 0.1)
+    assert report.p_value == stats.chi2.sf(report.statistic, 3)
