@@ -22,7 +22,7 @@ import numpy as np
 
 from hilbertbridge.hilbert_core import KernelSpec, grid_covering, inner_l2
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
-from hilbertbridge.state_geometry import fs_distance
+from hilbertbridge.state_geometry import fs_distance, require_positive, require_state
 
 __all__ = [
     "TransitionPair",
@@ -61,13 +61,9 @@ class TransitionPair:
             if src.dim != tgt.dim or src.sigma != tgt.sigma or src.hbar != tgt.hbar:
                 raise ValueError("packets must share sigma, hbar and dimension")
             return
-        src = np.asarray(self.source, dtype=complex)
-        tgt = np.asarray(self.target, dtype=complex)
-        if src.shape != tgt.shape or src.ndim != 1:
-            raise ValueError("state vectors must be 1-d and of equal length")
-        for vec in (src, tgt):
-            if abs(np.linalg.norm(vec) - 1.0) > _NORM_TOL:
-                raise ValueError("state vectors must be unit norm")
+        src, tgt = (require_state(v, tol=_NORM_TOL) for v in (self.source, self.target))
+        if src.shape != tgt.shape:
+            raise ValueError("state vectors must be of equal length")
         object.__setattr__(self, "source", src)
         object.__setattr__(self, "target", tgt)
 
@@ -135,8 +131,7 @@ def fs_euclid_relation(
     ``a`` and ``b``; the right-hand side is obtained from their sampled
     wavefunctions, so it carries whatever error the grid introduces.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive(sigma=sigma)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:
@@ -163,8 +158,7 @@ def born_normal_equivalence(a, b, sigma: float) -> tuple[float, float]:
     standard deviation ``√2 σ``, evaluated at ``b`` and scaled by
     ``(4πσ²)^{d/2}``.  The two expressions are the same function of a − b.
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive(sigma=sigma)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     if a.shape != b.shape:

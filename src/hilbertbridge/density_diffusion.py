@@ -18,6 +18,7 @@ import numpy as np
 from hilbertbridge import position_measurement, spin_measurement
 from hilbertbridge.hilbert_core import GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import PotentialField
+from hilbertbridge.state_geometry import require_positive
 from hilbertbridge.stats_util import RngStream
 
 __all__ = [
@@ -51,12 +52,9 @@ class EvolutionParams:
     scheme: EvolutionScheme = EvolutionScheme.UNITARY_SPLIT
 
     def __post_init__(self) -> None:
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        require_positive(dt=self.dt, hbar=self.hbar, mass=self.mass)
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if self.hbar <= 0 or self.mass <= 0:
-            raise ValueError("hbar and mass must be positive")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -68,8 +66,7 @@ class DiffusionParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.diffusivity, self.dt, self.t_final) <= 0:
-            raise ValueError("diffusivity, dt and t_final must be positive")
+        require_positive(diffusivity=self.diffusivity, dt=self.dt, t_final=self.t_final)
         if self.walkers < 10_000:
             raise ValueError("need at least 10^4 walkers")
         if self.t_final < self.dt:

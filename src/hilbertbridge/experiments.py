@@ -197,7 +197,7 @@ class Experiment:
     runner: Callable[..., ExperimentResult]
     # the library inputs of a run, built without running it; refuses what the
     # library refuses and runs over the memory budget
-    inputs: Callable[[ExperimentConfig], tuple] = lambda cfg: ()
+    inputs: Callable[[ExperimentConfig], tuple]
 
 
 def _check(name, measured, reference, tolerance, mode, source) -> CriterionCheck:
@@ -240,16 +240,20 @@ def _cell_params(cfg: ExperimentConfig) -> position_measurement.PositionWalkPara
 _ROW_BYTES = {OutputFormat.CSV: 400, OutputFormat.JSON: 1400}
 
 
-def _require_memory(cfg: ExperimentConfig, walk_bytes: int) -> None:
-    """Refuse a run whose walk and output rows exceed :func:`memory_budget`."""
-    need = walk_bytes + _ROW_BYTES[cfg.format] * cfg.resolved_trials
+def _require_budget(need: float, what: str, remedy: str) -> None:
+    """Refuse a run planned to need ``need`` bytes, over :func:`memory_budget`."""
     budget = memory_budget()
     if need > budget:
         raise MemoryBudgetError(
-            f"{cfg.experiment} with {cfg.resolved_trials} trials needs about "
-            f"{need / 2**30:.1f} GiB, over the {budget / 2**30:.1f} GiB budget "
-            f"(half of physical memory); lower --trials"
+            f"{what} needs about {need / 2**30:.1f} GiB, over the "
+            f"{budget / 2**30:.1f} GiB budget (half of physical memory); {remedy}"
         )
+
+
+def _require_memory(cfg: ExperimentConfig, walk_bytes: int) -> None:
+    """Refuse a run whose walk and output rows exceed :func:`memory_budget`."""
+    _require_budget(walk_bytes + _ROW_BYTES[cfg.format] * cfg.resolved_trials,
+                    f"{cfg.experiment} with {cfg.resolved_trials} trials", "lower --trials")
 
 
 def _spin_born_inputs(cfg: ExperimentConfig) -> tuple:
@@ -456,10 +460,20 @@ def _packet_and_grid(sigma, momentum, mass, spacing_frac, half_width_sigmas=10.0
     return pkt, grid
 
 
+# traced peak bytes per grid point of a packet run; ehrenfest, the largest of
+# the three, peaks at 112 at 10⁵ and 10⁶ points and 119 at 2·10⁴
+_GRID_POINT_BYTES = 128
+
+
 def _packet_inputs(cfg: ExperimentConfig, half_width_sigmas: float = 10.0) -> tuple:
-    # GaussianPacket refuses sigma and mass, grid_covering the spacing;
-    # continuity has no mass parameter and uses a unit mass
+    # GaussianPacket refuses sigma and mass; continuity has no mass parameter
+    # and uses a unit mass
     p = cfg.parameters
+    state_geometry.require_positive(spacing_frac=p["spacing_frac"])
+    # the grid spans ±half_width_sigmas·σ in steps of spacing_frac·σ
+    points = 2 * half_width_sigmas / p["spacing_frac"] + 1
+    _require_budget(points * _GRID_POINT_BYTES,
+                    f"{cfg.experiment} on a grid of {points:.3g} points", "raise spacing_frac")
     return _packet_and_grid(p["sigma"], p["momentum"], p.get("mass", 1.0),
                             p["spacing_frac"], half_width_sigmas)
 
@@ -619,9 +633,8 @@ def _run_born_bridge(cfg: ExperimentConfig, sigma: float) -> ExperimentResult:
 def _action_inputs(cfg: ExperimentConfig) -> tuple:
     p = cfg.parameters
     # the deviations divide by these; a negative one would pass every ``le`` check
-    for key in ("omega", "amplitude", "mass"):
-        if p[key] <= 0:
-            raise ValueError(f"{key} must be positive, got {p[key]}")
+    state_geometry.require_positive(omega=p["omega"], amplitude=p["amplitude"],
+                                    mass=p["mass"])
     _at_least("samples", int(p["samples"]), hilbert_core.MIN_PROJECTION_SAMPLES)
     return (hilbert_core.KernelSpec(sigma=p["sigma"], dim=1),)
 

@@ -25,6 +25,8 @@ from typing import Callable
 
 import numpy as np
 
+from hilbertbridge.state_geometry import require_positive
+
 __all__ = [
     "ClassicalPath",
     "Grid",
@@ -67,8 +69,7 @@ class KernelSpec:
     dim: int = 1
 
     def __post_init__(self) -> None:
-        if not self.sigma > 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        require_positive(sigma=self.sigma)
         if self.dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
 
@@ -93,7 +94,7 @@ class Grid:
     extent: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_spacing(self.spacing)
+        require_positive(spacing=self.spacing)
         origin = np.array(self.origin, dtype=float, ndmin=1)
         extent = tuple(int(n) for n in self.extent)
         if origin.shape != (len(extent),):
@@ -216,11 +217,6 @@ class ClassicalPath:
 # grids and delta approximants
 
 
-def _check_spacing(spacing: float) -> None:
-    if not 0 < spacing < np.inf:
-        raise ValueError(f"spacing must be finite and positive, got {spacing}")
-
-
 def grid_covering(
     spec: KernelSpec,
     centers,
@@ -237,7 +233,7 @@ def grid_covering(
         raise ValueError(f"centers have dimension {c.shape[1]}, spec has {spec.dim}")
     if margin is None:
         margin = GRID_MARGIN_SIGMAS * spec.sigma
-    _check_spacing(spacing)
+    require_positive(spacing=spacing)
     lo = c.min(axis=0) - margin
     hi = c.max(axis=0) + margin
     extent = tuple(int(np.ceil((hi[i] - lo[i]) / spacing)) + 1 for i in range(spec.dim))
@@ -466,8 +462,7 @@ def action_functional(
     Euclidean units (×(2σ)²); the time integral is trapezoidal on the path's
     own samples.
     """
-    if mass <= 0:
-        raise ValueError("mass must be positive")
+    require_positive(mass=mass)
     speed = path_speed_h(path, spec) * (2.0 * spec.sigma)
     v_of_t = np.array([float(potential(a)) for a in path.positions])
     return float(np.trapezoid(0.5 * mass * speed**2 - v_of_t, path.times))

@@ -13,7 +13,6 @@ reconstructs the Hamiltonian matrix from its commutators with x̂ and p̂
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -21,7 +20,8 @@ from typing import Callable
 import numpy as np
 
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
-from hilbertbridge.state_geometry import fibre_decompose, fs_distance, require_state
+from hilbertbridge.state_geometry import (fibre_decompose, fs_distance, require_positive,
+                                          require_state)
 
 __all__ = [
     "GaussianPacket",
@@ -57,8 +57,7 @@ class GaussianPacket:
             raise ValueError("center and momentum dimensions differ")
         if not (np.all(np.isfinite(self.center)) and np.all(np.isfinite(self.momentum))):
             raise ValueError("center and momentum must be finite")
-        if not all(0 < v < math.inf for v in (self.sigma, self.mass, self.hbar)):
-            raise ValueError("sigma, mass and hbar must be positive and finite")
+        require_positive(sigma=self.sigma, mass=self.mass, hbar=self.hbar)
 
     @property
     def dim(self) -> int:

@@ -27,6 +27,7 @@ import numpy as np
 
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
+from hilbertbridge.state_geometry import require_positive, require_state
 from hilbertbridge.stats_util import (RngStream, TestReport, check_seed,
                                       range_processes, walk_ranges)
 
@@ -64,8 +65,7 @@ class CellLattice:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
+        require_positive(gamma=self.gamma)
         bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
         object.__setattr__(self, "bounds", bounds)
         for lo, hi in bounds:
@@ -97,13 +97,7 @@ class CellState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.ascontiguousarray(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or amp.size < 2:
-            raise ValueError("amplitudes must be a 1-d vector of length >= 2")
-        if not np.isfinite(amp).all():
-            raise ValueError("cell amplitudes must be finite")
-        if abs(np.linalg.norm(amp) - 1.0) > 1e-12:
-            raise ValueError("cell amplitudes must be unit norm")
+        amp = require_state(np.ascontiguousarray(self.amplitudes, dtype=complex))
         object.__setattr__(self, "amplitudes", amp)
 
     @property
@@ -135,12 +129,9 @@ class PositionWalkParams:
     generator_mode: GeneratorMode = GeneratorMode.ISOTROPIC
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.tau, self.v_std, self.hbar))):
-            raise ValueError("tau, v_std and hbar must be finite")
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if self.v_std <= 0 or self.hbar <= 0:
-            raise ValueError("v_std and hbar must be positive")
+        if not 0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and nonnegative, got {self.tau}")
+        require_positive(v_std=self.v_std, hbar=self.hbar)
         if not 0 < self.absorb_eps <= 0.1:
             raise ValueError("absorb_eps must lie in (0, 0.1]")
         if not 1 <= self.max_steps < 2**63:  # step counts are int64
@@ -708,8 +699,7 @@ def gabor_state(m, n, sigma: float, grid: Grid) -> GridWaveFunction:
     α = √(2π)σ and β = 2π/α, the critical frame density.  The state is the
     width-σ packet centred at αn carrying momentum βm (ħ = 1 units).
     """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    require_positive(sigma=sigma)
     m = np.atleast_1d(np.asarray(m, dtype=float))
     n = np.atleast_1d(np.asarray(n, dtype=float))
     if m.shape != n.shape:
@@ -758,8 +748,7 @@ def magnitude_estimates(
     """
     from scipy import constants  # slow to import; only the estimates need it
 
-    if wavelength <= 0 or mass <= 0 or temperature <= 0:
-        raise ValueError("wavelength, mass and temperature must be positive")
+    require_positive(wavelength=wavelength, mass=mass, temperature=temperature)
     h, c, hbar = constants.h, constants.c, constants.hbar
     compton_shift = (h / (mass * c)) * (1 - math.cos(math.pi / 2))
     photon_in = h * c / wavelength

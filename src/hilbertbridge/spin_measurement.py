@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from hilbertbridge.state_geometry import hopf_map
+from hilbertbridge.state_geometry import hopf_map, require_positive, require_state
 from hilbertbridge.stats_util import (RngStream, TestReport, check_seed,
                                       direction_uniformity, range_processes,
                                       walk_ranges)
@@ -76,12 +76,8 @@ class SpinWalkParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not all(map(math.isfinite, (self.dt, self.field_std, self.mu, self.hbar))):
-            raise ValueError("dt, field_std, mu and hbar must be finite")
-        if self.dt <= 0 or self.field_std <= 0:
-            raise ValueError("dt and field_std must be positive")
-        if self.mu <= 0 or self.hbar <= 0:
-            raise ValueError("mu and hbar must be positive")
+        require_positive(dt=self.dt, field_std=self.field_std, mu=self.mu,
+                         hbar=self.hbar)
         if not 0 < self.absorb_eps <= 0.1:
             raise ValueError("absorb_eps must lie in (0, 0.1]")
         if not 1 <= self.max_steps < 2**63:  # step counts are int64
@@ -150,12 +146,7 @@ class IsotropyReport:
 
 
 def _as_unit_spinor(phi) -> np.ndarray:
-    phi = np.asarray(phi, dtype=complex)
-    if phi.shape != (2,):
-        raise ValueError("state must be a 2-component vector")
-    if not np.isfinite(phi).all() or abs(np.linalg.norm(phi) - 1.0) > 1e-10:
-        raise ValueError("state must be a finite unit vector")
-    return phi
+    return require_state(phi, tol=1e-10, size=2)
 
 
 def _height(phi: np.ndarray) -> float:

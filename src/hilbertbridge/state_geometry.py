@@ -10,6 +10,7 @@ states to Bloch vectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +29,7 @@ __all__ = [
     "oscillator_matrices",
     "require_anti_hermitian",
     "require_hermitian",
+    "require_positive",
     "require_state",
     "sectional_curvature",
     "state_sectional_curvature",
@@ -39,37 +41,55 @@ PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
-def require_state(phi, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a unit state vector (N ≥ 2)."""
+def require_positive(**scales: float) -> None:
+    """Refuse the first scale that is not a finite number greater than zero.
+
+    The message names the keyword: ``"<key> must be finite, got <v>"`` or
+    ``"<key> must be positive, got <v>"``.
+    """
+    for key, value in scales.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value}")
+        if value <= 0:
+            raise ValueError(f"{key} must be positive, got {value}")
+
+
+def require_state(phi, tol: float = 1e-12, size: int | None = None) -> np.ndarray:
+    """Validate and return a finite unit state vector of dimension ``size`` (any ≥ 2)."""
     phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 1 or phi.size < 2:
-        raise ValueError(f"state must be a vector of dimension ≥ 2, got shape {phi.shape}")
+    if phi.ndim != 1 or phi.size < 2 or size not in (None, phi.size):
+        raise ValueError(
+            f"state must be a vector of dimension {size or '≥ 2'}, got shape {phi.shape}"
+        )
+    if not np.isfinite(phi).all():
+        raise ValueError("state must be finite")
     norm = np.linalg.norm(phi)
     if abs(norm - 1.0) > tol:
         raise ValueError(f"state norm deviates from 1 by {abs(norm - 1.0):.3e}")
     return phi
 
 
-def require_hermitian(a, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return a Hermitian matrix."""
+def _require_square(a, what: str, sign: float, tol: float) -> np.ndarray:
+    """``a`` as a finite square matrix with a† = sign·a to within ``tol``."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"observable must be square, got shape {a.shape}")
+        raise ValueError(f"{what} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} must be finite")
     scale = max(np.linalg.norm(a), 1.0)
-    if np.linalg.norm(a - a.conj().T) > tol * scale:
-        raise ValueError("matrix is not Hermitian")
+    if np.linalg.norm(a - sign * a.conj().T) > tol * scale:
+        raise ValueError(f"matrix is not {'' if sign > 0 else 'anti-'}Hermitian")
     return a
 
 
+def require_hermitian(a, tol: float = 1e-12) -> np.ndarray:
+    """Validate and return a finite Hermitian matrix."""
+    return _require_square(a, "observable", 1.0, tol)
+
+
 def require_anti_hermitian(x, tol: float = 1e-12) -> np.ndarray:
-    """Validate and return an anti-Hermitian generator."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[0] != x.shape[1]:
-        raise ValueError(f"generator must be square, got shape {x.shape}")
-    scale = max(np.linalg.norm(x), 1.0)
-    if np.linalg.norm(x + x.conj().T) > tol * scale:
-        raise ValueError("matrix is not anti-Hermitian")
-    return x
+    """Validate and return a finite anti-Hermitian generator."""
+    return _require_square(x, "generator", -1.0, tol)
 
 
 def canonical_gauge(phi) -> np.ndarray:
@@ -96,7 +116,7 @@ class BlochPoint:
 
     def __post_init__(self) -> None:
         r2 = self.x**2 + self.y**2 + self.z**2
-        if abs(r2 - 1.0) > 1e-12:
+        if not abs(r2 - 1.0) <= 1e-12:  # also refuses NaN and ∞
             raise ValueError(f"|r|² = {r2!r} is not 1")
 
     def as_array(self) -> np.ndarray:
@@ -241,9 +261,7 @@ def hopf_map(phi) -> BlochPoint:
     x = 2 Re(φ₁ conj(φ₂)), y = −2 Im(φ₁ conj(φ₂)), z = |φ₂|² − |φ₁|²;
     phase-invariant, and (1, 0) maps to the south pole (0, 0, −1).
     """
-    phi = require_state(phi)
-    if phi.size != 2:
-        raise ValueError(f"Hopf map needs a 2-component state, got {phi.size}")
+    phi = require_state(phi, size=2)
     cross = phi[0] * np.conj(phi[1])
     n2 = abs(phi[0]) ** 2 + abs(phi[1]) ** 2
     return BlochPoint(

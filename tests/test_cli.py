@@ -21,14 +21,18 @@ REFUSALS = {
     "step-angle": ("[spin-born]\nseed = 1\ntrials = 8\nstep_angle = 0.2\n", 1,
                    "step angle 0.2 exceeds"),
     "n-cells": ("[position-born]\nseed = 1\ntrials = 8\nn_cells = 1\n", 1,
-                "length >= 2"),
+                "dimension ≥ 2"),
     "state-msd-trials": ("[state-msd]\nseed = 1\ntrials = 5\n", 3,
                          "at least 100 trials"),
     "tau-nan": ("[position-born]\nseed = 1\ntrials = 8\ntau = nan\n", 4, "finite"),
     "max-steps": (f"[position-born]\nseed = 1\ntrials = 8\nmax_steps = {10**23}\n",
                   4, "max_steps must lie in"),
     "dt-0": ("[diffusion]\nseed = 1\ntrials = 8\ndt = 0\n", 4,
-             "dt and t_final must be positive"),
+             "dt must be positive, got 0.0"),
+    # a valid key before the refused one must not take the blame
+    "diffusion-t-final-negative": ("[diffusion]\nseed = 1\ntrials = 8\n"
+                                   "diffusivity = 0.7\nt_final = -1\n", 5,
+                                   "t_final must be positive, got -1.0"),
     "temperature-negative": ("[estimates]\ntrials = 1\ntemperature = -1\n", 3,
                              "temperature must be positive"),
     "levels-1": ("[curvature]\ntrials = 1\nlevels = 1\n", 3,
@@ -64,21 +68,27 @@ REFUSALS = {
                                    "n_steps = -3\n", 4,
                                    "n_steps must be at least 1, got -3"),
     "decomposition-sigma-0": ("[decomposition]\ntrials = 1\nsigma = 0\n", 3,
-                              "sigma, mass and hbar must be positive"),
+                              "sigma must be positive, got 0.0"),
     "decomposition-mass-negative": ("[decomposition]\ntrials = 1\nmass = -1.2\n", 3,
-                                    "sigma, mass and hbar must be positive"),
-    "decomposition-spacing-0": ("[decomposition]\ntrials = 1\nspacing_frac = 0\n", 1,
-                                "spacing must be finite and positive"),
+                                    "mass must be positive, got -1.2"),
+    "decomposition-sigma-then-mass": ("[decomposition]\ntrials = 1\nsigma = 0.8\n"
+                                      "mass = -1.2\n", 4, "mass must be positive, got -1.2"),
+    "decomposition-spacing-0": ("[decomposition]\ntrials = 1\nspacing_frac = 0\n", 3,
+                                "spacing_frac must be positive, got 0.0"),
     "ehrenfest-sigma-negative": ("[ehrenfest]\ntrials = 1\nsigma = -1\n", 3,
-                                 "sigma, mass and hbar must be positive"),
+                                 "sigma must be positive, got -1.0"),
     "ehrenfest-mass-0": ("[ehrenfest]\ntrials = 1\nmass = 0\n", 3,
-                         "sigma, mass and hbar must be positive"),
-    "ehrenfest-spacing-negative": ("[ehrenfest]\ntrials = 1\nspacing_frac = -1e-3\n", 1,
-                                   "spacing must be finite and positive"),
+                         "mass must be positive, got 0.0"),
+    "ehrenfest-spacing-negative": ("[ehrenfest]\ntrials = 1\nspacing_frac = -1e-3\n", 3,
+                                   "spacing_frac must be positive, got -0.001"),
     "continuity-sigma-0": ("[continuity]\ntrials = 1\nsigma = 0\n", 3,
-                           "sigma, mass and hbar must be positive"),
-    "continuity-spacing-0": ("[continuity]\ntrials = 1\nspacing_frac = 0\n", 1,
-                             "spacing must be finite and positive"),
+                           "sigma must be positive, got 0.0"),
+    "continuity-spacing-0": ("[continuity]\ntrials = 1\nspacing_frac = 0\n", 3,
+                             "spacing_frac must be positive, got 0.0"),
+    # 2·10¹³ grid points: petabytes, over the budget of any machine
+    **{f"{name}-spacing-tiny": (f"[{name}]\ntrials = 1\nspacing_frac = 1e-12\n", 3,
+                                "GiB budget (half of physical memory); raise spacing_frac")
+       for name in ("decomposition", "ehrenfest", "continuity")},
 }
 
 
@@ -162,7 +172,7 @@ class TestRun:
     @pytest.mark.parametrize("args, message", [
         (["spin-born", "--z0", "2"], "z must lie in"),
         (["spin-born", "--step-angle", "0.2"], "step angle 0.2 exceeds"),
-        (["position-born", "--n-cells", "1"], "length >= 2"),
+        (["position-born", "--n-cells", "1"], "dimension ≥ 2"),
         (["state-msd", "--trials", "5"], "at least 100 trials"),
         (["position-born", "--trials", "8", "--max-steps", str(10**23)],
          "max_steps must lie in"),

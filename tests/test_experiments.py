@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -442,6 +443,25 @@ class TestMemoryBudget:
         with pytest.raises(ex.MemoryBudgetError):
             ex.prepare(ex.ExperimentConfig("spin-born", seed=1, trials=10_000,
                                            format="json"))
+
+    @pytest.mark.parametrize("experiment", ["decomposition", "ehrenfest", "continuity"])
+    def test_packet_grid_peak_stays_under_estimate(self, experiment, tmp_path,
+                                                   monkeypatch):
+        cfg = ex.ExperimentConfig(experiment, {"spacing_frac": 1e-4},
+                                  output_dir=str(tmp_path))
+        inputs = ex.prepare(cfg)
+        assert inputs[1].extent[0] > 10**5
+        tracemalloc.start()
+        try:
+            ex.REGISTRY[experiment].runner(cfg, *inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ex._GRID_POINT_BYTES * inputs[1].extent[0]
+        # so a budget the run would exceed refuses it
+        monkeypatch.setattr(ex, "memory_budget", lambda: peak)
+        with pytest.raises(ex.MemoryBudgetError, match="raise spacing_frac"):
+            ex.prepare(cfg)
 
     def test_cli_exits_2_with_message(self, four_gib, tmp_path, capsys):
         rc = cli.main(["spin-born", "--seed", "1", "--trials", "5000000",
