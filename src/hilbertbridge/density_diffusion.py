@@ -226,9 +226,15 @@ def brownian_ensemble(params: DiffusionParams) -> BrownianResult:
     pos = np.zeros((params.walkers, 3))
     times = np.arange(n_steps + 1) * params.dt
     msd = np.zeros(n_steps + 1)
+    sq = np.empty_like(pos)
+    r2 = np.empty(params.walkers)
     for k in range(1, n_steps + 1):
         pos += gen.normal(0.0, step_std, size=pos.shape)
-        msd[k] = float((pos**2).sum(axis=1).mean())
+        # (x₀² + x₁²) + x₂², the order in which (pos**2).sum(axis=1) adds
+        np.square(pos, out=sq)
+        np.add(sq[:, 0], sq[:, 1], out=r2)
+        r2 += sq[:, 2]
+        msd[k] = float(r2.mean())
     return BrownianResult(
         times=times,
         mean_square_displacement=msd,

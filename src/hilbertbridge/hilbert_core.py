@@ -236,8 +236,12 @@ def grid_covering(
     require_positive(spacing=spacing)
     lo = c.min(axis=0) - margin
     hi = c.max(axis=0) + margin
-    extent = tuple(int(np.ceil((hi[i] - lo[i]) / spacing)) + 1 for i in range(spec.dim))
-    return Grid(lo, spacing, extent)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        steps = np.ceil(span / spacing)
+    if not np.isfinite(steps).all():
+        raise ValueError(f"spacing {spacing} over the span {span} gives a non-finite extent")
+    return Grid(lo, spacing, tuple(int(n) + 1 for n in steps))
 
 
 def delta_approximant(

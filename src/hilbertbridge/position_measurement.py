@@ -675,7 +675,8 @@ def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
     """
     _require_isotropic(params)
     start, n = state0.amplitudes, len(state0)
-    gens = [RngStream(params.seed, t).generator() for t in range(trials)]
+    if params.tau > 0:
+        gens = [RngStream(params.seed, t).generator() for t in range(trials)]
     states = np.tile(start, (trials, 1))
     out = np.zeros(n_steps + 1)
     hams = []  # the drawn kicks not yet applied

@@ -197,15 +197,16 @@ def run_walk(phi0, params: SpinWalkParams, stream_id: int = 0) -> WalkOutcome:
 # vectorized ensemble
 
 
-# A block of fields holds at most about _BLOCK_BUDGET trial-steps: the block
+# A block of fields holds about _BLOCK_BUDGET trial-steps (6 MiB): the block
 # length is that budget over the survivors, clipped so that the per-trial
-# refill and the per-step overhead stay amortised.
-_BLOCK_BUDGET = 1 << 20
+# refill and the per-step overhead stay amortised.  A wide batch's block of
+# _MIN_BLOCK kicks can exceed the budget, up to 2²⁰ trial-steps at _MAX_BATCH.
+_BLOCK_BUDGET = 1 << 18
 _MIN_BLOCK, _MAX_BLOCK = 32, 256
-# widest batch whose shortest block still fits the budget
-_MAX_BATCH = _BLOCK_BUDGET // _MIN_BLOCK
+# widest batch; each batch pays its own absorption tail, so fewer are faster
+_MAX_BATCH = 1 << 15
 # kicks (coefficient planes and kicked states) held between two absorption scans
-_SCAN = 32
+_SCAN = 16
 # trials whose draws are transposed together (their rows stay in cache)
 _TILE = 64
 
@@ -401,16 +402,18 @@ MIN_TRIALS_PER_PROCESS = 1024
 def ensemble_bytes(trials: int) -> int:
     """Rough peak bytes of :func:`run_ensemble` over all its processes.
 
-    Each process holds a block of fields of up to 2²⁰ trial-steps (24 MiB)
-    and, per trial of its widest batch, a scan window of coefficient planes
-    (3 KiB), a ring of states (1 KiB), a generator (about 0.6 KiB) and scan
-    masks, scratch and outputs (0.15 KiB).  The returned columns take 41
-    bytes a trial, held twice while the batches' columns are joined, and the
-    outcome table 8 more.
+    Each process holds a block of fields of 24 bytes a trial-step: about
+    2¹⁸ trial-steps (6 MiB), but at least 32 kicks and at most 256 for each
+    trial of its widest batch.  Per trial it also holds a 16-kick scan window
+    of coefficient planes (1.5 KiB) and a ring of states (0.5 KiB), a
+    generator (about 0.6 KiB) and scan masks, scratch and outputs
+    (0.15 KiB).  The returned columns take 41 bytes a trial, held twice
+    while the batches' columns are joined, and the outcome table 8 more.
     """
     processes = range_processes(trials, MIN_TRIALS_PER_PROCESS)
     width = min(-(-trials // processes), _MAX_BATCH)
-    return processes * (3 * 8 * _BLOCK_BUDGET + 4864 * width) + 90 * trials
+    block = min(max(_BLOCK_BUDGET, _MIN_BLOCK * width), _MAX_BLOCK * width)
+    return processes * (3 * 8 * block + (128 * _SCAN + 768) * width) + 90 * trials
 
 
 def run_ensemble(
@@ -428,8 +431,8 @@ def run_ensemble(
     up to 2¹⁵ trials (``_MAX_BATCH``).  This process walks the first range
     and forked processes walk the others, returning int8 outcome codes,
     step counts and final states; a start already inside the cap absorbs at
-    once and forks nothing.  Fields are drawn in blocks of about 2²⁰
-    trial-steps and turned into kick coefficients one 32-kick scan window at
+    once and forks nothing.  Fields are drawn in blocks of about 2¹⁸
+    trial-steps and turned into kick coefficients one 16-kick scan window at
     a time, so memory stays bounded whatever ``max_steps`` is.  Every trial
     is a pure function of its substream ``(seed, trial)``, the same bits at
     any batch width and process count.

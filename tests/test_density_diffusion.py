@@ -350,6 +350,22 @@ class TestBrownian:
         r = np.linalg.norm(out.final_positions, axis=1)
         assert np.percentile(r, 99) < 5 * np.sqrt(6 * params.t_final)
 
+    def test_msd_equals_per_step_sum_of_squares(self):
+        # the per-step walk with the mean of (pos**2).sum(axis=1), bit for bit
+        params = DiffusionParams(
+            diffusivity=0.7, walkers=10_000, dt=0.02, t_final=0.2, seed=19
+        )
+        gen = RngStream(params.seed).generator()
+        step_std = np.sqrt(2 * params.diffusivity * params.dt)
+        pos = np.zeros((params.walkers, 3))
+        want = np.zeros(11)
+        for k in range(1, 11):
+            pos += gen.normal(0.0, step_std, size=pos.shape)
+            want[k] = float((pos**2).sum(axis=1).mean())
+        out = brownian_ensemble(params)
+        assert out.mean_square_displacement.tobytes() == want.tobytes()
+        assert out.final_positions.tobytes() == pos.tobytes()
+
     def test_seeded_reproducibility(self):
         params = DiffusionParams(
             diffusivity=0.5, walkers=10_000, dt=0.05, t_final=0.2, seed=11
@@ -462,7 +478,7 @@ def _msd_per_step_reference(start, params, n_steps, trials):
             PositionWalkParams(tau=0.0, v_std=1.0, seed=9), 11,
             id="start2-params2",
         ),
-        # 300 spin kicks cross 32-kick scan windows and a 256-kick block
+        # 300 spin kicks cross 16-kick scan windows and a 256-kick block
         pytest.param(
             np.array([0.8, 0.6], dtype=complex),
             SpinWalkParams(dt=0.04, field_std=1.0, seed=10), 300,

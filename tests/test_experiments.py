@@ -428,8 +428,10 @@ class TestMemoryBudget:
 
         spin = estimate(sm.ensemble_bytes)
         assert spin(1, 10_000) < spin(1, 1_000_000) < spin(2, 1_000_000)
-        # one process holds a 24 MiB block of fields
-        assert spin(1, 10_000) > 24 * 2**20
+        # one process holds a block of fields, 24 bytes a trial-step: 2¹⁸
+        # trial-steps (6 MiB), but at least 32 kicks for each trial
+        assert spin(1, 2_000) > 24 * 2**18
+        assert spin(1, 10_000) > 24 * 32 * 10_000
         # past one batch, a cell-walk trial adds its cell and steps (16 bytes)
         # and its final state (16·N bytes), held twice while batches are joined
         cell = estimate(pm.ensemble_bytes)

@@ -142,6 +142,13 @@ def test_grids_refuse_bad_spacing(spacing):
         GridWaveFunction(np.zeros(5, dtype=complex), [0.0], spacing)
 
 
+@pytest.mark.parametrize("centers, spacing", [([[0.0]], 5e-324), ([[-1e308], [1e308]], 1.0),
+                                              ([[np.inf]], 0.1), ([[np.nan]], 0.1)])
+def test_grid_covering_refuses_a_non_finite_extent(centers, spacing):
+    with pytest.raises(ValueError, match="non-finite extent"):
+        grid_covering(SPEC1, centers, spacing=spacing)
+
+
 def test_wave_function_extent_is_its_shape():
     psi = GridWaveFunction(np.ones((3, 4)), [0.0, 1.0], 0.5)
     assert psi.extent == (3, 4) and psi.dim == 2

@@ -245,8 +245,8 @@ def test_ensemble_absorption_on_scan_window_and_block_edges():
 
 @pytest.mark.parametrize("max_steps", [20, 300])
 def test_ensemble_step_budget_off_the_block_grid(max_steps):
-    # 20 kicks end inside the first scan window; 300 = one block of 256
-    # plus a partial window; both leave survivors UNRESOLVED
+    # 20 kicks end inside the second scan window; 300 = one block of 256
+    # plus partial windows; both leave survivors UNRESOLVED
     p = short_walks(max_steps=max_steps, seed=6)
     results, steps, _ = assert_matches_run_walk(state_with_height(0.75), 120, p)
     unresolved = results == WalkResult.UNRESOLVED
@@ -261,7 +261,7 @@ def test_ensemble_matches_scalar_walks_at_other_field_std():
 
 
 def test_free_walk_msd_equals_per_kick_reference():
-    # 40 kicks cross the edge of the first 32-kick scan window
+    # 40 kicks cross the edges of the first two 16-kick scan windows
     p, trials, n_steps = params(seed=12), 50, 40
     phi0 = state_with_height(0.3)
     gens = [RngStream(p.seed, t).generator() for t in range(trials)]
@@ -275,9 +275,9 @@ def test_free_walk_msd_equals_per_kick_reference():
 
 
 def test_walk_peak_memory_is_one_field_block_and_scan_windows(monkeypatch):
-    # 4096 trials walk one full block of 256 kicks in this process: a 24 MiB
-    # block of fields, 32-kick windows of planes and states, and generators
-    # (coefficient planes for the whole block took about 130 MiB)
+    # 4096 trials walk four blocks of 64 kicks in this process: a 6 MiB
+    # block of fields, 16-kick windows of planes and states, and generators
+    # (coefficient planes for a whole 256-kick block took about 130 MiB)
     monkeypatch.setenv("HB_THREADS", "1")
     tracemalloc.start()
     try:
@@ -285,7 +285,7 @@ def test_walk_peak_memory_is_one_field_block_and_scan_windows(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 20 * 2**20
     assert peak <= sm.ensemble_bytes(4096)
 
 
@@ -302,6 +302,25 @@ def test_ensemble_batches_concatenate_to_unsplit_run(monkeypatch):
         assert split[0][t] is solo.result
         assert split[1][t] == solo.steps
         assert split[2][t].tobytes() == solo.final_state.tobytes()
+
+
+def test_block_and_window_lengths_leave_the_bytes_unchanged(monkeypatch):
+    # 2000 trials start in blocks of 256, 131 and 32 kicks at these budgets,
+    # scanned in windows of 32, 16 and 5 kicks; 300 kicks leave some walks
+    # UNRESOLVED
+    monkeypatch.setenv("HB_THREADS", "1")
+    p = short_walks(max_steps=300, seed=13)
+    phi0 = state_with_height(0.2)
+    runs = []
+    for budget in (1 << 20, 1 << 18, 1 << 12):
+        for scan in (32, 16, 5):
+            monkeypatch.setattr(sm, "_BLOCK_BUDGET", budget)
+            monkeypatch.setattr(sm, "_SCAN", scan)
+            runs.append(run_ensemble(phi0, 2000, p))
+    for run in runs[1:]:
+        assert_same_run(run, runs[0])
+    unresolved = runs[0][0] == WalkResult.UNRESOLVED
+    assert unresolved.any() and (~unresolved).any()
 
 
 @pytest.fixture
