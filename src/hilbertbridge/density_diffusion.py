@@ -27,8 +27,7 @@ __all__ = [
     "DiffusionParams",
     "BrownianResult",
     "StateMsd",
-    "check_msd_trials",
-    "check_msd_steps",
+    "check_msd",
     "evolve_grid",
     "probability_current",
     "continuity_residual",
@@ -275,14 +274,10 @@ class StateMsd:
 MIN_MSD_TRIALS = 100
 
 
-def check_msd_trials(trials: int) -> None:
-    """Refuse fewer trials than :func:`state_density_msd` averages over."""
+def check_msd(trials: int, n_steps: int) -> None:
+    """Refuse fewer trials than :func:`state_density_msd` averages over, or no kick."""
     if trials < MIN_MSD_TRIALS:
         raise ValueError(f"need at least {MIN_MSD_TRIALS} trials")
-
-
-def check_msd_steps(n_steps: int) -> None:
-    """Refuse a :func:`state_density_msd` series without a kick."""
     if n_steps < 1:
         raise ValueError(f"n_steps must be at least 1, got {n_steps}")
 
@@ -295,8 +290,7 @@ def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     kicked by its absorbing engine's block loop.  No absorption is
     applied — this probes the free early-time diffusion of the state.
     """
-    check_msd_trials(trials)
-    check_msd_steps(n_steps)
+    check_msd(trials, n_steps)
     if isinstance(params, spin_measurement.SpinWalkParams):
         walk = spin_measurement
     elif isinstance(params, position_measurement.PositionWalkParams):

@@ -555,7 +555,7 @@ def _run_reconstruct(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
         ("harmonic", x_op, 0.5 * (x_op @ x_op)),
     ):
         h_rec, rank, n_params = packet_dynamics.reconstruct_hamiltonian(
-            x_op, p_op, grad_v, potential_op=v_op, full_output=True
+            x_op, p_op, grad_v, potential_op=v_op
         )
         h_true = (p_op @ p_op) / 2 + v_op
         diff = np.linalg.norm(h_rec[keep, keep] - h_true[keep, keep])
@@ -777,8 +777,7 @@ def _run_diffusion(cfg: ExperimentConfig, params) -> ExperimentResult:
 
 
 def _state_msd_inputs(cfg: ExperimentConfig) -> tuple:
-    density_diffusion.check_msd_trials(cfg.resolved_trials)
-    density_diffusion.check_msd_steps(int(cfg.parameters["n_steps"]))
+    density_diffusion.check_msd(cfg.resolved_trials, int(cfg.parameters["n_steps"]))
     basis = np.eye(1, int(cfg.parameters["n_cells"]), dtype=complex)[0]
     return _spin_params(cfg), _cell_params(cfg), position_measurement.CellState(basis)
 

@@ -76,10 +76,6 @@ class PotentialField:
         return cls(lambda x: np.zeros(x.shape[:-1]), lambda x: np.zeros_like(x))
 
     @classmethod
-    def constant(cls, c: float) -> "PotentialField":
-        return cls(lambda x: np.full(x.shape[:-1], float(c)), lambda x: np.zeros_like(x))
-
-    @classmethod
     def linear(cls, force) -> "PotentialField":
         """V(x) = −F·x (constant force F)."""
         f = np.atleast_1d(np.asarray(force, dtype=float))
@@ -350,8 +346,7 @@ def reconstruct_hamiltonian(
     potential_op: np.ndarray | None = None,
     mass: float = 1.0,
     hbar: float = 1.0,
-    full_output: bool = False,
-):
+) -> tuple[np.ndarray, int, int]:
     """Solve i[H, x̂] = (ħ/m)p̂ and i[H, p̂] = −ħ·∇V for Hermitian H.
 
     The equations are imposed only on matrix entries with both indices in the
@@ -361,7 +356,7 @@ def reconstruct_hamiltonian(
     p̂²/2m + V̂ over the interior block — the trace condition restricted to the
     entries the equations actually determine.
 
-    Returns H, or (H, rank, n_params) when full_output is set; a rank smaller
+    Returns (H, rank, n_params) of the least-squares system; a rank smaller
     than n_params is expected (the additive constant plus the untouched top
     band never enter the equations).
     """
@@ -418,7 +413,4 @@ def reconstruct_hamiltonian(
     reference = p_op @ p_op / (2 * mass) + potential_op
     band = interior_slice(n, pad=4)
     shift = np.mean(np.diag(reference)[band].real) - np.mean(np.diag(h_rec)[band].real)
-    h_rec = h_rec + shift * np.eye(n)
-    if full_output:
-        return h_rec, int(rank), n_params
-    return h_rec
+    return h_rec + shift * np.eye(n), int(rank), n_params

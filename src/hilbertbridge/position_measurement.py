@@ -28,7 +28,7 @@ import numpy as np
 from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.state_geometry import require_positive, require_state
-from hilbertbridge.stats_util import (RngStream, TestReport, check_seed,
+from hilbertbridge.stats_util import (RngStream, TestReport, check_seed, check_trials,
                                       range_processes, walk_ranges)
 
 __all__ = [
@@ -40,7 +40,7 @@ __all__ = [
     "VelocityIsotropyReport",
     "EstimateReport",
     "discretize",
-    "diag_potential_step",
+    "run_diagonal_walk",
     "velocity_isotropy_diagnostic",
     "hermitian_generator",
     "isotropic_step",
@@ -219,35 +219,19 @@ def discretize(
 # walk steps
 
 
-def diag_potential_step(
-    state: CellState, rng: np.random.Generator, params: PositionWalkParams
-) -> CellState:
-    """Random diagonal phase kick exp(−iτ(V_n − V̄)/ħ).
-
-    V̄ is the state expectation Σ V_n |C_n|², so the kick is tangent to the
-    fibre; the moduli |C_n| are untouched — measurement-as-collapse cannot
-    come from this step alone.
-    """
-    c = state.amplitudes
-    v = rng.normal(0.0, params.v_std, size=c.size)
-    vbar = float(np.dot(v, np.abs(c) ** 2))
-    phases = np.exp(-1j * params.tau * (v - vbar) / params.hbar)
-    return CellState(phases * c)
-
-
 def run_diagonal_walk(
     state: CellState, steps: int, rng: np.random.Generator,
     params: PositionWalkParams,
 ) -> CellState:
-    """Compose ``steps`` diagonal kicks and apply them in a single pass.
+    """``steps`` random diagonal phase kicks exp(−iτ(V_n − V̄)/ħ), applied at once.
 
-    Diagonal kicks commute and the moduli they are weighted by never change,
-    so the product of the step unitaries is the diagonal of the accumulated
-    phase sums.  Summing the phases in real arithmetic and multiplying once
-    evaluates that product with a single rounding instead of one per step —
-    iterating ``diag_potential_step`` instead lets ~1 ulp of modulus error
-    per multiply random-walk up to ~sqrt(steps) ulps.  Draws consume the
-    generator exactly as the per-step form does.
+    V̄ is the state expectation Σ V_n |C_n|², so each kick is tangent to the
+    fibre; the moduli |C_n| are untouched — measurement-as-collapse cannot
+    come from these kicks alone.  The kicks commute and their weights never
+    change, so the phases are summed in real arithmetic and applied with one
+    complex multiply: one rounding instead of the ~sqrt(steps) ulps of
+    modulus error that iterating one-step walks accumulates.  Draws consume
+    the generator exactly as ``steps`` one-step walks do.
     """
     if steps < 1:
         raise ValueError("steps must be at least 1")
@@ -579,6 +563,7 @@ def run_position_ensemble(
     ``_BATCH`` trials; a start already inside the cap absorbs at once and
     forks nothing.
     """
+    check_trials(trials)
     walk = functools.partial(_walk_batch, state0, params)
     if _start_cell(state0, params) >= 0:
         return walk(trials, 0)[:2]

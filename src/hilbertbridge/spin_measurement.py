@@ -22,8 +22,8 @@ from typing import Callable
 
 import numpy as np
 
-from hilbertbridge.state_geometry import hopf_map, require_positive, require_state
-from hilbertbridge.stats_util import (RngStream, TestReport, check_seed,
+from hilbertbridge.state_geometry import require_positive, require_state
+from hilbertbridge.stats_util import (RngStream, TestReport, check_seed, check_trials,
                                       direction_uniformity, range_processes,
                                       walk_ranges)
 
@@ -31,14 +31,12 @@ __all__ = [
     "WalkResult",
     "SpinWalkParams",
     "WalkOutcome",
-    "BornHistogram",
     "IsotropyReport",
     "pauli_step",
     "sample_field",
     "run_walk",
     "run_ensemble",
     "ensemble_bytes",
-    "born_statistics",
     "tangent_displacements",
     "isotropy_test",
     "lattice_ruin_probability",
@@ -104,29 +102,6 @@ class WalkOutcome:
     result: WalkResult
     steps: int
     final_state: np.ndarray
-
-
-@dataclasses.dataclass(frozen=True)
-class BornHistogram:
-    """Absorption counts with the height-based theoretical reference."""
-
-    trials: int
-    n_up: int
-    n_down: int
-    n_unresolved: int
-    reference_down: float
-
-    @property
-    def p_up(self) -> float:
-        return self.n_up / self.trials
-
-    @property
-    def p_down(self) -> float:
-        return self.n_down / self.trials
-
-    @property
-    def p_unresolved(self) -> float:
-        return self.n_unresolved / self.trials
 
 
 @dataclasses.dataclass(frozen=True)
@@ -350,7 +325,7 @@ def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
     codes = np.full(trials, _UNRESOLVED if start is None else start, dtype=np.int8)
     steps_out = np.full(trials, params.max_steps if start is None else 0, dtype=np.int64)
     finals = np.tile(phi0, (trials, 1))
-    if start is not None:
+    if start is not None or trials == 0:
         return codes, steps_out, finals
     zc = params.absorb_z
     gens = [RngStream(params.seed, t + trial_offset).generator() for t in range(trials)]
@@ -437,6 +412,7 @@ def run_ensemble(
     is a pure function of its substream ``(seed, trial)``, the same bits at
     any batch width and process count.
     """
+    check_trials(trials)
     phi0 = _as_unit_spinor(phi0)
     walk = functools.partial(_walk_batch, phi0, params)
     if _start_code(phi0, params) is not None:
@@ -445,24 +421,6 @@ def run_ensemble(
         codes, steps_out, finals = walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS,
                                                _MAX_BATCH)
     return _OUTCOMES[codes], steps_out, finals
-
-
-def born_statistics(phi0, trials: int, params: SpinWalkParams) -> BornHistogram:
-    """Empirical UP/DOWN frequencies with the (1 − z₀)/2 ruin reference.
-
-    The reference is read off the Hopf height of the initial state, i.e.
-    from where the walk starts on the sphere, not from the amplitudes.
-    """
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    phi0 = _as_unit_spinor(phi0)
-    z0 = hopf_map(phi0).z
-    results, _, _ = run_ensemble(phi0, trials, params)
-    n_up = int(np.sum(results == WalkResult.UP))
-    n_down = int(np.sum(results == WalkResult.DOWN))
-    return BornHistogram(trials=trials, n_up=n_up, n_down=n_down,
-                         n_unresolved=trials - n_up - n_down,
-                         reference_down=(1.0 - z0) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +505,7 @@ def lattice_ruin_probability(z0: float, delta: float = 0.01) -> float:
     absorbing ends; ``z0`` must be a lattice point.  Linear algebra only —
     no sampling — so it serves as an independent reference for (1 − z)/2.
     """
+    require_positive(delta=delta)
     n = round(2.0 / delta)
     if abs(n * delta - 2.0) > 1e-12:
         raise ValueError("delta must divide the interval [−1, 1]")

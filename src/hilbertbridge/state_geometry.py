@@ -215,20 +215,17 @@ def state_sectional_curvature(a, b, phi) -> float:
 
     Same quotient as `sectional_curvature` but with the Gram data of the
     centered tangent vectors X = −i(A−⟨A⟩)φ, Y = −i(B−⟨B⟩)φ and the field
-    bracket −i[A,B]φ in the state's own inner product.
+    bracket −i[A,B]φ in the state's own inner product.  The denominator is
+    the area² of the (X, Y) parallelogram that `uncertainty_identity`
+    returns.
     """
-    _, x = fibre_decompose(a, phi)
-    _, y = fibre_decompose(b, phi)
+    product, area_sq, _ = uncertainty_identity(a, b, phi)
     a = require_hermitian(a)
     b = require_hermitian(b)
     bracket = -1j * ((a @ b - b @ a) @ phi)
-    nx2 = float(np.real(np.vdot(x, x)))
-    ny2 = float(np.real(np.vdot(y, y)))
-    xy = float(np.real(np.vdot(x, y)))
-    denom = nx2 * ny2 - xy**2
-    if denom <= 1e-14 * max(nx2 * ny2, 1e-300):
+    if area_sq <= 1e-14 * max(product, 1e-300):
         raise ValueError("fields span a degenerate plane")
-    return 0.25 * float(np.real(np.vdot(bracket, bracket))) / denom
+    return 0.25 * float(np.real(np.vdot(bracket, bracket))) / area_sq
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ __all__ = [
     "SparseTableError",
     "TestReport",
     "check_seed",
+    "check_trials",
     "chi_square_gof",
     "cpu_count",
     "direction_uniformity",
@@ -50,6 +51,12 @@ def check_seed(seed: int) -> None:
     """Refuse a seed that does not fit the 64-bit word of the Philox key."""
     if not 0 <= int(seed) < 2**64:
         raise ValueError("seed must fit in 64 bits")
+
+
+def check_trials(trials: int) -> None:
+    """Refuse a negative trial count; zero trials walk to empty columns."""
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
 
 
 def cpu_count() -> int:

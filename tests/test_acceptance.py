@@ -25,6 +25,8 @@ from hilbertbridge import spin_measurement as sm
 from hilbertbridge import state_geometry as sg
 from hilbertbridge.stats_util import RngStream, chi_square_gof, two_proportion_z
 
+pytestmark = pytest.mark.slow
+
 SEED = 20260813
 
 
@@ -199,7 +201,7 @@ def test_c08_hamiltonian_uniqueness(capsys):
     keep = pd.interior_slice(n)
     worst = 0.0
     for grad_v, v_op in ((zero, zero), (x_op, 0.5 * (x_op @ x_op))):
-        h_rec = pd.reconstruct_hamiltonian(x_op, p_op, grad_v, potential_op=v_op)
+        h_rec, _, _ = pd.reconstruct_hamiltonian(x_op, p_op, grad_v, potential_op=v_op)
         h_true = (p_op @ p_op) / 2 + v_op
         rel = np.linalg.norm(h_rec[keep, keep] - h_true[keep, keep]) / np.linalg.norm(
             h_true[keep, keep]
@@ -285,7 +287,7 @@ def test_c10_diagonal_model(capsys):
     gen2.normal(size=8), gen2.normal(size=8)  # consume the state draw
     naive = 0.0
     for _ in range(100):
-        state = pm.diag_potential_step(state, gen2, params)
+        state = pm.run_diagonal_walk(state, 1, gen2, params)
         naive = max(naive, float(np.max(np.abs(np.abs(state.amplitudes) - mod0))))
     ok = drift <= 1e-15 and naive <= 1e-14
     _report(capsys, f"criterion 10 diagonal-model: {'PASS' if ok else 'FAIL'}  "

@@ -312,6 +312,32 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+# (trials, parameters) small enough to run the whole registry in a few seconds;
+# the experiments not listed run at their registry defaults
+SMALL_RUNS = {
+    "spin-born": (400, {}),
+    "position-born": (200, {"n_cells": 3}),
+    "isotropy": (100, {"n_cells": 3}),
+    "born-bridge": (2, {}),
+    "diffusion": (10_000, {}),
+    "state-msd": (100, {}),
+}
+
+
+@pytest.mark.parametrize("name", ex.REGISTRY)
+def test_every_experiment_writes_both_files_and_reruns_to_the_same_bytes(name, tmp_path):
+    trials, parameters = SMALL_RUNS.get(name, (None, {}))
+    blobs = []
+    for run_dir in ("a", "b"):
+        cfg = ex.ExperimentConfig(name, parameters, seed=7, trials=trials,
+                                  output_dir=str(tmp_path / run_dir))
+        ex.run(cfg)
+        paths = [tmp_path / run_dir / f"{name}-{part}" for part in ("trials.csv",
+                                                                   "summary.json")]
+        blobs.append([path.read_bytes() for path in paths])
+    assert blobs[0] == blobs[1]
+
+
 class TestWalksAgainstReference:
     """Trials files of the walk experiments against the per-kick reference walks."""
 

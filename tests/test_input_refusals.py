@@ -20,8 +20,10 @@ from hilbertbridge.hilbert_core import (ClassicalPath, Grid, KernelSpec, action_
                                         grid_covering)
 from hilbertbridge.packet_dynamics import GaussianPacket
 from hilbertbridge.position_measurement import (CellLattice, CellState, PositionWalkParams,
-                                                gabor_state, magnitude_estimates)
-from hilbertbridge.spin_measurement import SpinWalkParams, pauli_step
+                                                gabor_state, magnitude_estimates,
+                                                run_position_ensemble)
+from hilbertbridge.spin_measurement import (SpinWalkParams, lattice_ruin_probability,
+                                            pauli_step, run_ensemble)
 from hilbertbridge.state_geometry import (BlochPoint, hopf_map, require_anti_hermitian,
                                           require_hermitian, require_positive, require_state)
 
@@ -63,6 +65,8 @@ SCALES = {
     "fs_euclid_relation-sigma": ("sigma", lambda v: fs_euclid_relation([0.0], [1.0], v)),
     "born_normal_equivalence-sigma": ("sigma",
                                       lambda v: born_normal_equivalence([0.0], [1.0], v)),
+    "lattice_ruin_probability-delta": ("delta",
+                                       lambda v: lattice_ruin_probability(0.4, delta=v)),
     **{f"action-equivalence-{k}": (k, _prepare("action-equivalence", k))
        for k in ("omega", "amplitude", "mass", "sigma")},
     **{f"{name}-{k}": (k, _prepare(name, k))
@@ -93,6 +97,27 @@ def test_require_positive_refuses_the_first_bad_scale():
         require_positive(a=1.0, b=math.nan, c=0.0)
     with pytest.raises(ValueError, match=re.escape("c must be positive, got -0.0")):
         require_positive(a=1.0, c=-0.0)
+
+
+# walk -> (engine, start inside the cap, start outside it, params)
+WALKS = {
+    "spin": (run_ensemble, np.array([0.0, 1.0]), np.array([1.0, 1.0]) / math.sqrt(2),
+             SpinWalkParams(dt=0.01, field_std=1.0)),
+    "cell": (run_position_ensemble, CellState([1.0, 0.0]),
+             CellState(np.array([1.0, 1.0]) / math.sqrt(2)),
+             PositionWalkParams(tau=0.01, v_std=1.0)),
+}
+
+
+@pytest.mark.parametrize("inside", (True, False), ids=["in-cap", "outside"])
+@pytest.mark.parametrize("walk", WALKS.values(), ids=WALKS)
+def test_walks_return_empty_columns_for_no_trials_and_refuse_negative_counts(walk, inside):
+    engine, in_cap, outside, params = walk
+    start = in_cap if inside else outside
+    columns = engine(start, 0, params)
+    assert [len(c) for c in columns] == [0] * len(columns)
+    with pytest.raises(ValueError, match=re.escape("trials must be nonnegative, got -5")):
+        engine(start, -5, params)
 
 
 STATES = {

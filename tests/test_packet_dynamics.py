@@ -343,7 +343,7 @@ def test_projective_speed_equals_energy_uncertainty():
 def test_reconstruct_free_hamiltonian():
     n = 24
     x, p = oscillator_matrices(n)
-    h = reconstruct_hamiltonian(x, p, grad_v_op=np.zeros((n, n)), mass=1.0)
+    h, _, _ = reconstruct_hamiltonian(x, p, grad_v_op=np.zeros((n, n)), mass=1.0)
     ref = p @ p / 2
     band = interior_slice(n)
     err = np.linalg.norm(h[band, band] - ref[band, band]) / np.linalg.norm(
@@ -356,7 +356,7 @@ def test_reconstruct_free_hamiltonian():
 def test_reconstruct_harmonic_hamiltonian():
     n = 24
     x, p = oscillator_matrices(n)
-    h = reconstruct_hamiltonian(x, p, grad_v_op=x, potential_op=x @ x / 2)
+    h, _, _ = reconstruct_hamiltonian(x, p, grad_v_op=x, potential_op=x @ x / 2)
     ref = p @ p / 2 + x @ x / 2
     band = interior_slice(n)
     err = np.linalg.norm(h[band, band] - ref[band, band]) / np.linalg.norm(
@@ -382,9 +382,7 @@ def test_additive_constant_is_unconstrained():
 def test_reconstruction_reports_expected_rank_deficiency():
     n = 12
     x, p = oscillator_matrices(n)
-    h, rank, n_params = reconstruct_hamiltonian(
-        x, p, grad_v_op=np.zeros((n, n)), full_output=True
-    )
+    h, rank, n_params = reconstruct_hamiltonian(x, p, grad_v_op=np.zeros((n, n)))
     # constant shift + the untouched top band never enter the equations
     assert rank < n_params
     assert n_params - rank == 2 * n + 1

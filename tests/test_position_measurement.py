@@ -28,7 +28,6 @@ from hilbertbridge.position_measurement import (
     GeneratorMode,
     MeasurementOutcome,
     PositionWalkParams,
-    diag_potential_step,
     run_diagonal_walk,
     discretize,
     gabor_state,
@@ -39,7 +38,7 @@ from hilbertbridge.position_measurement import (
     run_position_ensemble,
     velocity_isotropy_diagnostic,
 )
-from hilbertbridge.spin_measurement import SpinWalkParams, WalkResult, born_statistics
+from hilbertbridge.spin_measurement import SpinWalkParams, WalkResult, run_ensemble
 from hilbertbridge.stats_util import RngStream, chi_square_gof, two_proportion_z
 
 
@@ -181,7 +180,7 @@ def test_diagonal_step_preserves_moduli_exactly():
     p = diag_params()
     out = state
     for _ in range(50):
-        out = diag_potential_step(out, gen, p)
+        out = run_diagonal_walk(out, 1, gen, p)
     np.testing.assert_allclose(
         np.abs(out.amplitudes), np.abs(state.amplitudes), atol=1e-15
     )
@@ -194,7 +193,7 @@ def test_diagonal_walk_matches_iterated_steps():
     iterated = state
     gen = RngStream(4).generator()
     for _ in range(50):
-        iterated = diag_potential_step(iterated, gen, p)
+        iterated = run_diagonal_walk(iterated, 1, gen, p)
     np.testing.assert_allclose(
         composed.amplitudes, iterated.amplitudes, atol=1e-12
     )
@@ -607,12 +606,12 @@ def test_two_cell_walk_agrees_with_spin_walk_when_matched():
         seed=6,
         max_steps=6000,
     )
-    hist = born_statistics(spin_phi, 3000, p_spin)
-    assert hist.p_unresolved <= 0.03
+    results, _, _ = run_ensemble(spin_phi, 3000, p_spin)
+    assert np.mean(results == WalkResult.UNRESOLVED) <= 0.03
+    n_down = int(np.sum(results == WalkResult.DOWN))
+    n_resolved = int(np.sum(results != WalkResult.UNRESOLVED))
 
-    report = two_proportion_z(
-        n_zero, int(resolved.sum()), hist.n_down, hist.trials - hist.n_unresolved
-    )
+    report = two_proportion_z(n_zero, int(resolved.sum()), n_down, n_resolved)
     assert report.passed
 
 

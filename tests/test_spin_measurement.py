@@ -12,10 +12,8 @@ import reference_walks
 from hilbertbridge import spin_measurement as sm
 from hilbertbridge import stats_util
 from hilbertbridge.spin_measurement import (
-    BornHistogram,
     SpinWalkParams,
     WalkResult,
-    born_statistics,
     isotropy_test,
     lattice_ruin_probability,
     pauli_step,
@@ -429,11 +427,11 @@ def test_componentwise_norm_equals_linalg_norm_bitwise():
 
 def test_balanced_state_splits_evenly():
     p = params(seed=123)
-    hist = born_statistics(EQUAL, 10_000, p)
-    assert hist.p_up + hist.p_down + hist.p_unresolved == pytest.approx(1.0, abs=0)
-    assert hist.p_unresolved <= 0.01
-    assert hist.p_up == pytest.approx(0.5, abs=3 * math.sqrt(0.25 / 10_000) + 0.01)
-    assert hist.reference_down == pytest.approx(0.5)
+    results, _, _ = run_ensemble(EQUAL, 10_000, p)
+    assert np.mean(results == WalkResult.UNRESOLVED) <= 0.01
+    band = 3 * math.sqrt(0.25 / 10_000)
+    assert np.mean(results == WalkResult.UP) == pytest.approx(0.5, abs=band + 0.01)
+    assert hopf_map(EQUAL).z == pytest.approx(0.0)
 
 
 def test_unresolved_fraction_shrinks_with_budget():
@@ -467,10 +465,10 @@ def test_tilted_state_matches_height_rule():
     # start with weight 0.7 on the z = −1 component
     phi0 = np.array([math.sqrt(0.7), math.sqrt(0.3)], dtype=complex)
     p = params(seed=2024)
-    hist = born_statistics(phi0, 10_000, p)
-    assert hist.p_unresolved <= 0.01
+    results, _, _ = run_ensemble(phi0, 10_000, p)
+    assert np.mean(results == WalkResult.UNRESOLVED) <= 0.01
     band = 3 * math.sqrt(0.7 * 0.3 / 10_000)
-    assert hist.p_down == pytest.approx(0.7, abs=band + 0.01)
+    assert np.mean(results == WalkResult.DOWN) == pytest.approx(0.7, abs=band + 0.01)
 
 
 @pytest.mark.xfail(
