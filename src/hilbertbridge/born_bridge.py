@@ -20,8 +20,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from hilbertbridge.hilbert_core import KernelSpec, grid_covering, inner_l2
-from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
+from hilbertbridge.hilbert_core import KernelSpec, grid_covering, trapezoid_inner
+from hilbertbridge.packet_dynamics import GaussianPacket, packet_envelope
 from hilbertbridge.state_geometry import fs_distance, require_positive, require_state
 
 __all__ = [
@@ -129,7 +129,7 @@ def fs_euclid_relation(
 
     Both packets are zero-momentum width-σ representatives of the points
     ``a`` and ``b``; the right-hand side is obtained from their sampled
-    wavefunctions, so it carries whatever error the grid introduces.
+    wavefunctions, a block of rows at a time, so it carries the grid's error.
     """
     require_positive(sigma=sigma)
     a = np.atleast_1d(np.asarray(a, dtype=float))
@@ -140,14 +140,10 @@ def fs_euclid_relation(
 
     if spacing is None:
         spacing = sigma / 6
-    spec = KernelSpec(sigma=sigma, dim=a.size)
-    grid = grid_covering(spec, [a, b], spacing=spacing)
-    psi_a = packet_wavefunction(_point_packet(a, sigma), grid)
-    psi_b = packet_wavefunction(_point_packet(b, sigma), grid)
-    overlap = abs(inner_l2(psi_a, psi_b))
-    theta = math.acos(min(overlap, 1.0))
-    rhs = math.cos(theta) ** 2
-    return lhs, rhs
+    grid = grid_covering(KernelSpec(sigma=sigma, dim=a.size), [a, b], spacing=spacing)
+    rows = (packet_envelope(_point_packet(c, sigma), grid) for c in (a, b))
+    overlap = abs(trapezoid_inner(grid, *rows))
+    return lhs, math.cos(math.acos(min(overlap, 1.0))) ** 2
 
 
 def born_normal_equivalence(a, b, sigma: float) -> tuple[float, float]:

@@ -369,7 +369,10 @@ def _run_isotropy(cfg: ExperimentConfig, spin_params, pos_params,
 
 
 def _curvature_inputs(cfg: ExperimentConfig) -> tuple:
-    return state_geometry.oscillator_matrices(int(cfg.parameters["levels"]))
+    levels = int(cfg.parameters["levels"])
+    # eight complex levels² matrices; the traced peak is 81–86 bytes a levels²
+    _require_budget(128 * levels**2, f"curvature at {levels} levels", "lower levels")
+    return state_geometry.oscillator_matrices(levels)
 
 
 def _run_curvature(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
@@ -541,6 +544,9 @@ def _run_ehrenfest(cfg: ExperimentConfig, pkt, grid) -> ExperimentResult:
 
 def _reconstruct_inputs(cfg: ExperimentConfig) -> tuple:
     levels = _at_least("levels", int(cfg.parameters["levels"]), packet_dynamics.MIN_TRUNCATION)
+    # a 4(levels−2)² × levels² float design matrix, ×3 for lstsq's copy and work (RSS 2–2.4×)
+    _require_budget(3 * 8 * 4 * (levels - 2) ** 2 * levels**2,
+                    f"hamiltonian-reconstruct at {levels} levels", "lower levels")
     return state_geometry.oscillator_matrices(levels)
 
 

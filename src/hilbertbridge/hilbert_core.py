@@ -20,6 +20,7 @@ tolerance used in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +43,7 @@ __all__ = [
     "newtonian_projection",
     "path_speed_h",
     "rho_sigma_apply",
+    "trapezoid_inner",
 ]
 
 #: Width of the Gaussian delta-approximant relative to sigma.
@@ -133,15 +135,10 @@ class Grid:
             )
         return GridWaveFunction(values, self.origin, self.spacing)
 
-    def quadrature_weights(self) -> np.ndarray:
-        """Tensor-product trapezoid weights (broadcast product, includes h^d)."""
-        total = np.ones(())
-        for i, n in enumerate(self.extent):
-            w = np.full(n, self.spacing, dtype=float)
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            total = total * w.reshape([-1 if a == i else 1 for a in range(self.dim)])
-        return total
+    def quadrature_weights(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Tensor-product trapezoid weights (includes h^d) on axis-0 rows start…stop−1."""
+        factors = _end_factors(self.extent, start, stop)
+        return math.prod((self.spacing * f for f in factors), start=np.ones(()))
 
     def require_coverage(self, center, margin: float) -> None:
         """Refuse a grid that does not span ``center ± margin`` on every axis.
@@ -323,22 +320,48 @@ def _axis_convolve(values: np.ndarray, kern1d: Callable[[np.ndarray], np.ndarray
     return out
 
 
-def _edge_weighted(values: np.ndarray) -> np.ndarray:
-    """Apply trapezoid end-point half-weights along every axis."""
-    out = values.copy()
-    for ax in range(values.ndim):
-        sl0 = [slice(None)] * values.ndim
-        sl1 = [slice(None)] * values.ndim
-        sl0[ax], sl1[ax] = 0, -1
-        out[tuple(sl0)] *= 0.5
-        out[tuple(sl1)] *= 0.5
-    return out
+def _end_factors(extent, start: int = 0, stop: int | None = None) -> list[np.ndarray]:
+    """Trapezoid end-point factors (1, ½, or ¼ on a one-point axis) per axis, broadcastable."""
+    factors = []
+    for i, n in enumerate(extent):
+        k = np.arange(*slice(start, stop).indices(n)) if i == 0 else np.arange(n)
+        halvings = (k == 0).astype(int) + (k == n - 1)
+        factors.append((0.5**halvings).reshape([-1 if a == i else 1 for a in range(len(extent))]))
+    return factors
+
+
+#: Points of f·conj(g)·w that :func:`trapezoid_inner` sums at once (1 MiB).
+_LEAF_POINTS = 1 << 16
+
+
+def trapezoid_inner(grid: Grid, f_rows: Callable, g_rows: Callable) -> complex:
+    """∫ f conj(g) by trapezoid quadrature: ``.sum()`` of the whole product, bit for bit.
+
+    ``f_rows(i, j)`` and ``g_rows(i, j)`` give the complex samples on axis-0 rows
+    i…j−1.  The sum follows numpy's complex pairwise tree (a node of n points splits
+    after (n − n mod 8)/2) to leaves of ``_LEAF_POINTS``, each formed from its rows.
+    """
+    row = math.prod(grid.extent[1:])
+    # numpy evaluates a whole grid's ``f * np.conj(g)`` in conj(g), as conj(g)·f,
+    # from 256 KiB on; fused multiply-adds round the two orders differently
+    swap = row * grid.extent[0] >= 1 << 14
+
+    def total(start: int, n: int) -> complex:
+        if n > _LEAF_POINTS:
+            return total(start, half := (n - n % 8) // 2) + total(start + half, n - half)
+        i, j = start // row, -(-(start + n) // row)
+        f, out = f_rows(i, j), np.conj(g_rows(i, j))
+        np.multiply(*((out, f) if swap else (f, out)), out=out)
+        out *= grid.quadrature_weights(i, j)
+        return complex(out.reshape(-1)[start - i * row:][:n].sum())
+
+    return total(0, row * grid.extent[0])
 
 
 def inner_l2(f: GridWaveFunction, g: GridWaveFunction) -> complex:
     """Plain L₂ inner product ∫ f conj(g) by trapezoid quadrature."""
     _check_same_grid(f, g)
-    return complex((f.values * np.conj(g.values) * f.quadrature_weights()).sum())
+    return trapezoid_inner(f, lambda i, j: f.values[i:j], lambda i, j: g.values[i:j])
 
 
 def inner_h(f: GridWaveFunction, g: GridWaveFunction, spec: KernelSpec) -> complex:
@@ -353,7 +376,8 @@ def inner_h(f: GridWaveFunction, g: GridWaveFunction, spec: KernelSpec) -> compl
         raise ValueError(f"grids are {f.dim}-dimensional, spec is {spec.dim}")
     s8 = 8.0 * spec.sigma**2
     smeared = _axis_convolve(
-        _edge_weighted(np.conj(g.values)), lambda u: np.exp(-u * u / s8), f.spacing
+        np.conj(g.values) * math.prod(_end_factors(g.extent)), lambda u: np.exp(-u * u / s8),
+        f.spacing
     )
     return complex((f.values * f.quadrature_weights() * smeared).sum())
 
@@ -374,7 +398,8 @@ def rho_sigma_apply(f: GridWaveFunction, spec: KernelSpec) -> GridWaveFunction:
     amp = (2.0 * np.pi * spec.sigma**2) ** (-0.25)
     s4 = 4.0 * spec.sigma**2
     out = _axis_convolve(
-        _edge_weighted(f.values), lambda u: amp * np.exp(-u * u / s4), f.spacing
+        f.values * math.prod(_end_factors(f.extent)), lambda u: amp * np.exp(-u * u / s4),
+        f.spacing
     )
     return f.with_values(out)
 

@@ -30,6 +30,7 @@ __all__ = [
     "decomposition_check",
     "ehrenfest_check",
     "interior_slice",
+    "packet_envelope",
     "packet_wavefunction",
     "phase_space_speed",
     "projective_evolution_speed",
@@ -121,18 +122,13 @@ class VelocityComponents:
 # packet states on grids
 
 
-def packet_wavefunction(pkt: GaussianPacket, grid: Grid) -> GridWaveFunction:
-    """Sample the packet ψ(x) ∝ exp(−(x−a)²/4σ² + i p·(x−a)/ħ) on the grid.
+def packet_envelope(pkt: GaussianPacket, grid: Grid) -> Callable[..., np.ndarray]:
+    """Sampler ``rows(start, stop=None)`` of the envelope, cast to complex, on axis-0 rows.
 
-    Unit L₂ norm (the |ψ|² marginal is the normal density with standard
-    deviation σ per axis).  The grid must cover a ± 8σ and resolve both the
-    envelope and the momentum oscillation.
-
-    Offsets d_k = x_k − a_k are taken per axis and broadcast, their squares
-    summed as ((d₀² + d₁²) + d₂²)…, the order numpy sums a stacked (*extent, d)
-    axis of d < 8; at p = 0 the stacked formula's plane wave is exactly 1 + 0j,
-    so the real envelope is cast to complex.  The samples are bit for bit
-    those of the stacked formula, which only p ≠ 0 still builds.
+    It refuses the grids :func:`packet_wavefunction` refuses.  Offsets x_k − a_k
+    are broadcast per axis and their squares summed as ((d₀² + d₁²) + d₂²)…, the
+    order numpy sums a stacked (*extent, d) axis of d < 8, so any rows are bit
+    for bit the stacked formula's at p = 0.
     """
     if grid.dim != pkt.dim:
         raise ValueError(f"grid is {grid.dim}-dimensional, packet is {pkt.dim}")
@@ -147,14 +143,31 @@ def packet_wavefunction(pkt: GaussianPacket, grid: Grid) -> GridWaveFunction:
         )
     grid.require_coverage(pkt.center, 8 * pkt.sigma)
 
-    dx = [axis - c for axis, c in zip(grid.meshgrid(), pkt.center)]
-    envelope = -(dx[0] * dx[0])
-    for d in dx[1:]:
-        envelope = envelope - d * d  # (−u) − v is −(u + v) exactly
-    envelope /= 4 * pkt.sigma**2
-    np.exp(envelope, out=envelope)
-    envelope *= (2 * np.pi * pkt.sigma**2) ** (-0.25 * pkt.dim)  # norm
-    if pmax == 0:
+    def rows(start: int, stop: int | None = None) -> np.ndarray:
+        first, *rest = grid.meshgrid()
+        dx = [axis - c for axis, c in zip([first[start:stop], *rest], pkt.center)]
+        envelope = -(dx[0] * dx[0])
+        for d in dx[1:]:
+            envelope = envelope - d * d  # (−u) − v is −(u + v) exactly
+        envelope /= 4 * pkt.sigma**2
+        np.exp(envelope, out=envelope)
+        envelope *= (2 * np.pi * pkt.sigma**2) ** (-0.25 * pkt.dim)  # norm
+        return envelope.astype(complex)
+
+    return rows
+
+
+def packet_wavefunction(pkt: GaussianPacket, grid: Grid) -> GridWaveFunction:
+    """Sample the packet ψ(x) ∝ exp(−(x−a)²/4σ² + i p·(x−a)/ħ) on the grid.
+
+    Unit L₂ norm (the |ψ|² marginal is the normal density with standard
+    deviation σ per axis).  The grid must cover a ± 8σ and resolve both the
+    envelope and the momentum oscillation.  At p = 0 the stacked formula's
+    plane wave is exactly 1 + 0j, so :func:`packet_envelope` gives the samples
+    bit for bit; only p ≠ 0 still builds the stacked formula.
+    """
+    envelope = packet_envelope(pkt, grid)(0)
+    if not np.any(pkt.momentum):
         return grid.with_values(envelope)
     dx = grid.points() - pkt.center
     return grid.with_values(envelope * np.exp(1j * (dx @ pkt.momentum) / pkt.hbar))

@@ -1,6 +1,7 @@
 """Overlap probabilities, the Gaussian distance relation, and extensions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,50 @@ def test_relation_quadrature_convergence():
 def test_relation_rejects_unresolvable_spacing():
     with pytest.raises(GridResolutionError):
         fs_euclid_relation(0.0, 1.0, sigma=1.0, spacing=0.6)
+
+
+def materialised_rhs(a, b, sigma):
+    """The plain oracle: both packets sampled whole, their product summed by numpy."""
+    grid = grid_covering(KernelSpec(sigma, a.size), [a, b], spacing=sigma / 6)
+    f, g = (packet_wavefunction(rest_packet(c, sigma), grid) for c in (a, b))
+    inner = complex((f.values * np.conj(g.values) * f.quadrature_weights()).sum())
+    return math.cos(math.acos(min(abs(inner), 1.0))) ** 2
+
+
+def test_relation_and_inner_l2_equal_the_materialised_oracle():
+    # 60 seeded pairs in 1–3 D, widths over three decades; the inner_l2 pair
+    # carries momenta, so its samples have imaginary parts
+    rng = np.random.default_rng(2024)
+    for k in range(60):
+        dim = 1 + k % 3
+        sigma = float(np.exp(rng.uniform(np.log(1e-3), np.log(2.3))))
+        a = rng.normal(0.0, sigma, size=dim)
+        b = a + rng.normal(0.0, 1.2 * sigma, size=dim)
+        assert fs_euclid_relation(a, b, sigma)[1] == materialised_rhs(a, b, sigma)
+
+        grid = grid_covering(KernelSpec(sigma, dim), [a, b], spacing=sigma / 6)
+        f, g = (packet_wavefunction(GaussianPacket(c, rng.normal(size=dim) / sigma,
+                                                   sigma, 1.0), grid) for c in (a, b))
+        oracle = complex((f.values * np.conj(g.values) * f.quadrature_weights()).sum())
+        assert np.array([inner_l2(f, g)]).tobytes() == np.array([oracle]).tobytes()
+
+
+@pytest.mark.memory
+def test_relation_peak_on_a_3d_pair_is_a_few_leaves():
+    # a 100 × 104 × 98 grid: two 16 MiB packets, their conj copy, a weight
+    # grid and the product made a 54.6 MiB peak; now leaves of 2¹⁶ points
+    sigma = 0.7
+    a, b = np.array([0.0, 0.1, -0.2]), np.array([0.3, 0.9, -0.1])
+    extent = grid_covering(KernelSpec(sigma, 3), [a, b], spacing=sigma / 6).extent
+    assert 95 <= min(extent) and max(extent) <= 105
+    tracemalloc.start()
+    try:
+        lhs, rhs = fs_euclid_relation(a, b, sigma)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert rhs == materialised_rhs(a, b, sigma) and abs(lhs - rhs) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

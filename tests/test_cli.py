@@ -85,6 +85,12 @@ REFUSALS = {
                            "sigma must be positive, got 0.0"),
     "continuity-spacing-0": ("[continuity]\ntrials = 1\nspacing_frac = 0\n", 3,
                              "spacing_frac must be positive, got 0.0"),
+    # 10⁶ levels: a curvature run's matrices take 116 TiB, reconstruct's design
+    # matrix 8.9·10¹⁷ GiB, over the budget of any machine
+    "curvature-levels-huge": ("[curvature]\ntrials = 1\nlevels = 1000000\n", 3,
+                              "GiB budget (half of physical memory); lower levels"),
+    "reconstruct-levels-huge": ("[hamiltonian-reconstruct]\ntrials = 1\nlevels = 1000000\n",
+                                3, "GiB budget (half of physical memory); lower levels"),
     # 2·10¹³ grid points: petabytes, over the budget of any machine
     **{f"{name}-spacing-tiny": (f"[{name}]\ntrials = 1\nspacing_frac = 1e-12\n", 3,
                                 "GiB budget (half of physical memory); raise spacing_frac")

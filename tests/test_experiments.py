@@ -472,6 +472,7 @@ class TestMemoryBudget:
             ex.prepare(ex.ExperimentConfig("spin-born", seed=1, trials=10_000,
                                            format="json"))
 
+    @pytest.mark.memory
     @pytest.mark.parametrize("experiment", ["decomposition", "ehrenfest", "continuity"])
     def test_packet_grid_peak_stays_under_estimate(self, experiment, tmp_path,
                                                    monkeypatch):
@@ -490,6 +491,47 @@ class TestMemoryBudget:
         monkeypatch.setattr(ex, "memory_budget", lambda: peak)
         with pytest.raises(ex.MemoryBudgetError, match="raise spacing_frac"):
             ex.prepare(cfg)
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize("experiment", ["curvature", "hamiltonian-reconstruct"])
+    @pytest.mark.parametrize("levels", [24, 40])
+    def test_levels_peak_stays_under_estimate(self, experiment, levels, tmp_path,
+                                              monkeypatch):
+        cfg = ex.ExperimentConfig(experiment, {"levels": levels}, output_dir=str(tmp_path))
+        needs = []
+        with monkeypatch.context() as m:
+            m.setattr(ex, "_require_budget", lambda need, what, remedy: needs.append(need))
+            inputs = ex.prepare(cfg)
+        tracemalloc.start()
+        try:
+            ex.REGISTRY[experiment].runner(cfg, *inputs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # lstsq's copy and work are malloc'd by LAPACK's wrapper, not traced;
+        # the estimate counts them too
+        assert len(needs) == 1 and peak < needs[0]
+        monkeypatch.setattr(ex, "memory_budget", lambda: peak)
+        with pytest.raises(ex.MemoryBudgetError, match="lower levels"):
+            ex.prepare(cfg)
+
+    @pytest.mark.memory
+    # sizes numpy would refuse at once (80 GB and up) should the estimate go
+    @pytest.mark.parametrize("experiment", ["curvature", "hamiltonian-reconstruct"])
+    @pytest.mark.parametrize("levels", [10**5, 10**6, 10**12])
+    def test_absurd_levels_are_refused_before_any_allocation(
+            self, four_gib, tmp_path, experiment, levels):
+        cfg = ex.ExperimentConfig(experiment, {"levels": levels},
+                                  output_dir=str(tmp_path / "out"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ex.MemoryBudgetError, match="lower levels"):
+                ex.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not tmp_path.joinpath("out").exists()
 
     def test_cli_exits_2_with_message(self, four_gib, tmp_path, capsys):
         rc = cli.main(["spin-born", "--seed", "1", "--trials", "5000000",

@@ -1,10 +1,13 @@
 """Kernel space: inner products, smoothing isometry, embedded paths, action."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilbertbridge import hilbert_core as hc
 from hilbertbridge.hilbert_core import (
     ClassicalPath,
     Grid,
@@ -20,6 +23,7 @@ from hilbertbridge.hilbert_core import (
     newtonian_projection,
     path_speed_h,
     rho_sigma_apply,
+    trapezoid_inner,
 )
 
 SPEC1 = KernelSpec(sigma=1.0, dim=1)
@@ -253,6 +257,94 @@ def test_inner_h_rejects_mismatched_grids():
     g = unit_gaussian(0.0, g2, 1.0)
     with pytest.raises(ValueError):
         inner_h(f, g, SPEC1)
+
+
+# ---------------------------------------------------------------------------
+# trapezoid_inner: numpy's summation, bit for bit
+
+
+def materialised_inner(f: GridWaveFunction, g: GridWaveFunction) -> complex:
+    """The plain oracle: the whole product, summed by numpy."""
+    return complex((f.values * np.conj(g.values) * f.quadrature_weights()).sum())
+
+
+def random_wave(rng, shape, decades=True, points=None) -> GridWaveFunction:
+    values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if decades:  # so that any change of summation order moves a bit
+        values *= np.exp(rng.normal(scale=8.0, size=shape))
+    if points is not None:  # so that the last bit of one product shows
+        values.flat[rng.permutation(values.size)[points:]] = 0
+    return GridWaveFunction(values, np.zeros(len(shape)), 0.37)
+
+
+def same_bits(x: complex, y: complex) -> bool:
+    return np.array([x]).tobytes() == np.array([y]).tobytes()
+
+
+@pytest.mark.parametrize("leaf", [64, None])
+@pytest.mark.parametrize("size", [1, 7, 8, 64, 65, 2**16 - 1, 2**16, 2**16 + 1, 10**6 + 1])
+def test_tree_sum_equals_numpys_sum(monkeypatch, size, leaf):
+    # a 64-point leaf is numpy's own, so every split of the tree is checked;
+    # a numpy that sums in another order fails here first
+    if leaf is not None:
+        monkeypatch.setattr(hc, "_LEAF_POINTS", leaf)
+    rng = np.random.default_rng(size)
+    f, g = random_wave(rng, (size,)), random_wave(rng, (size,))
+    rows = lambda w: lambda i, j: w.values[i:j]  # noqa: E731
+    assert same_bits(trapezoid_inner(f, rows(f), rows(g)), materialised_inner(f, g))
+    assert same_bits(inner_l2(f, g), materialised_inner(f, g))
+
+
+@pytest.mark.parametrize("shape", [(3, 5, 7), (100, 104, 98), (1, 70_000), (700, 101),
+                                   (2, 300, 300), (5, 1)])
+def test_inner_l2_equals_the_materialised_product_on_any_grid(shape):
+    # rows of the grid's first axis hold from 1 to 90 000 points, so blocks
+    # of rows and leaves of the tree cut each other anywhere
+    rng = np.random.default_rng(sum(shape))
+    f, g = random_wave(rng, shape), random_wave(rng, shape)
+    assert same_bits(inner_l2(f, g), materialised_inner(f, g))
+    for _ in range(20):
+        few = random_wave(rng, shape, decades=False, points=3)
+        assert same_bits(inner_l2(few, g), materialised_inner(few, g))
+    # every other row of a taller array: a view with a stride on axis 0
+    tall = np.repeat(g.values, 2, axis=0)
+    strided = GridWaveFunction(tall[::2], g.origin, g.spacing)
+    assert same_bits(inner_l2(f, strided), materialised_inner(f, g))
+
+
+def test_quadrature_weight_rows_are_rows_of_the_whole_array():
+    for extent in [(1,), (2,), (9,), (1, 4), (6, 1, 3), (7, 5, 4)]:
+        grid = Grid(np.zeros(len(extent)), 0.3, extent)
+        whole = grid.quadrature_weights()
+        # oracle: h per point, each end halved in place, a broadcast product
+        oracle = np.ones(())
+        for i, n in enumerate(extent):
+            w = np.full(n, 0.3)
+            w[0] *= 0.5
+            w[-1] *= 0.5
+            oracle = oracle * w.reshape([-1 if a == i else 1 for a in range(len(extent))])
+        assert whole.tobytes() == oracle.tobytes()
+        for start in range(extent[0] + 1):
+            for stop in range(start, extent[0] + 2):
+                rows = grid.quadrature_weights(start, stop)
+                assert rows.tobytes() == whole[start:stop].tobytes()
+
+
+@pytest.mark.memory
+def test_inner_l2_peak_beyond_its_inputs_is_one_leafs_buffers():
+    # about 10⁶ points (16 MiB a grid); the materialised product, its conj
+    # copy and a weight grid took 23.5 MiB beyond the inputs; now one leaf's
+    # rows of conj(g), multiplied in place, and their weights (1.8 MiB)
+    rng = np.random.default_rng(11)
+    f, g = random_wave(rng, (100, 104, 98)), random_wave(rng, (100, 104, 98))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        inner_l2(f, g)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 16 * hc._LEAF_POINTS
 
 
 # ---------------------------------------------------------------------------

@@ -493,6 +493,7 @@ def test_no_pool_below_the_trial_threshold(monkeypatch):
         assert len(cells) == trials and (steps == 1).all()
 
 
+@pytest.mark.memory
 @pytest.mark.parametrize("trials, n, kicks", [(2048, 8, 16), (4096, 3, 64)])
 def test_walk_peak_memory_is_within_the_estimate(monkeypatch, trials, n, kicks):
     # blocks of 8 kicks in this process: a block's draws, generators and

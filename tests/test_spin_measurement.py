@@ -272,6 +272,7 @@ def test_free_walk_msd_equals_per_kick_reference():
     assert sm._free_walk_msd(phi0, trials, p, n_steps).tobytes() == want.tobytes()
 
 
+@pytest.mark.memory
 def test_walk_peak_memory_is_one_field_block_and_scan_windows(monkeypatch):
     # 4096 trials walk four blocks of 64 kicks in this process: a 6 MiB
     # block of fields, 16-kick windows of planes and states, and generators
