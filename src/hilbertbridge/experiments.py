@@ -29,7 +29,8 @@ from hilbertbridge import (
     state_geometry,
 )
 from hilbertbridge.stats_util import (MIN_DIRECTION_SAMPLES, RngStream, SparseTableError,
-                                      check_seed, chi_square_gof, resolve_workers)
+                                      check_seed, chi_square_gof, ks_test, linear_fit,
+                                      resolve_workers)
 
 __all__ = [
     "CriterionCheck",
@@ -250,6 +251,11 @@ def _require_budget(need: float, what: str, remedy: str) -> None:
         )
 
 
+def _require_parts(cfg: ExperimentConfig, parts: dict) -> None:
+    """:func:`_require_budget` of bytes keyed by remedy; the largest part's remedy is named."""
+    _require_budget(sum(parts.values()), cfg.experiment, max(parts, key=parts.get))
+
+
 def _require_memory(cfg: ExperimentConfig, walk_bytes: int) -> None:
     """Refuse a run whose walk and output rows exceed :func:`memory_budget`."""
     _require_budget(walk_bytes + _ROW_BYTES[cfg.format] * cfg.resolved_trials,
@@ -325,9 +331,12 @@ def _at_least(key: str, value: int, floor: int) -> int:
 
 def _isotropy_inputs(cfg: ExperimentConfig) -> tuple:
     p = cfg.parameters
-    _at_least("trials", cfg.resolved_trials, MIN_DIRECTION_SAMPLES)
-    _at_least("samples", int(p["samples"]), position_measurement.MIN_DIAGNOSTIC_SAMPLES)
+    trials = _at_least("trials", cfg.resolved_trials, MIN_DIRECTION_SAMPLES)
+    samples = _at_least("samples", int(p["samples"]), position_measurement.MIN_DIAGNOSTIC_SAMPLES)
     n = _at_least("n_cells", int(p["n_cells"]), position_measurement.MIN_DIAGNOSTIC_CELLS)
+    # two normal planes and a GUE stack, 32 bytes a sample and N² (34 traced at N = 4)
+    _require_parts(cfg, {"lower samples or n_cells": 48 * samples * n * n,
+                         "lower --trials": _ROW_BYTES[cfg.format] * trials})
     uniform = np.full(n, 1 / math.sqrt(n), dtype=complex)
     return (_spin_params(cfg), _cell_params(cfg),
             position_measurement.CellState(uniform))
@@ -748,50 +757,60 @@ def _run_continuity(cfg: ExperimentConfig, pkt, grid) -> ExperimentResult:
 
 def _diffusion_inputs(cfg: ExperimentConfig) -> tuple:
     p = cfg.parameters
-    return (density_diffusion.DiffusionParams(
+    params = density_diffusion.DiffusionParams(
         diffusivity=p["diffusivity"],
         walkers=max(cfg.resolved_trials, 10_000),
         dt=p["dt"],
         t_final=p["t_final"],
         seed=cfg.resolved_seed,
-    ),)
+    )
+    # positions, squares, draws and radii (80 bytes a walker traced); a row a step (250)
+    _require_parts(cfg, {"lower --trials": 128 * params.walkers,
+                         "raise dt": 400 * p["t_final"] / p["dt"]})
+    return (params,)
 
 
 def _run_diffusion(cfg: ExperimentConfig, params) -> ExperimentResult:
-    from scipy.stats import chi, kstest, linregress
+    # chi(3, scale).cdf's own kernel; scipy.stats is slow to import
+    from scipy.special import gammainc
 
     p = cfg.parameters
     out = density_diffusion.brownian_ensemble(params)
-    fit = linregress(out.times, out.mean_square_displacement)
+    slope, rvalue = linear_fit(out.times, out.mean_square_displacement)
     scale = math.sqrt(2 * p["diffusivity"] * p["t_final"])
-    r = np.linalg.norm(out.final_positions, axis=1)
-    ks = kstest(r, chi(df=3, scale=scale).cdf)
+    r = np.sort(np.linalg.norm(out.final_positions, axis=1)) / scale
+    ks = ks_test(gammainc(1.5, 0.5 * r**2))
 
     rows = [
         (k, float(t), float(m))
         for k, (t, m) in enumerate(zip(out.times, out.mean_square_displacement))
     ]
     checks = [
-        _check("msd_slope", fit.slope, 6 * p["diffusivity"], 0.05, "rel",
+        _check("msd_slope", slope, 6 * p["diffusivity"], 0.05, "rel",
                "closed-form"),
-        _check("msd_linearity_r2", fit.rvalue**2, 0.999, 0.0, "ge",
+        _check("msd_linearity_r2", rvalue**2, 0.999, 0.0, "ge",
                "definition"),
         # two-sided 4σ band on the KS p-value
-        _check("heat_kernel_ks_p", ks.pvalue, 6.3e-5, 0.0, "ge", "oracle"),
+        _check("heat_kernel_ks_p", ks.p_value, 6.3e-5, 0.0, "ge", "oracle"),
     ]
     return ExperimentResult(("step", "time", "msd"), rows, checks)
 
 
 def _state_msd_inputs(cfg: ExperimentConfig) -> tuple:
-    density_diffusion.check_msd(cfg.resolved_trials, int(cfg.parameters["n_steps"]))
-    basis = np.eye(1, int(cfg.parameters["n_cells"]), dtype=complex)[0]
+    trials, n_steps, n = (cfg.resolved_trials, int(cfg.parameters["n_steps"]),
+                          int(cfg.parameters["n_cells"]))
+    density_diffusion.check_msd(trials, n_steps)
+    # a trial's ≥ 8 cell kicks' draws (32 bytes an N² each), eigh's stacks, ≤ 256
+    # spin kicks' fields (24 bytes each), generators and scan window; block floors
+    per_trial = 304 * n * n + 24 * min(n_steps, 256) + 4096
+    _require_parts(cfg, {"lower --trials or n_cells": trials * per_trial + 2**23 + 24 * 2**18,
+                         "lower n_steps": 400 * n_steps})
+    basis = np.eye(1, n, dtype=complex)[0]
     return _spin_params(cfg), _cell_params(cfg), position_measurement.CellState(basis)
 
 
 def _run_state_msd(cfg: ExperimentConfig, spin_params, pos_params,
                    basis) -> ExperimentResult:
-    from scipy.stats import linregress
-
     p = cfg.parameters
     trials = cfg.resolved_trials
     n_steps = int(p["n_steps"])
@@ -799,13 +818,13 @@ def _run_state_msd(cfg: ExperimentConfig, spin_params, pos_params,
     spin_out = density_diffusion.state_density_msd(
         _spinor_at_height(0.0), spin_params, n_steps=n_steps, trials=trials
     )
-    spin_fit = linregress(spin_out.steps, spin_out.mean_square_angle)
+    spin_slope, spin_r = linear_fit(spin_out.steps, spin_out.mean_square_angle)
 
     n_cells = len(basis)
     pos_out = density_diffusion.state_density_msd(
         basis, pos_params, n_steps=n_steps, trials=trials,
     )
-    pos_fit = linregress(pos_out.steps, pos_out.mean_square_angle)
+    pos_slope, _ = linear_fit(pos_out.steps, pos_out.mean_square_angle)
 
     control = density_diffusion.state_density_msd(
         basis, dataclasses.replace(pos_params, tau=0.0), n_steps=n_steps,
@@ -821,11 +840,11 @@ def _run_state_msd(cfg: ExperimentConfig, spin_params, pos_params,
         for k in range(n_steps + 1)
     ]
     checks = [
-        _check("spin_slope", spin_fit.slope, spin_ref, 0.10, "rel",
+        _check("spin_slope", spin_slope, spin_ref, 0.10, "rel",
                "closed-form"),
-        _check("spin_linearity_r2", spin_fit.rvalue**2, 0.99, 0.0, "ge",
+        _check("spin_linearity_r2", spin_r**2, 0.99, 0.0, "ge",
                "definition"),
-        _check("position_slope", pos_fit.slope, pos_ref, 0.10, "rel",
+        _check("position_slope", pos_slope, pos_ref, 0.10, "rel",
                "closed-form"),
         _check("control_max_angle", float(control.mean_square_angle.max()),
                0.0, 0.0, "le", "definition"),

@@ -167,7 +167,7 @@ class GridWaveFunction(Grid):
     def __init__(self, values, origin, spacing: float) -> None:
         values = np.asarray(values, dtype=complex)
         super().__init__(origin, spacing, values.shape)
-        if not np.all(np.isfinite(values.view(float))):
+        if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", values)
 
@@ -305,18 +305,24 @@ def _axis_convolve(values: np.ndarray, kern1d: Callable[[np.ndarray], np.ndarray
 
     The 1-D kernel is sampled on offsets spanning the whole axis, so the
     'same'-mode FFT convolution reproduces the full discrete sum exactly
-    (up to FFT round-off).
+    (up to FFT round-off), bit for bit as ``scipy.signal.fftconvolve`` does it.
     """
-    from scipy.signal import fftconvolve  # slow to import; only grids need it
+    # slow to import, and scipy.signal imports scipy.stats; only grids need it
+    from scipy.fft import fftn, ifftn, next_fast_len
 
     out = values
     for ax in range(values.ndim):
         n = values.shape[ax]
         offsets = spacing * np.arange(-(n - 1), n)
         k = kern1d(offsets) * spacing
-        shape = [1] * values.ndim
-        shape[ax] = k.size
-        out = fftconvolve(out, k.reshape(shape), mode="same", axes=ax)
+        k = k.reshape([k.size if a == ax else 1 for a in range(values.ndim)])
+        if n == 1:  # a one-point axis: fftconvolve multiplies
+            out = out * k
+            continue
+        size = next_fast_len(3 * n - 2, False)
+        sp1, sp2 = fftn(out, [size], axes=[ax]), fftn(k, [size], axes=[ax])
+        # the middle n of the full convolution's 3n − 2 points
+        out = np.take(ifftn(sp1 * sp2, [size], axes=[ax]), range(n - 1, 2 * n - 1), axis=ax)
     return out
 
 

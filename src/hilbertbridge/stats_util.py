@@ -2,7 +2,8 @@
 
 Seeded counter-based RNG substreams, the process fan-out that walks ranges
 of those substreams in forked processes (capped by ``HB_THREADS``), and the
-small set of goodness-of-fit / uniformity tests the experiment suites need.
+small set of goodness-of-fit / uniformity tests and the line fit the
+experiment suites need, none of which imports ``scipy.stats``.
 This is not a general statistics library.
 """
 
@@ -23,6 +24,8 @@ __all__ = [
     "chi_square_gof",
     "cpu_count",
     "direction_uniformity",
+    "ks_test",
+    "linear_fit",
     "range_processes",
     "resolve_workers",
     "two_proportion_z",
@@ -224,3 +227,37 @@ def direction_uniformity(samples, alpha: float = 0.01) -> TestReport:
 
     p_value = float(chdtrc(d, statistic))
     return TestReport(statistic=statistic, p_value=p_value, alpha=alpha)
+
+
+def linear_fit(x, y) -> tuple[float, float]:
+    """Least-squares slope and correlation r of ``y`` on ``x``.
+
+    ``scipy.stats.linregress``'s slope and r, by its formula and bit for bit:
+    r is NaN for constant ``y``, and constant ``x`` is refused.
+    """
+    x, y = np.asarray(x), np.asarray(y)
+    if np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a line if all x values are identical")
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = np.float64(np.nan if ssxym == 0 else 0.0)
+    else:
+        r = min(max(ssxym / np.sqrt(ssxm * ssym), -1.0), 1.0)
+    return ssxym / ssxm, r
+
+
+def ks_test(cdfvals, alpha: float = 0.01) -> TestReport:
+    """Two-sided one-sample Kolmogorov-Smirnov test.
+
+    ``cdfvals`` is the hypothesised CDF at the sorted sample.  D = max(D⁺, D⁻)
+    and its exact p-value are ``scipy.stats.kstest``'s, bit for bit.
+    """
+    cdfvals = np.asarray(cdfvals, dtype=float)
+    n = cdfvals.size
+    d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
+    d_minus = (cdfvals - np.arange(0.0, n) / n).max()
+    d = d_plus if d_plus > d_minus else d_minus
+    # the port of scipy's exact p-value stays out of library load
+    from hilbertbridge._ksstats import kstwo_sf
+
+    return TestReport(statistic=float(d), p_value=kstwo_sf(d, n), alpha=alpha)

@@ -91,6 +91,22 @@ REFUSALS = {
                               "GiB budget (half of physical memory); lower levels"),
     "reconstruct-levels-huge": ("[hamiltonian-reconstruct]\ntrials = 1\nlevels = 1000000\n",
                                 3, "GiB budget (half of physical memory); lower levels"),
+    # terabytes of samples, walkers or kicks, or 10¹⁵ rows; the line is the
+    # first key the remedy names
+    "isotropy-samples-huge": (f"[isotropy]\nseed = 1\ntrials = 200\nsamples = {10**12}\n",
+                              4, "GiB budget (half of physical memory); lower samples or n_cells"),
+    "isotropy-n-cells-huge": ("[isotropy]\nseed = 1\ntrials = 200\nn_cells = 1000000\n", 4,
+                              "budget (half of physical memory); lower samples or n_cells"),
+    "isotropy-trials-huge": (f"[isotropy]\nseed = 1\ntrials = {10**13}\n", 3,
+                             "GiB budget (half of physical memory); lower --trials"),
+    "diffusion-trials-huge": (f"[diffusion]\nseed = 1\ntrials = {10**13}\n", 3,
+                              "GiB budget (half of physical memory); lower --trials"),
+    "diffusion-dt-tiny": ("[diffusion]\nseed = 1\ntrials = 8\ndt = 1e-15\n", 4,
+                          "GiB budget (half of physical memory); raise dt"),
+    "state-msd-n-cells-huge": ("[state-msd]\nseed = 1\nn_cells = 10000000\ntrials = 100\n",
+                               3, "GiB budget (half of physical memory); lower --trials or n_cells"),
+    "state-msd-n-steps-huge": (f"[state-msd]\nseed = 1\ntrials = 100\nn_steps = {10**15}\n",
+                               4, "GiB budget (half of physical memory); lower n_steps"),
     # 2·10¹³ grid points: petabytes, over the budget of any machine
     **{f"{name}-spacing-tiny": (f"[{name}]\ntrials = 1\nspacing_frac = 1e-12\n", 3,
                                 "GiB budget (half of physical memory); raise spacing_frac")

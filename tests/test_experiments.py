@@ -417,7 +417,8 @@ class TestWorkers:
 class TestMemoryBudget:
     @pytest.fixture
     def four_gib(self, monkeypatch):
-        """A machine with 4 GiB of memory (a 2 GiB budget) whose walks never run."""
+        """A machine with 4 GiB of memory (a 2 GiB budget) whose walks and sized
+        experiments never run, so a refusal that fails allocates nothing."""
         pages = {"SC_PHYS_PAGES": 2**20, "SC_PAGE_SIZE": 4096}
         monkeypatch.setattr(os, "sysconf", pages.__getitem__)
         assert ex.memory_budget() == 2**31
@@ -425,7 +426,7 @@ class TestMemoryBudget:
         def must_not_run(cfg, *inputs):
             raise AssertionError("the run started")
 
-        for name in ("spin-born", "position-born"):
+        for name in ("spin-born", "position-born", "isotropy", "diffusion", "state-msd"):
             entry = dataclasses.replace(ex.REGISTRY[name], runner=must_not_run)
             monkeypatch.setitem(ex.REGISTRY, name, entry)
 
@@ -526,6 +527,64 @@ class TestMemoryBudget:
         tracemalloc.start()
         try:
             with pytest.raises(ex.MemoryBudgetError, match="lower levels"):
+                ex.run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert not tmp_path.joinpath("out").exists()
+
+    @pytest.mark.memory
+    @pytest.mark.parametrize("experiment, trials, parameters, remedy", [
+        ("isotropy", 300, {"n_cells": 8, "samples": 20_000}, "lower samples"),
+        ("diffusion", 60_000, {"dt": 0.002}, "lower --trials"),
+        ("diffusion", 10_000, {"dt": 1e-4, "t_final": 0.4}, "raise dt"),
+        ("state-msd", 400, {"n_cells": 8, "n_steps": 30}, "lower --trials"),
+    ])
+    def test_size_peak_stays_under_estimate(self, experiment, trials, parameters, remedy,
+                                            tmp_path, monkeypatch):
+        import scipy.fft
+        import scipy.special  # noqa: F401  (imported before tracing, as a run has them)
+
+        cfg = ex.ExperimentConfig(experiment, parameters, seed=4, trials=trials,
+                                  output_dir=str(tmp_path))
+        needs = []
+        with monkeypatch.context() as m:
+            m.setattr(ex, "_require_budget", lambda need, what, remedy: needs.append(need))
+            inputs = ex.prepare(cfg)
+        monkeypatch.setenv("HB_THREADS", "1")
+        tracemalloc.start()
+        try:
+            result = ex.REGISTRY[experiment].runner(cfg, *inputs)
+            summary = ex.RunSummary(experiment, cfg.parameters, 4, trials, result.checks, 0.0)
+            ex.write_outputs(summary, result, cfg.output_dir, cfg.format)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(needs) == 1 and peak < needs[0]
+        monkeypatch.setattr(ex, "memory_budget", lambda: peak)
+        with pytest.raises(ex.MemoryBudgetError, match=remedy):
+            ex.prepare(cfg)
+
+    @pytest.mark.memory
+    # each size alone would take terabytes, or 10¹⁵ steps
+    @pytest.mark.parametrize("experiment, trials, parameters", [
+        ("isotropy", 10**12, {}),
+        ("isotropy", 100, {"samples": 10**12}),
+        ("isotropy", 100, {"n_cells": 10**6}),
+        ("diffusion", 10**12, {}),
+        ("diffusion", 1, {"dt": 1e-15}),
+        ("state-msd", 10**12, {}),
+        ("state-msd", 100, {"n_cells": 10**6}),
+        ("state-msd", 100, {"n_steps": 10**15}),
+    ])
+    def test_absurd_sizes_are_refused_before_any_allocation(
+            self, four_gib, tmp_path, experiment, trials, parameters):
+        cfg = ex.ExperimentConfig(experiment, parameters, seed=1, trials=trials,
+                                  output_dir=str(tmp_path / "out"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ex.MemoryBudgetError, match="GiB budget"):
                 ex.run(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -161,6 +161,52 @@ def test_wave_function_extent_is_its_shape():
         GridWaveFunction(np.ones((3, 4)), [0.0], 0.5)
     with pytest.raises(ValueError, match="finite"):
         GridWaveFunction(np.array([1.0, np.nan]), [0.0], 0.5)
+    with pytest.raises(ValueError, match="finite"):
+        GridWaveFunction(np.array([1.0, complex(0.0, np.inf)]), [0.0], 0.5)
+
+
+def test_wave_function_takes_samples_in_any_memory_order():
+    values = np.arange(12.0).reshape(3, 4) * (1 + 2j)
+    # column-major, reversed on the last axis, every other column of a wider array
+    for layout in (np.asfortranarray(values), values[:, ::-1].copy()[:, ::-1],
+                   np.repeat(values, 2, axis=1)[:, ::2]):
+        psi = GridWaveFunction(layout, [0.0, 1.0], 0.5)
+        assert psi.extent == (3, 4) and (psi.values == values).all()
+    with pytest.raises(ValueError, match="finite"):
+        GridWaveFunction(np.asfortranarray(np.where(values == 5 + 10j, np.nan, values)),
+                         [0.0, 1.0], 0.5)
+
+
+def fftconvolve_passes(values, kern1d, spacing):
+    """The separable convolution as scipy.signal's fftconvolve computes it, axis by axis."""
+    from scipy.signal import fftconvolve
+
+    out = values
+    for ax in range(values.ndim):
+        n = values.shape[ax]
+        k = kern1d(spacing * np.arange(-(n - 1), n)) * spacing
+        out = fftconvolve(out, k.reshape([k.size if a == ax else 1 for a in range(values.ndim)]),
+                          mode="same", axes=ax)
+    return out
+
+
+def test_axis_convolve_equals_fftconvolve_bit_for_bit():
+    rng = np.random.default_rng(29)
+    shapes = [(1,), (2,), (7,), (64,), (97,), (1, 5), (6, 1), (1, 1), (16, 33),
+              (3, 1, 8), (1, 9, 1), (12, 7, 5), (20, 17, 23)]
+    for shape in shapes:
+        for layout in ("C", "F", "strided"):
+            values = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            if layout == "F":
+                values = np.asfortranarray(values)
+            elif layout == "strided":
+                values = np.repeat(values, 2, axis=0)[::2]
+            s = rng.uniform(0.1, 3.0)
+            kern = lambda u: np.exp(-u * u / s)  # noqa: E731
+            ours = hc._axis_convolve(values, kern, 0.3)
+            theirs = fftconvolve_passes(values, kern, 0.3)
+            assert ours.shape == theirs.shape == shape and ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes(), (shape, layout)
 
 
 def test_with_values_refuses_samples_of_another_extent(delta_grid):

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from hilbertbridge import stats_util
+from hilbertbridge import _ksstats, stats_util
 
 
 def _fail_past_first_range(trials, trial_offset):
@@ -64,3 +64,68 @@ def test_p_value_kernels_equal_scipy_stats_bit_for_bit():
     assert report.p_value == 2.0 * stats.norm.sf(abs(report.statistic))
     report = stats_util.direction_uniformity(gen.normal(size=(200, 3)) + 0.1)
     assert report.p_value == stats.chi2.sf(report.statistic, 3)
+
+
+def _bits(x) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def test_ks_p_value_equals_kstwo_sf_bit_for_bit_on_every_branch(monkeypatch):
+    """The port of scipy's kstwo.sf, at sizes and statistics that reach each of its methods."""
+    from scipy import special, stats
+
+    reached = set()
+    for name in ("_kolmogn_dmtw", "_kolmogn_pomeranz", "_kolmogn_pelz_good"):
+        method = getattr(_ksstats, name)
+        monkeypatch.setattr(_ksstats, name,
+                            lambda *args, _m=method, _n=name: reached.add(_n) or _m(*args))
+    monkeypatch.setattr(special, "smirnov",
+                        lambda *args, _m=special.smirnov: reached.add("smirnov") or _m(*args))
+    for n in (1, 2, 20, 100, 140, 141, 4000, 10**5, 10**5 + 1):
+        root = np.sqrt(n)
+        for d in (0.5 / n, np.nextafter(0.5 / n, 1.0), 0.75 / n, 1 / n, 2 / n,
+                  0.3 / root, 0.6 / root, 0.87 / root, 1 / root, 1.2 / root, 2 / root,
+                  5 / root, 0.3, 0.5, (n - 0.5) / n, 1.0):
+            assert _bits(_ksstats.kstwo_sf(float(d), n)) == _bits(stats.kstwo.sf(d, n)), (n, d)
+    assert reached == {"_kolmogn_dmtw", "_kolmogn_pomeranz", "_kolmogn_pelz_good", "smirnov"}
+
+
+@pytest.mark.parametrize("n", [100, 137, 4000, 100_000])
+def test_ks_test_equals_kstest_on_normal_and_chi_samples(n):
+    from scipy import stats
+    from scipy.special import gammainc, ndtr
+
+    gen = np.random.default_rng(n)
+    for scale, stretch in ((0.04, 1.0), (1.3, 1.0), (0.7, 1.05)):
+        x = gen.normal(0.0, scale * stretch, n)
+        ours = stats_util.ks_test(ndtr(np.sort(x) / scale))
+        theirs = stats.kstest(x, "norm", args=(0.0, scale))
+        assert (_bits(ours.statistic), _bits(ours.p_value)) == (
+            _bits(theirs.statistic), _bits(theirs.pvalue))
+        r = np.linalg.norm(gen.normal(0.0, scale * stretch, (n, 3)), axis=1)
+        ours = stats_util.ks_test(gammainc(1.5, 0.5 * (np.sort(r) / scale) ** 2))
+        theirs = stats.kstest(r, stats.chi(df=3, scale=scale).cdf)
+        assert (_bits(ours.statistic), _bits(ours.p_value)) == (
+            _bits(theirs.statistic), _bits(theirs.pvalue))
+
+
+def test_linear_fit_equals_linregress():
+    from scipy import stats
+
+    gen = np.random.default_rng(7)
+    cases = [(np.arange(11), gen.normal(size=11).cumsum()),
+             (gen.uniform(size=500), 3.0 * gen.uniform(size=500) - 1.0),
+             (np.arange(5.0), 2.0 * np.arange(5.0)),  # r clipped to 1
+             (np.arange(4), np.full(4, 0.1)),  # constant y: r is NaN
+             (np.arange(2), np.array([1.0, -1.0]))]
+    for x, y in cases:
+        slope, r = stats_util.linear_fit(x, y)
+        fit = stats.linregress(x, y)
+        assert (_bits(slope), _bits(r)) == (_bits(fit.slope), _bits(fit.rvalue))
+    with pytest.raises(ValueError, match="all x values are identical"):
+        stats_util.linear_fit(np.full(3, 2.0), np.arange(3.0))
+    with pytest.raises(ValueError, match="identical"):
+        stats.linregress(np.full(3, 2.0), np.arange(3.0))
+    # one point has a single x value too
+    with pytest.raises(ValueError, match="identical"):
+        stats_util.linear_fit([1.0], [2.0])
