@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from hilbertbridge import (
 )
 from hilbertbridge.stats_util import (MIN_DIRECTION_SAMPLES, RngStream, SparseTableError,
                                       check_seed, chi_square_gof, ks_test, linear_fit,
-                                      resolve_workers)
+                                      range_processes, resolve_workers, walk_ranges)
 
 __all__ = [
     "CriterionCheck",
@@ -417,7 +418,12 @@ def _run_curvature(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
 
 def _uncertainty_inputs(cfg: ExperimentConfig) -> tuple:
     # each instance draws its level count from 2 … max_levels
-    return (_at_least("max_levels", int(cfg.parameters["max_levels"]), 2),)
+    max_levels = _at_least("max_levels", int(cfg.parameters["max_levels"]), 2)
+    # an instance of n levels holds about five complex n² planes (80 bytes
+    # a level², traced), and its seven-column row twice a walk's
+    _require_parts(cfg, {"lower max_levels": 96 * max_levels**2,
+                         "lower --trials": 2 * _ROW_BYTES[cfg.format] * cfg.resolved_trials})
+    return (max_levels,)
 
 
 def _run_uncertainty(cfg: ExperimentConfig, max_levels: int) -> ExperimentResult:
@@ -589,28 +595,44 @@ def _run_reconstruct(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
 # transition-rule experiments
 
 
+# fewest born-bridge pairs worth a forked process: every second pair is a
+# 3-D grid of about 20 ms; two ranges of 2 pairs took 30 ms against 43 ms in
+# one process, and 2 or 3 pairs, one 3-D pair, took 31 ms forked against 26
+_MIN_PAIRS_PER_PROCESS = 2
+# a process's 3-D pair: its grid's leaves and the axis-0 rows they are formed
+# from, 2.4–3.9 MiB traced at separations of 0 to 8σ an axis (pairs draw 1.2σ)
+_BRIDGE_PAIR_BYTES = 2**22
+
+
 def _born_bridge_inputs(cfg: ExperimentConfig) -> tuple:
     # the kernel width both representations share, refused by KernelSpec unless positive
-    return (hilbert_core.KernelSpec(sigma=cfg.parameters["sigma"]).sigma,)
+    sigma = hilbert_core.KernelSpec(sigma=cfg.parameters["sigma"]).sigma
+    pairs = cfg.resolved_trials
+    # each process's 3-D pair, and per pair its seven float columns (held
+    # twice while joined, then as Python floats) and its six-column row,
+    # twice a walk's
+    processes = range_processes(pairs, _MIN_PAIRS_PER_PROCESS)
+    _require_budget(processes * _BRIDGE_PAIR_BYTES + (336 + 2 * _ROW_BYTES[cfg.format]) * pairs,
+                    f"born-bridge with {pairs} pairs", "lower --trials")
+    return (sigma,)
 
 
-def _run_born_bridge(cfg: ExperimentConfig, sigma: float) -> ExperimentResult:
-    n_pairs = cfg.resolved_trials
+def _born_bridge_pairs(seed: int, sigma: float, count: int, offset: int) -> tuple:
+    """born-bridge's pairs offset … offset + count − 1, one float column per quantity.
+
+    Pair k draws from ``RngStream(seed, k)`` alone.  The columns are its
+    dimension, separation, Gaussian and angle sides, and the deviations of
+    the distance relation, the density identity and the isotropic extension.
+    """
     rows = []
-    worst_relation = 0.0
-    worst_density = 0.0
-    mixed_pairs = []
-    for k in range(n_pairs):
-        gen = RngStream(cfg.resolved_seed, k).generator()
+    for k in range(offset, offset + count):
+        gen = RngStream(seed, k).generator()
         dim = 1 if k % 2 == 0 else 3
         a = gen.normal(0.0, sigma, size=dim)
         b = a + gen.normal(0.0, 1.2 * sigma, size=dim)
         lhs, rhs = born_bridge.fs_euclid_relation(a, b, sigma)
         prob, density_form = born_bridge.born_normal_equivalence(a, b, sigma)
-        worst_relation = max(worst_relation, abs(lhs - rhs))
-        worst_density = max(worst_density, abs(prob - density_form))
         sep = float(np.linalg.norm(b - a))
-        rows.append((k, dim, sep, lhs, rhs, abs(lhs - rhs)))
 
         pkt_a = packet_dynamics.GaussianPacket(
             center=a, momentum=gen.normal(size=dim), sigma=sigma, mass=1.0
@@ -618,19 +640,31 @@ def _run_born_bridge(cfg: ExperimentConfig, sigma: float) -> ExperimentResult:
         pkt_b = packet_dynamics.GaussianPacket(
             center=b, momentum=gen.normal(size=dim), sigma=sigma, mass=1.0
         )
-        mixed_pairs.append(born_bridge.TransitionPair(pkt_a, pkt_b))
         spin = gen.normal(size=2) + 1j * gen.normal(size=2)
         spin /= np.linalg.norm(spin)
         other = gen.normal(size=2) + 1j * gen.normal(size=2)
         other /= np.linalg.norm(other)
-        mixed_pairs.append(born_bridge.TransitionPair(spin, other))
-    report = born_bridge.isotropic_extension_check(mixed_pairs)
+        report = born_bridge.isotropic_extension_check(
+            [born_bridge.TransitionPair(pkt_a, pkt_b), born_bridge.TransitionPair(spin, other)])
+        rows.append((dim, sep, lhs, rhs, abs(lhs - rhs), abs(prob - density_form),
+                     report.max_deviation))
+    return tuple(np.array(rows, dtype=float).reshape(count, 7).T)
+
+
+def _run_born_bridge(cfg: ExperimentConfig, sigma: float) -> ExperimentResult:
+    # pair k owns its substream and a max does not depend on order, so the
+    # pairs may run in any process
+    columns = walk_ranges(functools.partial(_born_bridge_pairs, cfg.resolved_seed, sigma),
+                          cfg.resolved_trials, _MIN_PAIRS_PER_PROCESS, cfg.resolved_trials)
+    dims, seps, lhs, rhs, relation, density, extension = (c.tolist() for c in columns)
+    rows = [(k, int(d), *row) for k, (d, *row) in enumerate(zip(dims, seps, lhs, rhs, relation))]
+    # running maxima from 0.0 in pair order
     checks = [
-        _check("max_distance_relation_dev", worst_relation, 1e-8, 0.0, "le",
+        _check("max_distance_relation_dev", max([0.0, *relation]), 1e-8, 0.0, "le",
                "oracle"),
-        _check("max_density_identity_dev", worst_density, 1e-10, 0.0, "le",
+        _check("max_density_identity_dev", max([0.0, *density]), 1e-10, 0.0, "le",
                "closed-form"),
-        _check("max_extension_dev", report.max_deviation, 1e-10, 0.0, "le",
+        _check("max_extension_dev", max([0.0, *extension]), 1e-10, 0.0, "le",
                "closed-form"),
     ]
     return ExperimentResult(

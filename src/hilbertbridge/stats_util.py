@@ -9,6 +9,7 @@ This is not a general statistics library.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Callable
@@ -46,8 +47,16 @@ class RngStream:
     stream_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        """``Generator(Philox(key=[seed, stream_id]))``, opened without OS entropy."""
+        return _keyed_generator()(self.seed, self.stream_id)
+
+
+@functools.cache
+def _keyed_generator() -> Callable:
+    # imported on first use: loading the library imports no numpy.random
+    from hilbertbridge._philox import keyed_generator
+
+    return keyed_generator
 
 
 def check_seed(seed: int) -> None:

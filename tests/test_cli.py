@@ -91,7 +91,7 @@ REFUSALS = {
                               "GiB budget (half of physical memory); lower levels"),
     "reconstruct-levels-huge": ("[hamiltonian-reconstruct]\ntrials = 1\nlevels = 1000000\n",
                                 3, "GiB budget (half of physical memory); lower levels"),
-    # terabytes of samples, walkers or kicks, or 10¹⁵ rows; the line is the
+    # terabytes of samples, walkers, kicks or planes, or 10¹⁵ rows; the line is the
     # first key the remedy names
     "isotropy-samples-huge": (f"[isotropy]\nseed = 1\ntrials = 200\nsamples = {10**12}\n",
                               4, "GiB budget (half of physical memory); lower samples or n_cells"),
@@ -107,6 +107,13 @@ REFUSALS = {
                                3, "GiB budget (half of physical memory); lower --trials or n_cells"),
     "state-msd-n-steps-huge": (f"[state-msd]\nseed = 1\ntrials = 100\nn_steps = {10**15}\n",
                                4, "GiB budget (half of physical memory); lower n_steps"),
+    "uncertainty-max-levels-huge": ("[uncertainty-identity]\nseed = 1\ntrials = 3\n"
+                                    "max_levels = 1000000\n", 4,
+                                    "GiB budget (half of physical memory); lower max_levels"),
+    "uncertainty-trials-huge": (f"[uncertainty-identity]\nseed = 1\ntrials = {10**13}\n", 3,
+                                "GiB budget (half of physical memory); lower --trials"),
+    "born-bridge-trials-huge": (f"[born-bridge]\nseed = 1\ntrials = {10**13}\n", 3,
+                                "GiB budget (half of physical memory); lower --trials"),
     # 2·10¹³ grid points: petabytes, over the budget of any machine
     **{f"{name}-spacing-tiny": (f"[{name}]\ntrials = 1\nspacing_frac = 1e-12\n", 3,
                                 "GiB budget (half of physical memory); raise spacing_frac")

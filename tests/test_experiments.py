@@ -285,6 +285,33 @@ class TestDeterminism:
             b = (dirs[1] / fname).read_bytes()
             assert a == b
 
+    def test_born_bridge_outputs_identical_at_1_and_2_workers(self, tmp_path, monkeypatch):
+        made = []
+
+        class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                made.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+        blobs = {}
+        forked = {}
+        two_ranges = 2 * ex._MIN_PAIRS_PER_PROCESS + 1
+        # and the registry test's 2 pairs, which fork nothing
+        for workers, pairs in ((1, two_ranges), (2, two_ranges), (2, 2)):
+            monkeypatch.setenv("HB_THREADS", str(workers))
+            out = tmp_path / f"w{workers}-{pairs}"
+            made.clear()
+            ex.run(ex.ExperimentConfig("born-bridge", seed=13, trials=pairs,
+                                       output_dir=str(out)))
+            forked[workers, pairs] = list(made)
+            blobs[workers, pairs] = [(out / f"born-bridge-{part}").read_bytes()
+                                     for part in ("trials.csv", "summary.json")]
+        assert forked == {(1, two_ranges): [], (2, two_ranges): [(1,)], (2, 2): []}
+        assert blobs[1, two_ranges] == blobs[2, two_ranges]
+        assert blobs[2, two_ranges][0].count(b"\n") == two_ranges + 1
+
     def test_json_trials_format(self, tmp_path):
         cfg = ex.ExperimentConfig(
             experiment="spin-born",
@@ -426,7 +453,8 @@ class TestMemoryBudget:
         def must_not_run(cfg, *inputs):
             raise AssertionError("the run started")
 
-        for name in ("spin-born", "position-born", "isotropy", "diffusion", "state-msd"):
+        for name in ("spin-born", "position-born", "isotropy", "diffusion", "state-msd",
+                     "uncertainty-identity", "born-bridge"):
             entry = dataclasses.replace(ex.REGISTRY[name], runner=must_not_run)
             monkeypatch.setitem(ex.REGISTRY, name, entry)
 
@@ -540,6 +568,9 @@ class TestMemoryBudget:
         ("diffusion", 60_000, {"dt": 0.002}, "lower --trials"),
         ("diffusion", 10_000, {"dt": 1e-4, "t_final": 0.4}, "raise dt"),
         ("state-msd", 400, {"n_cells": 8, "n_steps": 30}, "lower --trials"),
+        ("uncertainty-identity", 6, {"max_levels": 400}, "lower max_levels"),
+        ("uncertainty-identity", 20_000, {}, "lower --trials"),
+        ("born-bridge", 6, {}, "lower --trials"),
     ])
     def test_size_peak_stays_under_estimate(self, experiment, trials, parameters, remedy,
                                             tmp_path, monkeypatch):
@@ -577,6 +608,9 @@ class TestMemoryBudget:
         ("state-msd", 10**12, {}),
         ("state-msd", 100, {"n_cells": 10**6}),
         ("state-msd", 100, {"n_steps": 10**15}),
+        ("uncertainty-identity", 3, {"max_levels": 10**6}),
+        ("uncertainty-identity", 10**12, {}),
+        ("born-bridge", 10**12, {}),
     ])
     def test_absurd_sizes_are_refused_before_any_allocation(
             self, four_gib, tmp_path, experiment, trials, parameters):

@@ -1,6 +1,7 @@
-"""Loading the library and walking its two measurement walks import no
-scipy submodule; each is imported by the function that needs it, and no
-experiment or kernel-space convolution imports scipy.stats or scipy.signal."""
+"""Loading the library imports no numpy.random, and neither it nor the two
+measurement walks import a scipy submodule; each is imported by the function
+that needs it, and no experiment or kernel-space convolution imports
+scipy.stats or scipy.signal."""
 
 import json
 import os
@@ -58,6 +59,8 @@ def test_library_and_walks_load_no_heavy_scipy_module(tmp_path):
              for stage in ("import", "spin-born", "position-born")}
     assert heavy == {"import": [], "spin-born": [], "position-born": []}
     assert "hilbertbridge._ksstats" not in loaded["import"]
+    # RngStream imports numpy.random on its first generator
+    assert [name for name in loaded["import"] if name.split(".")[:2] == ["numpy", "random"]] == []
     # kstest, chi.cdf, linregress and fftconvolve are ported: scipy.stats
     # alone is about 70 MB of RSS
     assert {stage: sorted({"scipy.stats", "scipy.signal"} & set(modules))

@@ -1,13 +1,47 @@
-"""The process fan-out that walks trial ranges in forked processes, and the
-p-values of the library's tests."""
+"""Keyed RNG substreams, the process fan-out that walks trial ranges in forked
+processes, and the p-values of the library's tests."""
 
 import multiprocessing
 import os
+import random
 
 import numpy as np
 import pytest
 
 from hilbertbridge import _ksstats, stats_util
+from hilbertbridge.stats_util import RngStream
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so ``==`` compares them."""
+    return {key: _plain(value) if isinstance(value, dict) else np.asarray(value).tolist()
+            for key, value in state.items()}
+
+
+# the extreme keys, and position-born's start stream
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**64 - 1, 2**64 - 1), (11, 2**63)])
+def test_stream_is_philox_keyed_by_seed_and_stream_id(seed, stream_id):
+    gen = RngStream(seed, stream_id).generator()
+    keyed = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id],
+                                                               dtype=np.uint64)))
+    assert _plain(gen.bit_generator.state) == _plain(keyed.bit_generator.state)
+    assert gen.normal(size=10**4).tobytes() == keyed.normal(size=10**4).tobytes()
+    assert _plain(gen.bit_generator.state) == _plain(keyed.bit_generator.state)
+
+
+def test_opening_a_stream_reads_no_os_entropy(monkeypatch):
+    key = np.array([3, 4], dtype=np.uint64)
+    expected = np.random.Generator(np.random.Philox(key=key)).normal(size=8)
+
+    def refuse(size):
+        raise AssertionError("read OS entropy")
+
+    monkeypatch.setattr(os, "urandom", refuse)
+    # SystemRandom, which numpy's default seeding draws from, holds its own reference
+    monkeypatch.setattr(random, "_urandom", refuse)
+    with pytest.raises(AssertionError, match="OS entropy"):
+        np.random.Philox(key=key)
+    assert RngStream(3, 4).generator().normal(size=8).tobytes() == expected.tobytes()
 
 
 def _fail_past_first_range(trials, trial_offset):
