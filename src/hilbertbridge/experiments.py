@@ -569,6 +569,9 @@ def _run_reconstruct(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
     n = len(x_op)
     zero = np.zeros((n, n), dtype=complex)
     keep = packet_dynamics.interior_slice(n)
+    # both potentials solve the same commutator system; each its own lstsq,
+    # since one solve of two right-hand sides rounds differently
+    design = packet_dynamics.commutator_design(x_op, p_op)
     rows = []
     checks = []
     for name, grad_v, v_op in (
@@ -576,7 +579,7 @@ def _run_reconstruct(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
         ("harmonic", x_op, 0.5 * (x_op @ x_op)),
     ):
         h_rec, rank, n_params = packet_dynamics.reconstruct_hamiltonian(
-            x_op, p_op, grad_v, potential_op=v_op
+            x_op, p_op, grad_v, potential_op=v_op, design=design
         )
         h_true = (p_op @ p_op) / 2 + v_op
         diff = np.linalg.norm(h_rec[keep, keep] - h_true[keep, keep])
@@ -834,11 +837,13 @@ def _state_msd_inputs(cfg: ExperimentConfig) -> tuple:
     trials, n_steps, n = (cfg.resolved_trials, int(cfg.parameters["n_steps"]),
                           int(cfg.parameters["n_cells"]))
     density_diffusion.check_msd(trials, n_steps)
-    # a trial's ≥ 8 cell kicks' draws (32 bytes an N² each), eigh's stacks, ≤ 256
-    # spin kicks' fields (24 bytes each), generators and scan window; block floors
-    per_trial = 304 * n * n + 24 * min(n_steps, 256) + 4096
-    _require_parts(cfg, {"lower --trials or n_cells": trials * per_trial + 2**23 + 24 * 2**18,
-                         "lower n_steps": 400 * n_steps})
+    # the cell walk's batches and its states after every step; a trial's ≤ 256
+    # spin kicks' fields (24 bytes each), generator and scan window, and the
+    # spin block's floor; a row a step
+    kicks, states = position_measurement.msd_bytes(trials, n, n_steps)
+    _require_parts(cfg, {
+        "lower --trials or n_cells": kicks + trials * (24 * min(n_steps, 256) + 4096) + 24 * 2**18,
+        "lower n_steps": states + 400 * n_steps})
     basis = np.eye(1, n, dtype=complex)[0]
     return _spin_params(cfg), _cell_params(cfg), position_measurement.CellState(basis)
 

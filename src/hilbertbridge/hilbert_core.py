@@ -343,9 +343,11 @@ _LEAF_POINTS = 1 << 16
 def trapezoid_inner(grid: Grid, f_rows: Callable, g_rows: Callable) -> complex:
     """∫ f conj(g) by trapezoid quadrature: ``.sum()`` of the whole product, bit for bit.
 
-    ``f_rows(i, j)`` and ``g_rows(i, j)`` give the complex samples on axis-0 rows
-    i…j−1.  The sum follows numpy's complex pairwise tree (a node of n points splits
+    ``f_rows(i, j)`` and ``g_rows(i, j)`` give the samples on axis-0 rows i…j−1.
+    The sum follows numpy's complex pairwise tree (a node of n points splits
     after (n − n mod 8)/2) to leaves of ``_LEAF_POINTS``, each formed from its rows.
+    Two real samplers form the real product f·g·w, the complex product's bits
+    when the samples are positive and finite.
     """
     row = math.prod(grid.extent[1:])
     # numpy evaluates a whole grid's ``f * np.conj(g)`` in conj(g), as conj(g)·f,
@@ -356,9 +358,16 @@ def trapezoid_inner(grid: Grid, f_rows: Callable, g_rows: Callable) -> complex:
         if n > _LEAF_POINTS:
             return total(start, half := (n - n % 8) // 2) + total(start + half, n - half)
         i, j = start // row, -(-(start + n) // row)
-        f, out = f_rows(i, j), np.conj(g_rows(i, j))
-        np.multiply(*((out, f) if swap else (f, out)), out=out)
-        out *= grid.quadrature_weights(i, j)
+        f, g = f_rows(i, j), g_rows(i, j)
+        if np.iscomplexobj(f) or np.iscomplexobj(g):
+            out = np.conj(g)
+            np.multiply(*((out, f) if swap else (f, out)), out=out)
+            out *= grid.quadrature_weights(i, j)
+        else:
+            # the complex tree over a zero imaginary part sums the real products
+            out = np.zeros(f.shape, dtype=complex)
+            np.multiply(f, g, out=out.real)
+            out.real *= grid.quadrature_weights(i, j)
         return complex(out.reshape(-1)[start - i * row:][:n].sum())
 
     return total(0, row * grid.extent[0])

@@ -27,6 +27,7 @@ __all__ = [
     "GaussianPacket",
     "PotentialField",
     "VelocityComponents",
+    "commutator_design",
     "decomposition_check",
     "ehrenfest_check",
     "interior_slice",
@@ -123,7 +124,7 @@ class VelocityComponents:
 
 
 def packet_envelope(pkt: GaussianPacket, grid: Grid) -> Callable[..., np.ndarray]:
-    """Sampler ``rows(start, stop=None)`` of the envelope, cast to complex, on axis-0 rows.
+    """Sampler ``rows(start, stop=None)`` of the real envelope on axis-0 rows.
 
     It refuses the grids :func:`packet_wavefunction` refuses.  Offsets x_k − a_k
     are broadcast per axis and their squares summed as ((d₀² + d₁²) + d₂²)…, the
@@ -152,7 +153,7 @@ def packet_envelope(pkt: GaussianPacket, grid: Grid) -> Callable[..., np.ndarray
         envelope /= 4 * pkt.sigma**2
         np.exp(envelope, out=envelope)
         envelope *= (2 * np.pi * pkt.sigma**2) ** (-0.25 * pkt.dim)  # norm
-        return envelope.astype(complex)
+        return envelope
 
     return rows
 
@@ -163,8 +164,8 @@ def packet_wavefunction(pkt: GaussianPacket, grid: Grid) -> GridWaveFunction:
     Unit L₂ norm (the |ψ|² marginal is the normal density with standard
     deviation σ per axis).  The grid must cover a ± 8σ and resolve both the
     envelope and the momentum oscillation.  At p = 0 the stacked formula's
-    plane wave is exactly 1 + 0j, so :func:`packet_envelope` gives the samples
-    bit for bit; only p ≠ 0 still builds the stacked formula.
+    plane wave is exactly 1 + 0j, so :func:`packet_envelope`, cast to complex,
+    gives the samples bit for bit; only p ≠ 0 still builds the stacked formula.
     """
     envelope = packet_envelope(pkt, grid)(0)
     if not np.any(pkt.momentum):
@@ -356,45 +357,33 @@ MIN_TRUNCATION = 8
 _DESIGN_CHUNK = 16
 
 
-def reconstruct_hamiltonian(
-    x_op: np.ndarray,
-    p_op: np.ndarray,
-    grad_v_op: np.ndarray,
-    potential_op: np.ndarray | None = None,
-    mass: float = 1.0,
-    hbar: float = 1.0,
-) -> tuple[np.ndarray, int, int]:
-    """Solve i[H, x̂] = (ħ/m)p̂ and i[H, p̂] = −ħ·∇V for Hermitian H.
+def _from_params(theta: np.ndarray, n: int) -> np.ndarray:
+    """The Hermitian n × n matrices of real parameters ``theta`` (leading axes broadcast).
 
-    The equations are imposed only on matrix entries with both indices in the
-    truncation-safe range (the top band of the finite matrices is corrupted by
-    the cutoff), and they determine H there up to an additive constant.  The
-    constant is fixed by matching the mean diagonal of H to that of
-    p̂²/2m + V̂ over the interior block — the trace condition restricted to the
-    entries the equations actually determine.
+    The parameters are the diagonal, then Re and Im of the upper triangle.
+    """
+    iu = np.triu_indices(n, k=1)
+    h = np.zeros((*theta.shape[:-1], n, n), dtype=complex)
+    h[..., np.arange(n), np.arange(n)] = theta[..., :n]
+    re = theta[..., n : n + iu[0].size]
+    im = theta[..., n + iu[0].size :]
+    h[..., iu[0], iu[1]] = re + 1j * im
+    h[..., iu[1], iu[0]] = re - 1j * im
+    return h
 
-    Returns (H, rank, n_params) of the least-squares system; a rank smaller
-    than n_params is expected (the additive constant plus the untouched top
-    band never enter the equations).
+
+def commutator_design(x_op: np.ndarray, p_op: np.ndarray) -> np.ndarray:
+    """Design matrix of the map from Hermitian H to i[H, x̂] and i[H, p̂].
+
+    Column j holds the real and imaginary parts of both commutators of the
+    j-th parameter's basis matrix (see :func:`reconstruct_hamiltonian`), on
+    the entries with both indices in the truncation-safe range.
     """
     n = x_op.shape[0]
     if n < MIN_TRUNCATION:
         raise ValueError(f"need truncation ≥ {MIN_TRUNCATION}, got {n}")
     keep = interior_slice(n, pad=2)  # equations valid for indices ≤ n−3
-
-    # real parametrization of Hermitian H: diagonal, then Re/Im of the upper
-    # triangle; both maps broadcast over leading axes of ``theta`` and ``h``
-    iu = np.triu_indices(n, k=1)
-    n_params = n + 2 * iu[0].size
-
-    def from_params(theta: np.ndarray) -> np.ndarray:
-        h = np.zeros((*theta.shape[:-1], n, n), dtype=complex)
-        h[..., np.arange(n), np.arange(n)] = theta[..., :n]
-        re = theta[..., n : n + iu[0].size]
-        im = theta[..., n + iu[0].size :]
-        h[..., iu[0], iu[1]] = re + 1j * im
-        h[..., iu[1], iu[0]] = re - 1j * im
-        return h
+    n_params = n * n
 
     def equations(h: np.ndarray) -> np.ndarray:
         parts = []
@@ -406,6 +395,43 @@ def reconstruct_hamiltonian(
             parts += [block.real, block.imag]
         return np.concatenate(parts, axis=-1)
 
+    # the entries are exact, so building _DESIGN_CHUNK columns at a time from
+    # rows of the identity is bit for bit the one-column build
+    a_mat = np.empty((4 * (n - 2) ** 2, n_params))
+    for j in range(0, n_params, _DESIGN_CHUNK):
+        k = min(_DESIGN_CHUNK, n_params - j)
+        a_mat[:, j : j + k] = equations(_from_params(np.eye(k, n_params, j), n)).T
+    return a_mat
+
+
+def reconstruct_hamiltonian(
+    x_op: np.ndarray,
+    p_op: np.ndarray,
+    grad_v_op: np.ndarray,
+    potential_op: np.ndarray | None = None,
+    mass: float = 1.0,
+    hbar: float = 1.0,
+    design: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, int]:
+    """Solve i[H, x̂] = (ħ/m)p̂ and i[H, p̂] = −ħ·∇V for Hermitian H.
+
+    The equations are imposed only on matrix entries with both indices in the
+    truncation-safe range (the top band of the finite matrices is corrupted by
+    the cutoff), and they determine H there up to an additive constant.  The
+    constant is fixed by matching the mean diagonal of H to that of
+    p̂²/2m + V̂ over the interior block — the trace condition restricted to the
+    entries the equations actually determine.  ``design`` is
+    :func:`commutator_design` of ``x_op`` and ``p_op``, built here if not given;
+    it depends on neither potential, so solves for several potentials share it.
+
+    Returns (H, rank, n_params) of the least-squares system; a rank smaller
+    than n_params is expected (the additive constant plus the untouched top
+    band never enter the equations).
+    """
+    if design is None:
+        design = commutator_design(x_op, p_op)
+    n = x_op.shape[0]
+    keep = interior_slice(n, pad=2)
     b = np.concatenate(
         [
             np.concatenate(
@@ -414,21 +440,12 @@ def reconstruct_hamiltonian(
             for t in ((hbar / mass) * p_op, -hbar * grad_v_op)
         ]
     )
-
-    # column j is the equations of the j-th basis vector; the entries are
-    # exact, so building _DESIGN_CHUNK columns at a time from rows of the
-    # identity is bit for bit the one-column build
-    a_mat = np.empty((b.size, n_params))
-    for j in range(0, n_params, _DESIGN_CHUNK):
-        k = min(_DESIGN_CHUNK, n_params - j)
-        a_mat[:, j : j + k] = equations(from_params(np.eye(k, n_params, j))).T
-
-    theta, _, rank, _ = np.linalg.lstsq(a_mat, b, rcond=None)
-    h_rec = from_params(theta)
+    theta, _, rank, _ = np.linalg.lstsq(design, b, rcond=None)
+    h_rec = _from_params(theta, n)
 
     reference = p_op @ p_op / (2 * mass)
     if potential_op is not None:
         reference = reference + potential_op
     band = interior_slice(n, pad=4)
     shift = np.mean(np.diag(reference)[band].real) - np.mean(np.diag(h_rec)[band].real)
-    return h_rec + shift * np.eye(n), int(rank), n_params
+    return h_rec + shift * np.eye(n), int(rank), n * n

@@ -47,6 +47,7 @@ __all__ = [
     "run_measurement",
     "run_position_ensemble",
     "ensemble_bytes",
+    "msd_bytes",
     "gabor_state",
     "magnitude_estimates",
 ]
@@ -651,26 +652,73 @@ def _apply_unitary_batch(states: np.ndarray, hams: np.ndarray,
     return np.einsum("kab,kb->ka", vecs, y)
 
 
+# fewest trial-kicks of the state-msd walk worth a forked process: two
+# ranges of 8000 of the cheapest kicks (N = 2) took 20 ms against 23 ms in
+# one process, and 4000 at N = 4 already 13 ms against 14 ms
+_MIN_MSD_KICKS_PER_PROCESS = 8192
+
+
+def msd_bytes(trials: int, n: int, n_steps: int) -> tuple[int, int]:
+    """Rough peak bytes of :func:`_free_walk_msd` at N = ``n``: (kicks, states).
+
+    Each process holds a batch's block of kicks (at least 8), eigh's stacks
+    and its generators.  The states after every step take 16·N bytes a
+    trial-step: a batch's and their pickle in each process, every trial's
+    twice in the calling process while the ranges' are joined, and one
+    step's copy.
+    """
+    processes = range_processes(trials, _msd_min_trials(n_steps))
+    k = min(-(-trials // processes), _BATCH)
+    block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
+    return (processes * (block + k * (48 * n * n + 1024)),
+            16 * n * (2 * n_steps * (trials + processes * k) + trials))
+
+
+def _msd_min_trials(n_steps: int) -> int:
+    return max(1, -(-_MIN_MSD_KICKS_PER_PROCESS // n_steps))
+
+
+def _free_walk_states(state0: CellState, params: PositionWalkParams, n_steps: int,
+                      trials: int, trial_offset: int) -> tuple[np.ndarray]:
+    """The ``trials`` states from ``trial_offset`` after each of kicks 1 … ``n_steps``.
+
+    A (trials, n_steps, N) array, each step's (trials, N) slice contiguous;
+    ``tau = 0`` draws nothing and the states stay ``state0``.  No BLAS call,
+    so the walk may run in a forked process.
+    """
+    start, n = state0.amplitudes, len(state0)
+    out = np.empty((n_steps, trials, n), dtype=complex)
+    states = np.tile(start, (trials, 1))
+    gens = [RngStream(params.seed, t).generator()
+            for t in range(trial_offset, trial_offset + trials)] if params.tau > 0 else []
+    hams = []  # the drawn kicks not yet applied
+    for step in range(n_steps):
+        if gens:
+            if not hams:
+                hams = list(_draw_block(gens, n, n_steps - step, params.v_std))
+            states = _apply_unitary_batch(states, hams.pop(0), params)
+        out[step] = states
+    return (out.transpose(1, 0, 2),)
+
+
 def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
                    n_steps: int) -> np.ndarray:
     """⟨θ²⟩, θ = arccos |⟨ψ₀|ψ⟩|, after each of 0 … ``n_steps`` eigh kicks.
 
     Trial ``t`` draws as trial ``t`` of :func:`run_position_ensemble`, at
     scale ``v_std``, and never stops; ``tau = 0`` draws nothing.
+    :func:`~hilbertbridge.stats_util.walk_ranges` walks the trials in
+    batches of up to ``_BATCH``, in forked processes when the trial-kicks
+    repay them; the overlaps are taken here, in trial order, so threaded
+    BLAS runs in this process only.
     """
     _require_isotropic(params)
-    start, n = state0.amplitudes, len(state0)
-    if params.tau > 0:
-        gens = [RngStream(params.seed, t).generator() for t in range(trials)]
-    states = np.tile(start, (trials, 1))
+    start = state0.amplitudes
+    walk = functools.partial(_free_walk_states, state0, params, n_steps)
+    (states,) = walk_ranges(walk, trials, _msd_min_trials(n_steps), _BATCH)
     out = np.zeros(n_steps + 1)
-    hams = []  # the drawn kicks not yet applied
     for step in range(1, n_steps + 1):
-        if params.tau > 0:
-            if not hams:
-                hams = list(_draw_block(gens, n, n_steps - step + 1, params.v_std))
-            states = _apply_unitary_batch(states, hams.pop(0), params)
-        ov = np.abs(states @ start.conj())
+        ov = np.abs(np.ascontiguousarray(states[:, step - 1]) @ start.conj())
         out[step] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
     return out
 

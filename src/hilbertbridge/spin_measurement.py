@@ -135,10 +135,18 @@ def pauli_step(phi, b, params: SpinWalkParams) -> np.ndarray:
     cos(λ) I + i sin(λ) σ·B̂ with λ = μ|B|dt/ħ — no series, no
     renormalization, unitary to round-off.  A zero field is the identity.
     """
-    phi = _as_unit_spinor(phi)
+    return _kick(_as_unit_spinor(phi), _as_field(b), params)
+
+
+def _as_field(b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if b.shape != (3,):
         raise ValueError("field must be a 3-vector")
+    return b
+
+
+def _kick(phi: np.ndarray, b: np.ndarray, params: SpinWalkParams) -> np.ndarray:
+    """:func:`pauli_step` of a unit spinor and a float 3-vector, unchecked."""
     norm = float(np.linalg.norm(b))
     if norm == 0.0:
         return phi.copy()
@@ -444,10 +452,14 @@ def tangent_displacements(
     phi0 = _as_unit_spinor(phi0)
     gen = RngStream(params.seed, stream_id).generator()
     tangent = np.array([-np.conj(phi0[1]), np.conj(phi0[0])])
+    if field_sampler is None:
+        # one draw of every field is the stream of one sample_field a kick
+        fields = gen.normal(0.0, params.field_std, size=(n_steps, 3))
+    else:
+        fields = (_as_field(field_sampler(gen)) for _ in range(n_steps))
     out = np.empty((n_steps, 2))
-    for i in range(n_steps):
-        b = field_sampler(gen) if field_sampler else sample_field(gen, params)
-        moved = pauli_step(phi0, b, params)
+    for i, b in enumerate(fields):
+        moved = _kick(phi0, b, params)
         ortho = moved - phi0 * np.vdot(phi0, moved)
         comp = complex(np.vdot(tangent, ortho))
         out[i] = comp.real, comp.imag

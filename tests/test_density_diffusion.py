@@ -1,10 +1,12 @@
 """Propagator accuracy, continuity residuals and diffusion references."""
 
+import concurrent.futures.process
+
 import numpy as np
 import pytest
 from scipy import stats
 
-from hilbertbridge import position_measurement
+from hilbertbridge import position_measurement, stats_util
 from hilbertbridge.density_diffusion import (
     DiffusionParams,
     EvolutionParams,
@@ -496,3 +498,35 @@ def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, n_step
     out = state_density_msd(start, params, n_steps=n_steps, trials=100)
     ref = _msd_per_step_reference(start, params, n_steps=n_steps, trials=100)
     assert out.mean_square_angle.tobytes() == ref.tobytes()
+
+
+# 300 trials of 3 or 4 cells; a budget below one kick draws blocks of 8
+# kicks, so 11 steps cross a block edge, and batches of 64 split each range
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("kw", [{}, {"_BLOCK_BYTES": 1, "_BATCH": 64}])
+def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, n, kw):
+    made = []
+
+    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(args)
+            super().__init__(*args, **kwargs)
+
+    for name, value in kw.items():
+        monkeypatch.setattr(position_measurement, name, value)
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
+    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+    start = CellState(np.array([0.6, 0, 0.8, 0][:n], dtype=complex))
+    params = PositionWalkParams(tau=0.05, v_std=1.0, seed=21)
+    runs = {}
+    for workers in ("2", "1"):
+        monkeypatch.setenv("HB_THREADS", workers)
+        runs[workers] = position_measurement._free_walk_msd(start, 300, params, 11)
+    # the 3300 trial-kicks fork nothing until the minimum is lowered
+    assert made == []
+    monkeypatch.setattr(position_measurement, "_MIN_MSD_KICKS_PER_PROCESS", 1500)
+    monkeypatch.setenv("HB_THREADS", "2")
+    forked = position_measurement._free_walk_msd(start, 300, params, 11)
+    assert made == [(1,)]
+    ref = _msd_per_step_reference(start, params, n_steps=11, trials=300)
+    assert forked.tobytes() == runs["1"].tobytes() == runs["2"].tobytes() == ref.tobytes()

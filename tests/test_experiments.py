@@ -5,7 +5,10 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -338,6 +341,25 @@ class TestDeterminism:
             blobs.append((out / "diffusion-trials.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.skipif(stats_util.cpu_count() < 2,
+                        reason="OpenBLAS runs one thread on one CPU")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="lstsq's least-squares solve rounds differently on one "
+                              "OpenBLAS thread than on two; the fix changes the bytes")
+    def test_hamiltonian_reconstruct_outputs_identical_at_1_and_2_blas_threads(self,
+                                                                                tmp_path):
+        src = Path(ex.__file__).resolve().parents[1]
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads}
+            subprocess.run([sys.executable, "-m", "hilbertbridge.cli",
+                            "hamiltonian-reconstruct", "--output-dir", str(out)],
+                           env=env, capture_output=True, check=True)
+            blobs.append([(out / f"hamiltonian-reconstruct-{part}").read_bytes()
+                          for part in ("trials.csv", "summary.json")])
+        assert blobs[0] == blobs[1]
+
 
 # (trials, parameters) small enough to run the whole registry in a few seconds;
 # the experiments not listed run at their registry defaults
@@ -568,6 +590,9 @@ class TestMemoryBudget:
         ("diffusion", 60_000, {"dt": 0.002}, "lower --trials"),
         ("diffusion", 10_000, {"dt": 1e-4, "t_final": 0.4}, "raise dt"),
         ("state-msd", 400, {"n_cells": 8, "n_steps": 30}, "lower --trials"),
+        # two batches of cell states after every step (16·N bytes a trial-step),
+        # held twice while joined, outweigh the kicks
+        ("state-msd", 2100, {"n_cells": 4, "n_steps": 300}, "lower n_steps"),
         ("uncertainty-identity", 6, {"max_levels": 400}, "lower max_levels"),
         ("uncertainty-identity", 20_000, {}, "lower --trials"),
         ("born-bridge", 6, {}, "lower --trials"),

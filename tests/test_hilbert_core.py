@@ -341,6 +341,25 @@ def test_tree_sum_equals_numpys_sum(monkeypatch, size, leaf):
     assert same_bits(inner_l2(f, g), materialised_inner(f, g))
 
 
+# shapes below and above numpy's 2¹⁴-point swap of the product's order;
+# a 1000-point leaf cuts each grid above it into several leaves
+@pytest.mark.parametrize("leaf", [1000, None])
+@pytest.mark.parametrize("shape", [(999,), (70_001,), (20, 21, 19), (41, 40, 39)])
+def test_real_samplers_give_the_complex_samplers_bits(monkeypatch, shape, leaf):
+    if leaf is not None:
+        monkeypatch.setattr(hc, "_LEAF_POINTS", leaf)
+    rng = np.random.default_rng(sum(shape))
+    grid = Grid(np.zeros(len(shape)), 0.37, shape)
+    for _ in range(3):
+        # positive samples over many decades, so any other rounding moves a bit
+        f, g = (np.exp(rng.normal(scale=8.0, size=shape)) for _ in range(2))
+        real = trapezoid_inner(grid, lambda i, j: f[i:j], lambda i, j: g[i:j])
+        cast = trapezoid_inner(grid, lambda i, j: f[i:j].astype(complex),
+                               lambda i, j: g[i:j].astype(complex))
+        assert same_bits(real, cast)
+        assert same_bits(real, materialised_inner(grid.with_values(f), grid.with_values(g)))
+
+
 @pytest.mark.parametrize("shape", [(3, 5, 7), (100, 104, 98), (1, 70_000), (700, 101),
                                    (2, 300, 300), (5, 1)])
 def test_inner_l2_equals_the_materialised_product_on_any_grid(shape):

@@ -541,3 +541,37 @@ def test_displacement_second_moment():
     disp = tangent_displacements(EQUAL, 20_000, p)
     msd = (disp**2).sum(axis=1).mean()
     assert msd == pytest.approx(2 * p.step_angle**2, rel=0.05)
+
+
+def _tangent_displacements_per_kick(phi0, n_steps, p, stream_id=0, field_sampler=None):
+    """One field draw, one checked ``pauli_step`` and one projection a kick."""
+    gen = RngStream(p.seed, stream_id).generator()
+    tangent = np.array([-np.conj(phi0[1]), np.conj(phi0[0])])
+    out = np.empty((n_steps, 2))
+    for i in range(n_steps):
+        b = field_sampler(gen) if field_sampler else sample_field(gen, p)
+        moved = pauli_step(phi0, b, p)
+        comp = complex(np.vdot(tangent, moved - phi0 * np.vdot(phi0, moved)))
+        out[i] = comp.real, comp.imag
+    return out
+
+
+@pytest.mark.parametrize("sampler", [None, "pinned", "zero-or-list"])
+def test_tangent_displacements_equal_the_per_kick_loop(sampler):
+    p = params(seed=92)
+    samplers = {
+        None: None,
+        "pinned": lambda gen: np.array([0.0, 0.0, gen.normal(0.0, p.field_std)]),
+        # a zero field (the identity kick) and a plain list of floats
+        "zero-or-list": lambda gen: ([0.0, 0.0, 0.0] if gen.random() < 0.2
+                                     else list(gen.normal(size=3))),
+    }
+    phi0 = state_with_height(0.35)
+    want = _tangent_displacements_per_kick(phi0, 500, p, 3, samplers[sampler])
+    got = tangent_displacements(phi0, 500, p, 3, samplers[sampler])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_tangent_displacements_refuse_a_field_that_is_no_3_vector():
+    with pytest.raises(ValueError, match="3-vector"):
+        tangent_displacements(EQUAL, 4, params(), field_sampler=lambda gen: np.zeros(2))
