@@ -578,8 +578,8 @@ def _run_reconstruct(cfg: ExperimentConfig, x_op, p_op) -> ExperimentResult:
         ("free", zero, zero),
         ("harmonic", x_op, 0.5 * (x_op @ x_op)),
     ):
-        h_rec, rank, n_params = packet_dynamics.reconstruct_hamiltonian(
-            x_op, p_op, grad_v, potential_op=v_op, design=design
+        h_rec, rank, n_params = packet_dynamics._solve_hamiltonian(
+            design, x_op, p_op, grad_v, v_op, mass=1.0, hbar=1.0
         )
         h_true = (p_op @ p_op) / 2 + v_op
         diff = np.linalg.norm(h_rec[keep, keep] - h_true[keep, keep])
@@ -837,13 +837,12 @@ def _state_msd_inputs(cfg: ExperimentConfig) -> tuple:
     trials, n_steps, n = (cfg.resolved_trials, int(cfg.parameters["n_steps"]),
                           int(cfg.parameters["n_cells"]))
     density_diffusion.check_msd(trials, n_steps)
-    # the cell walk's batches and its states after every step; a trial's ≤ 256
-    # spin kicks' fields (24 bytes each), generator and scan window, and the
-    # spin block's floor; a row a step
-    kicks, states = position_measurement.msd_bytes(trials, n, n_steps)
+    # the cell walk; a trial's ≤ 256 spin kicks' fields (24 bytes each),
+    # generator and scan window, and the spin block's floor; a row a step
+    walk = position_measurement.msd_bytes(trials, n, n_steps)
     _require_parts(cfg, {
-        "lower --trials or n_cells": kicks + trials * (24 * min(n_steps, 256) + 4096) + 24 * 2**18,
-        "lower n_steps": states + 400 * n_steps})
+        "lower --trials or n_cells": walk + trials * (24 * min(n_steps, 256) + 4096) + 24 * 2**18,
+        "lower n_steps": 400 * n_steps})
     basis = np.eye(1, n, dtype=complex)[0]
     return _spin_params(cfg), _cell_params(cfg), position_measurement.CellState(basis)
 

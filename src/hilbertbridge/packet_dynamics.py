@@ -411,7 +411,6 @@ def reconstruct_hamiltonian(
     potential_op: np.ndarray | None = None,
     mass: float = 1.0,
     hbar: float = 1.0,
-    design: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, int]:
     """Solve i[H, x̂] = (ħ/m)p̂ and i[H, p̂] = −ħ·∇V for Hermitian H.
 
@@ -420,16 +419,21 @@ def reconstruct_hamiltonian(
     the cutoff), and they determine H there up to an additive constant.  The
     constant is fixed by matching the mean diagonal of H to that of
     p̂²/2m + V̂ over the interior block — the trace condition restricted to the
-    entries the equations actually determine.  ``design`` is
-    :func:`commutator_design` of ``x_op`` and ``p_op``, built here if not given;
-    it depends on neither potential, so solves for several potentials share it.
+    entries the equations actually determine.
 
     Returns (H, rank, n_params) of the least-squares system; a rank smaller
     than n_params is expected (the additive constant plus the untouched top
     band never enter the equations).
     """
-    if design is None:
-        design = commutator_design(x_op, p_op)
+    return _solve_hamiltonian(commutator_design(x_op, p_op), x_op, p_op, grad_v_op,
+                              potential_op, mass, hbar)
+
+
+def _solve_hamiltonian(design, x_op, p_op, grad_v_op, potential_op, mass, hbar):
+    """:func:`reconstruct_hamiltonian` given ``design``, :func:`commutator_design` of x̂ and p̂.
+
+    The design depends on neither potential, so solves for several share it.
+    """
     n = x_op.shape[0]
     keep = interior_slice(n, pad=2)
     b = np.concatenate(

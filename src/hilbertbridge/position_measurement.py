@@ -22,6 +22,7 @@ import dataclasses
 import enum
 import functools
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFuncti
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.state_geometry import require_positive, require_state
 from hilbertbridge.stats_util import (RngStream, TestReport, check_seed, check_trials,
-                                      range_processes, walk_ranges)
+                                      range_processes, stream_ranges, walk_ranges)
 
 __all__ = [
     "GeneratorMode",
@@ -656,49 +657,99 @@ def _apply_unitary_batch(states: np.ndarray, hams: np.ndarray,
 # ranges of 8000 of the cheapest kicks (N = 2) took 20 ms against 23 ms in
 # one process, and 4000 at N = 4 already 13 ms against 14 ms
 _MIN_MSD_KICKS_PER_PROCESS = 8192
+# most cells the state-msd walk forks at: up to 25, eigh solves the
+# tridiagonal problem by QR iteration, which OpenBLAS runs on one thread;
+# from 26 on it divides and conquers, whose threaded calls stall two forked
+# ranges (1000 trials of 20 kicks: 1.2 s forked against 2.3 s in one
+# process at N = 25, over 40 s against 1.7–2.5 s at N = 26 to 31)
+_MSD_FORK_MAX_CELLS = 25
+# the state-msd walk's states after each step are handed over a window of
+# steps at a time: as many steps as keep all trials' window under this
+_WINDOW_BYTES = 2**23
+# OpenBLAS runs a complex mat-vec of fewer elements than this on one thread
+# (1024 times its default GEMM_MULTITHREAD_THRESHOLD, 4); a second thread
+# would spin on the core a forked range walks on: 3000 trials of 400 N = 4
+# kicks took 2.9 s with the whole product a step, 1.9–2.0 s in blocks
+_GEMV_ONE_THREAD = 1024 * 4
 
 
-def msd_bytes(trials: int, n: int, n_steps: int) -> tuple[int, int]:
-    """Rough peak bytes of :func:`_free_walk_msd` at N = ``n``: (kicks, states).
+def msd_bytes(trials: int, n: int, n_steps: int) -> int:
+    """Rough peak bytes of :func:`_free_walk_msd` at N = ``n``.
 
-    Each process holds a batch's block of kicks (at least 8), eigh's stacks
-    and its generators.  The states after every step take 16·N bytes a
-    trial-step: a batch's and their pickle in each process, every trial's
-    twice in the calling process while the ranges' are joined, and one
-    step's copy.
+    Each process holds a batch's block of kicks (at least 8) and eigh's
+    stacks, and every trial its generator and state.  A window of all
+    trials' states (16·N bytes a trial-step) is held at most six times
+    over: each range's window and its pickle, the received copies and the
+    joined window; it takes no more than ``_WINDOW_BYTES`` unless one step
+    of states does, so the peak does not grow with ``n_steps``.
     """
-    processes = range_processes(trials, _msd_min_trials(n_steps))
+    processes = range_processes(trials, _msd_min_trials(trials, n, n_steps))
     k = min(-(-trials // processes), _BATCH)
     block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
-    return (processes * (block + k * (48 * n * n + 1024)),
-            16 * n * (2 * n_steps * (trials + processes * k) + trials))
+    window = _msd_window(trials, n, n_steps)
+    return (processes * (block + k * 48 * n * n)
+            + trials * (1024 + 16 * n * (6 * window + 2)))
 
 
-def _msd_min_trials(n_steps: int) -> int:
+def _msd_min_trials(trials: int, n: int, n_steps: int) -> int:
+    """Fewest trials of a state-msd range worth a forked process; none over
+    ``_MSD_FORK_MAX_CELLS`` cells."""
+    if n > _MSD_FORK_MAX_CELLS:
+        return trials + 1
     return max(1, -(-_MIN_MSD_KICKS_PER_PROCESS // n_steps))
 
 
-def _free_walk_states(state0: CellState, params: PositionWalkParams, n_steps: int,
-                      trials: int, trial_offset: int) -> tuple[np.ndarray]:
-    """The ``trials`` states from ``trial_offset`` after each of kicks 1 … ``n_steps``.
+def _msd_window(trials: int, n: int, n_steps: int) -> int:
+    """Steps of the state-msd walk handed over at a time (at least 1)."""
+    return max(1, min(n_steps, _WINDOW_BYTES // (16 * n * max(trials, 1))))
 
-    A (trials, n_steps, N) array, each step's (trials, N) slice contiguous;
-    ``tau = 0`` draws nothing and the states stay ``state0``.  No BLAS call,
-    so the walk may run in a forked process.
+
+def _free_walk_windows(state0: CellState, params: PositionWalkParams, n_steps: int,
+                       window: int, trials: int, trial_offset: int) -> Iterator[np.ndarray]:
+    """The ``trials`` states from ``trial_offset`` after kicks 1 … ``n_steps``.
+
+    Yields a (trials, w, N) array for each ``window`` steps (the last may be
+    shorter).  The trials walk in batches of up to ``_BATCH``; a batch draws
+    its kicks in blocks cut at the window's end (one draw per generator
+    equals one per kick) and keeps its generators and states for the next
+    window.  ``tau = 0`` draws nothing and the states stay ``state0``.
+    The only LAPACK or BLAS call is eigh on N × N matrices.
     """
     start, n = state0.amplitudes, len(state0)
-    out = np.empty((n_steps, trials, n), dtype=complex)
-    states = np.tile(start, (trials, 1))
-    gens = [RngStream(params.seed, t).generator()
-            for t in range(trial_offset, trial_offset + trials)] if params.tau > 0 else []
-    hams = []  # the drawn kicks not yet applied
-    for step in range(n_steps):
-        if gens:
-            if not hams:
-                hams = list(_draw_block(gens, n, n_steps - step, params.v_std))
-            states = _apply_unitary_batch(states, hams.pop(0), params)
-        out[step] = states
-    return (out.transpose(1, 0, 2),)
+    batches = []
+    for lo in range(trial_offset, trial_offset + trials, _BATCH):
+        ids = range(lo, min(lo + _BATCH, trial_offset + trials))
+        gens = [RngStream(params.seed, t).generator() for t in ids] if params.tau > 0 else []
+        batches.append((np.tile(start, (len(ids), 1)), gens))
+    for first in range(0, n_steps, window):
+        span = min(window, n_steps - first)
+        out = np.empty((span, trials, n), dtype=complex)
+        row = 0
+        for b, (states, gens) in enumerate(batches):
+            hams = []  # the drawn kicks not yet applied
+            for step in range(span):
+                if gens:
+                    if not hams:
+                        hams = list(_draw_block(gens, n, span - step, params.v_std))
+                    states = _apply_unitary_batch(states, hams.pop(0), params)
+                out[step, row:row + len(states)] = states
+            batches[b] = (states, gens)
+            row += len(states)
+        yield out.transpose(1, 0, 2)
+
+
+def _row_products(states: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``states @ vec``, in row blocks under ``_GEMV_ONE_THREAD`` elements.
+
+    Every block of two or more rows gives the one product's bits; a single
+    row takes another path, so no block is a single row.
+    """
+    rows, n = states.shape
+    block = max(2, (_GEMV_ONE_THREAD - 1) // n - 1)
+    cuts = [0, *range(block, rows - 1, block), rows]
+    if len(cuts) == 2:
+        return states @ vec
+    return np.concatenate([states[lo:hi] @ vec for lo, hi in zip(cuts[:-1], cuts[1:])])
 
 
 def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
@@ -707,19 +758,24 @@ def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
 
     Trial ``t`` draws as trial ``t`` of :func:`run_position_ensemble`, at
     scale ``v_std``, and never stops; ``tau = 0`` draws nothing.
-    :func:`~hilbertbridge.stats_util.walk_ranges` walks the trials in
-    batches of up to ``_BATCH``, in forked processes when the trial-kicks
-    repay them; the overlaps are taken here, in trial order, so threaded
-    BLAS runs in this process only.
+    :func:`~hilbertbridge.stats_util.stream_ranges` walks the trials, in
+    forked processes when the trial-kicks repay them and N is at most
+    ``_MSD_FORK_MAX_CELLS``, and hands their states over a window of steps
+    at a time.  The overlaps are taken here, on each step's (trials, N)
+    states in trial order, in row blocks that OpenBLAS runs on one thread,
+    so no BLAS thread competes with a forked range.
     """
     _require_isotropic(params)
-    start = state0.amplitudes
-    walk = functools.partial(_free_walk_states, state0, params, n_steps)
-    (states,) = walk_ranges(walk, trials, _msd_min_trials(n_steps), _BATCH)
+    start, n = state0.amplitudes, len(state0)
+    walk = functools.partial(_free_walk_windows, state0, params, n_steps,
+                             _msd_window(trials, n, n_steps))
     out = np.zeros(n_steps + 1)
-    for step in range(1, n_steps + 1):
-        ov = np.abs(np.ascontiguousarray(states[:, step - 1]) @ start.conj())
-        out[step] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
+    step = 0
+    for states in stream_ranges(walk, trials, _msd_min_trials(trials, n, n_steps)):
+        for column in range(states.shape[1]):
+            step += 1
+            ov = np.abs(_row_products(np.ascontiguousarray(states[:, column]), start.conj()))
+            out[step] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
     return out
 
 

@@ -1,6 +1,6 @@
 """Statistical machinery shared by the Monte Carlo experiments.
 
-Seeded counter-based RNG substreams, the process fan-out that walks ranges
+Seeded counter-based RNG substreams, the process fan-outs that walk ranges
 of those substreams in forked processes (capped by ``HB_THREADS``), and the
 small set of goodness-of-fit / uniformity tests and the line fit the
 experiment suites need, none of which imports ``scipy.stats``.
@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "linear_fit",
     "range_processes",
     "resolve_workers",
+    "stream_ranges",
     "two_proportion_z",
     "walk_ranges",
 ]
@@ -140,6 +141,64 @@ def walk_ranges(walk_batch: Callable[[int, int], tuple], trials: int,
     if len(parts) == 1:
         return parts[0]
     return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+
+def stream_ranges(walk_range: Callable[[int, int], Iterator[np.ndarray]], trials: int,
+                  min_trials: int) -> Iterator[np.ndarray]:
+    """Windows of ``walk_range(count, trial_offset)`` joined over trials 0..trials−1.
+
+    The trials are split into contiguous ranges as in :func:`walk_ranges`.
+    Each range's iterator yields the same number of windows, arrays with one
+    row per trial of the range; item ``w`` is every range's window ``w``
+    concatenated in trial order.  This process walks the first range and a
+    forked process each other one, sending its windows down a pipe as they
+    come, so no process runs more than a window ahead of the join and
+    memory does not grow with the number of windows.
+    """
+    ranges = _trial_ranges(trials, range_processes(trials, min_trials)) or [(0, 0)]
+    if len(ranges) < 2:
+        yield from walk_range(trials, 0)
+        return
+    import multiprocessing
+
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, hi in ranges[1:]:
+            receive, send = context.Pipe(duplex=False)
+            child = context.Process(target=_send_windows,
+                                    args=(walk_range, hi - lo, lo, send), daemon=True)
+            child.start()
+            send.close()
+            children.append((child, receive))
+        for own in walk_range(ranges[0][1], 0):
+            yield np.concatenate([own] + [_received(receive) for _, receive in children])
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, receive in children:
+            child.join()
+            receive.close()
+
+
+def _send_windows(walk_range: Callable, count: int, offset: int, send) -> None:
+    """Send ``walk_range(count, offset)``'s windows, or what it raised, down ``send``."""
+    try:
+        for window in walk_range(count, offset):
+            send.send(window)
+    except Exception as exc:
+        send.send(exc)
+
+
+def _received(receive) -> np.ndarray:
+    """The next window from a forked range; raise what the range raised."""
+    item = receive.recv()
+    if isinstance(item, Exception):
+        raise item
+    return item
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,5 @@
 """Propagator accuracy, continuity residuals and diffusion references."""
 
-import concurrent.futures.process
-
 import numpy as np
 import pytest
 from scipy import stats
@@ -501,21 +499,26 @@ def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, n_step
 
 
 # 300 trials of 3 or 4 cells; a budget below one kick draws blocks of 8
-# kicks, so 11 steps cross a block edge, and batches of 64 split each range
+# kicks, so 11 steps cross a block edge, batches of 64 split each range, a
+# 76 800-byte window hands the states over 4 or 5 steps at a time, so the
+# windows cut blocks and the last window is shorter, and a 64-element
+# mat-vec takes the overlaps 20 or 14 rows at a time
 @pytest.mark.parametrize("n", [3, 4])
-@pytest.mark.parametrize("kw", [{}, {"_BLOCK_BYTES": 1, "_BATCH": 64}])
+@pytest.mark.parametrize("kw", [{}, {"_BLOCK_BYTES": 1, "_BATCH": 64},
+                                {"_BLOCK_BYTES": 1, "_BATCH": 64, "_WINDOW_BYTES": 76_800,
+                                 "_GEMV_ONE_THREAD": 64}])
 def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, n, kw):
-    made = []
+    processes = []
 
-    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
+    def recorded(trials, min_trials):
+        processes.append(real_processes(trials, min_trials))
+        return processes[-1]
 
+    real_processes = stats_util.range_processes
     for name, value in kw.items():
         monkeypatch.setattr(position_measurement, name, value)
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
+    monkeypatch.setattr(stats_util, "range_processes", recorded)
     start = CellState(np.array([0.6, 0, 0.8, 0][:n], dtype=complex))
     params = PositionWalkParams(tau=0.05, v_std=1.0, seed=21)
     runs = {}
@@ -523,10 +526,28 @@ def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, 
         monkeypatch.setenv("HB_THREADS", workers)
         runs[workers] = position_measurement._free_walk_msd(start, 300, params, 11)
     # the 3300 trial-kicks fork nothing until the minimum is lowered
-    assert made == []
+    assert processes == [1, 1]
     monkeypatch.setattr(position_measurement, "_MIN_MSD_KICKS_PER_PROCESS", 1500)
     monkeypatch.setenv("HB_THREADS", "2")
     forked = position_measurement._free_walk_msd(start, 300, params, 11)
-    assert made == [(1,)]
+    assert processes[2:] == [2]
     ref = _msd_per_step_reference(start, params, n_steps=11, trials=300)
     assert forked.tobytes() == runs["1"].tobytes() == runs["2"].tobytes() == ref.tobytes()
+
+
+# eigh divides and conquers from 26 cells on, with calls OpenBLAS threads
+@pytest.mark.parametrize("n, processes", [(25, 2), (26, 1)])
+def test_cell_msd_forks_only_up_to_25_cells(monkeypatch, n, processes):
+    made = []
+    real_processes = stats_util.range_processes
+    monkeypatch.setattr(stats_util, "range_processes",
+                        lambda *args: made.append(real_processes(*args)) or made[-1])
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
+    monkeypatch.setattr(position_measurement, "_MIN_MSD_KICKS_PER_PROCESS", 1)
+    monkeypatch.setenv("HB_THREADS", "2")
+    start = CellState(np.eye(1, n, dtype=complex)[0])
+    params = PositionWalkParams(tau=0.05, v_std=1.0, seed=8)
+    out = position_measurement._free_walk_msd(start, 40, params, 3)
+    assert made == [processes]
+    ref = _msd_per_step_reference(start, params, n_steps=3, trials=40)
+    assert out.tobytes() == ref.tobytes()

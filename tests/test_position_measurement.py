@@ -780,3 +780,14 @@ def test_estimate_scaling_exponents_as_computed():
     assert slope([r.velocity_term for r in reps]) == pytest.approx(-2.0, abs=0.01)
     assert slope([r.acceleration_term for r in reps]) == pytest.approx(-1.0, abs=0.01)
     assert slope([r.spreading_term for r in reps]) == pytest.approx(-2.0, abs=1e-6)
+
+
+# 64-element blocks take 14 rows of 4 cells; 15 and 29 rows would leave a
+# single row over, which the last block takes instead
+@pytest.mark.parametrize("rows", [0, 1, 2, 3, 15, 16, 17, 29, 30, 31, 1000])
+def test_row_blocked_products_give_the_one_products_bits(monkeypatch, rows):
+    monkeypatch.setattr(pm, "_GEMV_ONE_THREAD", 64)
+    rng = np.random.default_rng(rows)
+    states = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
+    vec = rng.normal(size=4) - 1j * rng.normal(size=4)
+    assert pm._row_products(states, vec).tobytes() == (states @ vec).tobytes()

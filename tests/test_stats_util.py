@@ -1,6 +1,7 @@
-"""Keyed RNG substreams, the process fan-out that walks trial ranges in forked
+"""Keyed RNG substreams, the process fan-outs that walk trial ranges in forked
 processes, and the p-values of the library's tests."""
 
+import functools
 import multiprocessing
 import os
 import random
@@ -76,6 +77,48 @@ def test_ranges_walk_in_batches_and_join_in_trial_order(monkeypatch):
     # one range of one batch comes back as walked, not copied
     column = np.arange(5)
     assert stats_util.walk_ranges(lambda n, offset: (column,), 5, 10, 8)[0] is column
+
+
+def _record_windows(windows, trials, trial_offset):
+    """``windows`` windows of each trial's index, the window's number and the process."""
+    for w in range(windows):
+        yield np.stack([np.arange(trial_offset, trial_offset + trials),
+                        np.full(trials, w), np.full(trials, os.getpid())], axis=1)
+
+
+def test_streamed_ranges_join_window_by_window_in_trial_order(monkeypatch):
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
+    windows = list(stats_util.stream_ranges(functools.partial(_record_windows, 4), 30, 10))
+    assert [window[:, 1].tolist() for window in windows] == [[w] * 30 for w in range(4)]
+    for window in windows:
+        trials, _, pids = window.T
+        assert trials.tolist() == list(range(30))
+        # this process walks the first range, a forked process each other one
+        assert (pids[:10] == os.getpid()).all()
+        assert len({*pids[10:20]}) == len({*pids[20:]}) == 1
+        assert len({pids[0], pids[10], pids[20]}) == 3
+    assert not multiprocessing.active_children()
+    monkeypatch.setenv("HB_THREADS", "1")
+    (window,) = stats_util.stream_ranges(functools.partial(_record_windows, 1), 30, 10)
+    assert (window[:, 2] == os.getpid()).all()
+
+
+def _fail_second_window_past_first_range(trials, trial_offset):
+    yield np.arange(trials)
+    if trial_offset:
+        raise RuntimeError(f"range from trial {trial_offset} failed")
+    yield np.arange(trials)
+
+
+def test_a_failing_streamed_range_or_an_early_stop_leaves_no_process(monkeypatch):
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
+    with pytest.raises(RuntimeError, match="range from trial 10 failed"):
+        list(stats_util.stream_ranges(_fail_second_window_past_first_range, 30, 10))
+    assert not multiprocessing.active_children()
+    windows = stats_util.stream_ranges(functools.partial(_record_windows, 50), 30, 10)
+    next(windows)
+    windows.close()
+    assert not multiprocessing.active_children()
 
 
 def test_p_value_kernels_equal_scipy_stats_bit_for_bit():
