@@ -545,7 +545,7 @@ def ensemble_bytes(trials: int, n: int) -> int:
     buffers and its random generators (about 1 KiB each); every trial's
     outputs come on top, held twice while the batches' outputs are joined.
     """
-    processes = range_processes(trials, MIN_TRIALS_PER_PROCESS)
+    processes = range_processes(trials, _ensemble_min_trials(trials, n))
     k = min(-(-trials // processes), _BATCH)
     block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
     powers = 2 * (_TAYLOR_ORDER_MAX + 1) * k * n * 16
@@ -559,17 +559,24 @@ def run_position_ensemble(
 
     Trial ``t`` is ``run_measurement(state0, params, stream_id=t)`` bit for
     bit, whichever batch and whichever process it walks in.
-    :func:`~hilbertbridge.stats_util.walk_ranges` splits the trials into
-    contiguous ranges of at least ``MIN_TRIALS_PER_PROCESS`` trials, one per
-    process (``HB_THREADS`` caps them), and each range into batches of up to
-    ``_BATCH`` trials; a start already inside the cap absorbs at once and
-    forks nothing.
+    :func:`~hilbertbridge.stats_util.walk_ranges` walks the trials in
+    batches of up to ``_BATCH`` and, up to 63 cells, in ranges of at least
+    ``MIN_TRIALS_PER_PROCESS`` trials, one per process (``HB_THREADS`` caps
+    them); a start already inside the cap absorbs at once and forks nothing.
     """
     check_trials(trials)
     walk = functools.partial(_walk_batch, state0, params)
     if _start_cell(state0, params) >= 0:
         return walk(trials, 0)[:2]
-    return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, _BATCH)[:2]
+    return walk_ranges(walk, trials, _ensemble_min_trials(trials, len(state0)), _BATCH)[:2]
+
+
+def _ensemble_min_trials(trials: int, n: int) -> int:
+    """Fewest trials of a cell-walk range worth a forked process; none from
+    N² = ``_GEMV_ONE_THREAD`` on, where OpenBLAS threads the Taylor kick's
+    mat-vec and stalls forked ranges (256 trials of 20 kicks: 0.57 s forked
+    at N = 63, over 40 s forked against 1.1 s in one process at N = 64)."""
+    return trials + 1 if n * n >= _GEMV_ONE_THREAD else MIN_TRIALS_PER_PROCESS
 
 
 def _require_isotropic(params: PositionWalkParams) -> None:
@@ -758,10 +765,10 @@ def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
 
     Trial ``t`` draws as trial ``t`` of :func:`run_position_ensemble`, at
     scale ``v_std``, and never stops; ``tau = 0`` draws nothing.
-    :func:`~hilbertbridge.stats_util.stream_ranges` walks the trials, in
-    forked processes when the trial-kicks repay them and N is at most
-    ``_MSD_FORK_MAX_CELLS``, and hands their states over a window of steps
-    at a time.  The overlaps are taken here, on each step's (trials, N)
+    :func:`~hilbertbridge.stats_util.stream_ranges` walks the trials, in a
+    range per process when the trial-kicks repay the fork and N is at most
+    ``_MSD_FORK_MAX_CELLS``, and joins their states a window of steps at a
+    time.  The overlaps are taken here, on each step's (trials, N)
     states in trial order, in row blocks that OpenBLAS runs on one thread,
     so no BLAS thread competes with a forked range.
     """

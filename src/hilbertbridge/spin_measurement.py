@@ -412,9 +412,9 @@ def run_ensemble(
     contiguous ranges of at least ``MIN_TRIALS_PER_PROCESS`` trials, one
     per process (``HB_THREADS`` caps them), and each range into batches of
     up to 2¹⁵ trials (``_MAX_BATCH``).  This process walks the first range
-    and forked processes walk the others, returning int8 outcome codes,
-    step counts and final states; a start already inside the cap absorbs at
-    once and forks nothing.  Fields are drawn in blocks of about 2¹⁸
+    and a forked process each other one, sending back its int8 outcome
+    codes, step counts and final states; a start already inside the cap
+    absorbs at once and forks nothing.  Fields are drawn in blocks of about 2¹⁸
     trial-steps and turned into kick coefficients one 16-kick scan window at
     a time, so memory stays bounded whatever ``max_steps`` is.  Every trial
     is a pure function of its substream ``(seed, trial)``, the same bits at

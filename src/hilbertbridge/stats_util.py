@@ -1,9 +1,9 @@
 """Statistical machinery shared by the Monte Carlo experiments.
 
-Seeded counter-based RNG substreams, the process fan-outs that walk ranges
-of those substreams in forked processes (capped by ``HB_THREADS``), and the
-small set of goodness-of-fit / uniformity tests and the line fit the
-experiment suites need, none of which imports ``scipy.stats``.
+Seeded counter-based RNG substreams, the one process fan-out that walks
+ranges of those substreams in forked processes (capped by ``HB_THREADS``),
+and the small set of goodness-of-fit / uniformity tests and the line fit
+the experiment suites need, none of which imports ``scipy.stats``.
 This is not a general statistics library.
 """
 
@@ -95,7 +95,7 @@ def resolve_workers() -> int:
 
 
 def range_processes(trials: int, min_trials: int) -> int:
-    """Processes :func:`walk_ranges` walks ``trials`` in.
+    """Processes :func:`stream_ranges` walks ``trials`` in.
 
     :func:`resolve_workers` caps the count, and so do the CPUs and the
     number of ranges of at least ``min_trials`` trials.
@@ -113,48 +113,31 @@ def walk_ranges(walk_batch: Callable[[int, int], tuple], trials: int,
                 min_trials: int, batch: int) -> tuple[np.ndarray, ...]:
     """Columns of ``walk_batch(count, trial_offset)`` over trials 0..trials−1.
 
-    The trials are split into contiguous ranges, one per process, as many
-    as :func:`range_processes` allows, and each range into batches of at
-    most ``batch`` trials, walked in order.  This process walks the first
-    range's batches and forked processes walk the others; the batches'
-    columns, one row per trial, are concatenated in trial order, and a
-    single batch's columns are returned as they are.  ``walk_batch`` must
-    be picklable, e.g. a ``functools.partial`` of a module-level function.
+    :func:`stream_ranges` walks each range as one window, its batches of at
+    most ``batch`` trials walked in order and their columns joined; a single
+    batch's columns are returned as they are.
     """
-    ranges = [[(min(batch, hi - start), start) for start in range(lo, hi, batch)]
-              for lo, hi in _trial_ranges(trials, range_processes(trials, min_trials))]
-    if len(ranges) < 2:
-        ranges = ranges or [[(0, 0)]]  # no trials: one empty batch
-        parts = [walk_batch(*args) for args in ranges[0]]
-    else:
-        import multiprocessing
-        from concurrent.futures.process import ProcessPoolExecutor
+    def walk_range(count: int, offset: int) -> Iterator[tuple]:
+        parts = [walk_batch(min(batch, offset + count - start), start)
+                 for start in range(offset, offset + count, batch)] or [walk_batch(0, 0)]
+        yield parts[0] if len(parts) == 1 else _joined(parts)
 
-        # fork: the children inherit the imported library; spawned children
-        # import it again, which added 0.5–0.7 s to each 2-process call
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(len(ranges) - 1, mp_context=context) as pool:
-            futures = [pool.submit(walk_batch, *args)
-                       for batches in ranges[1:] for args in batches]
-            parts = [walk_batch(*args) for args in ranges[0]]
-            parts += [future.result() for future in futures]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(column) for column in zip(*parts))
+    (columns,) = stream_ranges(walk_range, trials, min_trials)
+    return columns
 
 
-
-def stream_ranges(walk_range: Callable[[int, int], Iterator[np.ndarray]], trials: int,
-                  min_trials: int) -> Iterator[np.ndarray]:
+def stream_ranges(walk_range: Callable[[int, int], Iterator], trials: int,
+                  min_trials: int) -> Iterator:
     """Windows of ``walk_range(count, trial_offset)`` joined over trials 0..trials−1.
 
-    The trials are split into contiguous ranges as in :func:`walk_ranges`.
-    Each range's iterator yields the same number of windows, arrays with one
-    row per trial of the range; item ``w`` is every range's window ``w``
-    concatenated in trial order.  This process walks the first range and a
-    forked process each other one, sending its windows down a pipe as they
-    come, so no process runs more than a window ahead of the join and
-    memory does not grow with the number of windows.
+    The trials are split into contiguous ranges, as many as
+    :func:`range_processes` allows.  Each range's iterator yields the same
+    number of windows, arrays or tuples of arrays with one row per trial;
+    item ``w`` is every range's window ``w`` joined in trial order, column
+    by column for tuples.  This process walks the first range and a forked
+    process each other one, sending its windows down a pipe as they come,
+    so no process runs more than a window ahead of the join.  A range that
+    raises or dies raises here, and no forked process outlives the call.
     """
     ranges = _trial_ranges(trials, range_processes(trials, min_trials)) or [(0, 0)]
     if len(ranges) < 2:
@@ -162,6 +145,8 @@ def stream_ranges(walk_range: Callable[[int, int], Iterator[np.ndarray]], trials
         return
     import multiprocessing
 
+    # fork: the children inherit the imported library; spawned children
+    # import it again, which added 0.5–0.7 s to each 2-process call
     context = multiprocessing.get_context("fork")
     children = []
     try:
@@ -173,7 +158,7 @@ def stream_ranges(walk_range: Callable[[int, int], Iterator[np.ndarray]], trials
             send.close()
             children.append((child, receive))
         for own in walk_range(ranges[0][1], 0):
-            yield np.concatenate([own] + [_received(receive) for _, receive in children])
+            yield _joined([own] + [_received(receive) for _, receive in children])
     except BaseException:
         for child, _ in children:
             child.terminate()
@@ -182,6 +167,13 @@ def stream_ranges(walk_range: Callable[[int, int], Iterator[np.ndarray]], trials
         for child, receive in children:
             child.join()
             receive.close()
+
+
+def _joined(windows: list):
+    """Windows concatenated in order, column by column when they are tuples."""
+    if isinstance(windows[0], tuple):
+        return tuple(np.concatenate(column) for column in zip(*windows))
+    return np.concatenate(windows)
 
 
 def _send_windows(walk_range: Callable, count: int, offset: int, send) -> None:
@@ -193,7 +185,7 @@ def _send_windows(walk_range: Callable, count: int, offset: int, send) -> None:
         send.send(exc)
 
 
-def _received(receive) -> np.ndarray:
+def _received(receive):
     """The next window from a forked range; raise what the range raised."""
     item = receive.recv()
     if isinstance(item, Exception):

@@ -507,18 +507,10 @@ def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, n_step
 @pytest.mark.parametrize("kw", [{}, {"_BLOCK_BYTES": 1, "_BATCH": 64},
                                 {"_BLOCK_BYTES": 1, "_BATCH": 64, "_WINDOW_BYTES": 76_800,
                                  "_GEMV_ONE_THREAD": 64}])
-def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, n, kw):
-    processes = []
-
-    def recorded(trials, min_trials):
-        processes.append(real_processes(trials, min_trials))
-        return processes[-1]
-
-    real_processes = stats_util.range_processes
+def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, forks, n, kw):
     for name, value in kw.items():
         monkeypatch.setattr(position_measurement, name, value)
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
-    monkeypatch.setattr(stats_util, "range_processes", recorded)
     start = CellState(np.array([0.6, 0, 0.8, 0][:n], dtype=complex))
     params = PositionWalkParams(tau=0.05, v_std=1.0, seed=21)
     runs = {}
@@ -526,28 +518,24 @@ def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, 
         monkeypatch.setenv("HB_THREADS", workers)
         runs[workers] = position_measurement._free_walk_msd(start, 300, params, 11)
     # the 3300 trial-kicks fork nothing until the minimum is lowered
-    assert processes == [1, 1]
+    assert not forks
     monkeypatch.setattr(position_measurement, "_MIN_MSD_KICKS_PER_PROCESS", 1500)
     monkeypatch.setenv("HB_THREADS", "2")
     forked = position_measurement._free_walk_msd(start, 300, params, 11)
-    assert processes[2:] == [2]
+    assert forks == [(150, 300)]
     ref = _msd_per_step_reference(start, params, n_steps=11, trials=300)
     assert forked.tobytes() == runs["1"].tobytes() == runs["2"].tobytes() == ref.tobytes()
 
 
 # eigh divides and conquers from 26 cells on, with calls OpenBLAS threads
 @pytest.mark.parametrize("n, processes", [(25, 2), (26, 1)])
-def test_cell_msd_forks_only_up_to_25_cells(monkeypatch, n, processes):
-    made = []
-    real_processes = stats_util.range_processes
-    monkeypatch.setattr(stats_util, "range_processes",
-                        lambda *args: made.append(real_processes(*args)) or made[-1])
+def test_cell_msd_forks_only_up_to_25_cells(monkeypatch, forks, n, processes):
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
     monkeypatch.setattr(position_measurement, "_MIN_MSD_KICKS_PER_PROCESS", 1)
     monkeypatch.setenv("HB_THREADS", "2")
     start = CellState(np.eye(1, n, dtype=complex)[0])
     params = PositionWalkParams(tau=0.05, v_std=1.0, seed=8)
     out = position_measurement._free_walk_msd(start, 40, params, 3)
-    assert made == [processes]
+    assert len(forks) == processes - 1
     ref = _msd_per_step_reference(start, params, n_steps=3, trials=40)
     assert out.tobytes() == ref.tobytes()

@@ -1,6 +1,5 @@
 """Registry, config validation, runner outputs and determinism."""
 
-import concurrent.futures.process
 import csv
 import dataclasses
 import json
@@ -259,16 +258,8 @@ class TestDeterminism:
             assert a == b
 
     def test_position_born_outputs_identical_at_1_and_8_workers(
-            self, tmp_path, monkeypatch):
-        made = []
-
-        class Recorded(concurrent.futures.process.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
-
+            self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
         dirs = []
         for workers in (1, 8):
             monkeypatch.setenv("HB_THREADS", str(workers))
@@ -282,22 +273,15 @@ class TestDeterminism:
             )
             ex.run(cfg)
             dirs.append(out)
-        assert made == [(1,)]
+        assert forks == [(pm.MIN_TRIALS_PER_PROCESS, 2 * pm.MIN_TRIALS_PER_PROCESS)]
         for fname in ("position-born-trials.csv", "position-born-summary.json"):
             a = (dirs[0] / fname).read_bytes()
             b = (dirs[1] / fname).read_bytes()
             assert a == b
 
-    def test_born_bridge_outputs_identical_at_1_and_2_workers(self, tmp_path, monkeypatch):
-        made = []
-
-        class Recorded(concurrent.futures.process.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
-
+    def test_born_bridge_outputs_identical_at_1_and_2_workers(self, tmp_path, monkeypatch,
+                                                               forks):
         monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
         blobs = {}
         forked = {}
         two_ranges = 2 * ex._MIN_PAIRS_PER_PROCESS + 1
@@ -305,13 +289,14 @@ class TestDeterminism:
         for workers, pairs in ((1, two_ranges), (2, two_ranges), (2, 2)):
             monkeypatch.setenv("HB_THREADS", str(workers))
             out = tmp_path / f"w{workers}-{pairs}"
-            made.clear()
+            forks.clear()
             ex.run(ex.ExperimentConfig("born-bridge", seed=13, trials=pairs,
                                        output_dir=str(out)))
-            forked[workers, pairs] = list(made)
+            forked[workers, pairs] = list(forks)
             blobs[workers, pairs] = [(out / f"born-bridge-{part}").read_bytes()
                                      for part in ("trials.csv", "summary.json")]
-        assert forked == {(1, two_ranges): [], (2, two_ranges): [(1,)], (2, 2): []}
+        assert forked == {(1, two_ranges): [], (2, two_ranges): [(two_ranges // 2, two_ranges)],
+                          (2, 2): []}
         assert blobs[1, two_ranges] == blobs[2, two_ranges]
         assert blobs[2, two_ranges][0].count(b"\n") == two_ranges + 1
 
@@ -408,21 +393,13 @@ class TestWalksAgainstReference:
         with open(path, newline="") as f:
             return [list(row.values()) for row in csv.DictReader(f)]
 
-    def test_forked_spin_born_rows_equal_reference(self, tmp_path, monkeypatch):
-        made = []
-
-        class Recorded(concurrent.futures.process.ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                made.append(args)
-                super().__init__(*args, **kwargs)
-
+    def test_forked_spin_born_rows_equal_reference(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
         monkeypatch.setattr(sm, "MIN_TRIALS_PER_PROCESS", 8)
-        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
         cfg = ex.ExperimentConfig("spin-born", {"z0": 0.4}, seed=40, trials=40,
                                   output_dir=str(tmp_path))
         ex.run(cfg)
-        assert made == [(1,)]
+        assert forks == [(20, 40)]
         rows = self.rows(tmp_path / "spin-born-trials.csv")
         p = cfg.parameters
         params = sm.SpinWalkParams(dt=p["step_angle"], field_std=1.0, mu=1.0,

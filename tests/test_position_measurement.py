@@ -1,6 +1,5 @@
 """Cell discretization, walk modes, Gabor states, magnitude estimates."""
 
-import concurrent.futures.process
 import functools
 import math
 import tracemalloc
@@ -413,19 +412,11 @@ def test_ensemble_matches_eigh_walk(masses, monkeypatch):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Three CPUs, forks from 8 trials a process; records every pool made."""
-    made = []
-
-    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
-
+def forked_ranges(monkeypatch, forks):
+    """Three CPUs, forks from 8 trials a process; records every forked range."""
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
     monkeypatch.setattr(pm, "MIN_TRIALS_PER_PROCESS", 8)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
-    return made
+    return forks
 
 
 def assert_same_run(a, b):
@@ -443,7 +434,7 @@ def walk_with_finals(state, trials, p):
 @pytest.mark.parametrize("threads, children", [(2, 1), (None, 2)])
 # a batch width of 5 or 3 splits every range
 @pytest.mark.parametrize("batch", [None, 5, 3])
-def test_forked_run_equals_one_process(pools, monkeypatch, threads, children, batch):
+def test_forked_run_equals_one_process(forked_ranges, monkeypatch, threads, children, batch):
     if batch is not None:
         monkeypatch.setattr(pm, "_BATCH", batch)
     # 0.899 of the mass just outside the 0.9 cap: within 40 kicks some walks
@@ -456,32 +447,28 @@ def test_forked_run_equals_one_process(pools, monkeypatch, threads, children, ba
         monkeypatch.setenv("HB_THREADS", str(threads))
     forked = run_position_ensemble(state, 40, p)
     forked_finals = walk_with_finals(state, 40, p)
-    assert pools == [(children,)] * 2
+    assert forked_ranges == stats_util._trial_ranges(40, children + 1)[1:] * 2
     monkeypatch.setenv("HB_THREADS", "1")
     one = run_position_ensemble(state, 40, p)
-    assert pools == [(children,)] * 2
+    assert forked_ranges == stats_util._trial_ranges(40, children + 1)[1:] * 2
     assert_same_run(forked, one)
     assert (one[0] >= 0).any() and (one[0] < 0).any()
     assert_same_run(forked_finals, walk_with_finals(state, 40, p))
 
 
-def test_forked_run_from_inside_the_cap(pools):
+def test_forked_run_from_inside_the_cap(forked_ranges):
     # three CPUs and 30 trials would fork two processes, but a start that has
     # already absorbed has nothing to walk
     state = CellState(np.eye(5)[2] + 0j)
     p = iso_params(seed=414)
     cells, steps = run_position_ensemble(state, 30, p)
-    assert not pools
+    assert not forked_ranges
     assert (cells == 2).all() and not steps.any()
     assert (pm._walk_batch(state, p, 30, 0)[2] == state.amplitudes).all()
 
 
-def test_no_pool_below_the_trial_threshold(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was created")
-
+def test_no_pool_below_the_trial_threshold(monkeypatch, forks):
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
     p = iso_params(max_steps=1, seed=415)
     # too few trials for two ranges, and HB_THREADS=1 above the threshold
     for threads, trials in ((None, 2 * pm.MIN_TRIALS_PER_PROCESS - 1),
@@ -491,6 +478,23 @@ def test_no_pool_below_the_trial_threshold(monkeypatch):
         assert stats_util.range_processes(trials, pm.MIN_TRIALS_PER_PROCESS) == 1
         cells, steps = run_position_ensemble(fixed_profile(3), trials, p)
         assert len(cells) == trials and (steps == 1).all()
+    assert not forks
+
+
+# OpenBLAS threads the Taylor kick's mat-vec from N² = 4096 elements on
+@pytest.mark.parametrize("n, processes", [(63, 2), (64, 1)])
+def test_cell_walk_forks_only_up_to_63_cells(monkeypatch, forks, n, processes):
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pm, "MIN_TRIALS_PER_PROCESS", 4)
+    monkeypatch.setenv("HB_THREADS", "1")
+    state, p = fixed_profile(n), iso_params(max_steps=1, seed=416)
+    one, one_bytes = run_position_ensemble(state, 8, p), pm.ensemble_bytes(8, n)
+    monkeypatch.setenv("HB_THREADS", "2")
+    assert_same_run(run_position_ensemble(state, 8, p), one)
+    assert len(forks) == processes - 1
+    # the estimate counts the processes that walk: at these sizes each
+    # process holds at least a block of _BLOCK_BYTES
+    assert (pm.ensemble_bytes(8, n) > one_bytes) == (processes == 2)
 
 
 @pytest.mark.memory

@@ -1,6 +1,5 @@
 """Bloch-sphere walk: kicks, absorption statistics, isotropy diagnostics."""
 
-import concurrent.futures.process
 import math
 import tracemalloc
 
@@ -323,19 +322,11 @@ def test_block_and_window_lengths_leave_the_bytes_unchanged(monkeypatch):
 
 
 @pytest.fixture
-def pools(monkeypatch):
-    """Three CPUs, forks from 8 trials a process; records every pool made."""
-    made = []
-
-    class Recorded(concurrent.futures.process.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(args)
-            super().__init__(*args, **kwargs)
-
+def forked_ranges(monkeypatch, forks):
+    """Three CPUs, forks from 8 trials a process; records every forked range."""
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
     monkeypatch.setattr(sm, "MIN_TRIALS_PER_PROCESS", 8)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", Recorded)
-    return made
+    return forks
 
 
 def assert_same_run(a, b):
@@ -348,7 +339,7 @@ def assert_same_run(a, b):
 @pytest.mark.parametrize("threads, children", [(2, 1), (None, 2)])
 # module constants patched; a batch width of 5 or 3 splits every range
 @pytest.mark.parametrize("kw", [{}, {"_MAX_BATCH": 5}, {"_MAX_BATCH": 3}])
-def test_forked_run_equals_one_process(pools, monkeypatch, threads, children, kw):
+def test_forked_run_equals_one_process(forked_ranges, monkeypatch, threads, children, kw):
     # 40 kicks leave some walks UNRESOLVED
     for name, value in kw.items():
         monkeypatch.setattr(sm, name, value)
@@ -357,33 +348,29 @@ def test_forked_run_equals_one_process(pools, monkeypatch, threads, children, kw
     if threads is not None:
         monkeypatch.setenv("HB_THREADS", str(threads))
     forked = run_ensemble(phi0, 50, p)
-    assert pools == [(children,)]
+    assert forked_ranges == stats_util._trial_ranges(50, children + 1)[1:]
     monkeypatch.setenv("HB_THREADS", "1")
     one = run_ensemble(phi0, 50, p)
-    assert pools == [(children,)]
+    assert forked_ranges == stats_util._trial_ranges(50, children + 1)[1:]
     assert_same_run(forked, one)
     unresolved = one[0] == WalkResult.UNRESOLVED
     assert unresolved.any() and (~unresolved).any()
 
 
-def test_forked_run_from_inside_the_cap(pools):
+def test_forked_run_from_inside_the_cap(forked_ranges):
     # three CPUs and 30 trials would fork two processes, but a start that has
     # already absorbed has nothing to walk
     p = short_walks(seed=3)
     phi0 = state_with_height(-0.95)
     results, steps, finals = run_ensemble(phi0, 30, p)
-    assert not pools
+    assert not forked_ranges
     assert all(r is WalkResult.DOWN for r in results)
     assert not steps.any()
     assert (finals == phi0).all()
 
 
-def test_no_pool_below_the_trial_threshold(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a process pool was created")
-
+def test_no_pool_below_the_trial_threshold(monkeypatch, forks):
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
-    monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", refuse)
     p = short_walks(max_steps=1, seed=13)
     # too few trials for two ranges, and HB_THREADS=1 above the threshold
     for threads, trials in ((None, 2 * sm.MIN_TRIALS_PER_PROCESS - 1),
@@ -393,6 +380,7 @@ def test_no_pool_below_the_trial_threshold(monkeypatch):
         assert stats_util.range_processes(trials, sm.MIN_TRIALS_PER_PROCESS) == 1
         results, steps, _ = run_ensemble(state_with_height(0.2), trials, p)
         assert len(results) == trials and (steps == 1).all()
+    assert not forks
 
 
 def test_process_count_is_capped_and_validated(monkeypatch):

@@ -1,4 +1,4 @@
-"""Keyed RNG substreams, the process fan-outs that walk trial ranges in forked
+"""Keyed RNG substreams, the process fan-out that walks trial ranges in forked
 processes, and the p-values of the library's tests."""
 
 import functools
@@ -118,6 +118,31 @@ def test_a_failing_streamed_range_or_an_early_stop_leaves_no_process(monkeypatch
     windows = stats_util.stream_ranges(functools.partial(_record_windows, 50), 30, 10)
     next(windows)
     windows.close()
+    assert not multiprocessing.active_children()
+
+
+def _exit_second_window_past_first_range(trials, trial_offset):
+    yield np.arange(trials)
+    if trial_offset:
+        os._exit(1)
+    yield np.arange(trials)
+
+
+def _exit_past_first_range(trials, trial_offset):
+    if trial_offset >= 10:
+        os._exit(1)
+    return (np.arange(trials),)
+
+
+def test_a_range_that_dies_without_raising_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
+    windows = stats_util.stream_ranges(_exit_second_window_past_first_range, 30, 10)
+    assert next(windows).tolist() == [*range(10), *range(10), *range(10)]
+    with pytest.raises(EOFError):
+        next(windows)
+    assert not multiprocessing.active_children()
+    with pytest.raises(EOFError):
+        stats_util.walk_ranges(_exit_past_first_range, 30, 10, 4)
     assert not multiprocessing.active_children()
 
 
