@@ -286,9 +286,10 @@ def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     """Ensemble ⟨θ²⟩ against step count for the measurement walks.
 
     ``start``/``params`` select the walk: a 2-spinor with ``SpinWalkParams``,
-    or a ``CellState`` with ``PositionWalkParams`` in ISOTROPIC mode, each
-    kicked by its absorbing engine's block loop.  No absorption is
-    applied — this probes the free early-time diffusion of the state.
+    kicked by its absorbing engine's block loop, or a ``CellState`` with
+    ``PositionWalkParams`` (ISOTROPIC), drawn in the absorbing walk's blocks
+    (``_draw_block``) but kicked through eigh (``_apply_unitary_batch``), not
+    the Taylor series.  No absorption: this probes free early-time diffusion.
     """
     check_msd(trials, n_steps)
     if isinstance(params, spin_measurement.SpinWalkParams):

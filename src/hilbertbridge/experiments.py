@@ -687,8 +687,14 @@ def _action_inputs(cfg: ExperimentConfig) -> tuple:
     # the deviations divide by these; a negative one would pass every ``le`` check
     state_geometry.require_positive(omega=p["omega"], amplitude=p["amplitude"],
                                     mass=p["mass"])
-    _at_least("samples", int(p["samples"]), hilbert_core.MIN_PROJECTION_SAMPLES)
-    return (hilbert_core.KernelSpec(sigma=p["sigma"], dim=1),)
+    samples = _at_least("samples", int(p["samples"]), hilbert_core.MIN_PROJECTION_SAMPLES)
+    spec = hilbert_core.KernelSpec(sigma=p["sigma"], dim=1)
+    # ωt runs over [0, 2], so the path's ends span the projection's σ/4 grid;
+    # newtonian_projection peaks at five floats a sample and grid point
+    ends = p["amplitude"] * np.cos([[0.0], [2.0]])
+    points = hilbert_core.grid_covering(spec, ends, spacing=spec.sigma / 4).extent[0]
+    _require_parts(cfg, {"lower samples": samples * (40 * points + _ROW_BYTES[cfg.format])})
+    return (spec,)
 
 
 def _run_action(cfg: ExperimentConfig, spec) -> ExperimentResult:

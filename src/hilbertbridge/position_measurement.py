@@ -545,7 +545,7 @@ def ensemble_bytes(trials: int, n: int) -> int:
     buffers and its random generators (about 1 KiB each); every trial's
     outputs come on top, held twice while the batches' outputs are joined.
     """
-    processes = range_processes(trials, _ensemble_min_trials(trials, n))
+    processes = range_processes(trials, MIN_TRIALS_PER_PROCESS)
     k = min(-(-trials // processes), _BATCH)
     block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
     powers = 2 * (_TAYLOR_ORDER_MAX + 1) * k * n * 16
@@ -559,24 +559,15 @@ def run_position_ensemble(
 
     Trial ``t`` is ``run_measurement(state0, params, stream_id=t)`` bit for
     bit, whichever batch and whichever process it walks in.
-    :func:`~hilbertbridge.stats_util.walk_ranges` walks the trials in
-    batches of up to ``_BATCH`` and, up to 63 cells, in ranges of at least
-    ``MIN_TRIALS_PER_PROCESS`` trials, one per process (``HB_THREADS`` caps
-    them); a start already inside the cap absorbs at once and forks nothing.
+    :func:`~hilbertbridge.stats_util.walk_ranges` walks the trials in batches
+    of up to ``_BATCH``, in ranges of ``MIN_TRIALS_PER_PROCESS`` or more, one
+    per process (``HB_THREADS`` caps them); a start inside the cap forks nothing.
     """
     check_trials(trials)
     walk = functools.partial(_walk_batch, state0, params)
     if _start_cell(state0, params) >= 0:
         return walk(trials, 0)[:2]
-    return walk_ranges(walk, trials, _ensemble_min_trials(trials, len(state0)), _BATCH)[:2]
-
-
-def _ensemble_min_trials(trials: int, n: int) -> int:
-    """Fewest trials of a cell-walk range worth a forked process; none from
-    N² = ``_GEMV_ONE_THREAD`` on, where OpenBLAS threads the Taylor kick's
-    mat-vec and stalls forked ranges (256 trials of 20 kicks: 0.57 s forked
-    at N = 63, over 40 s forked against 1.1 s in one process at N = 64)."""
-    return trials + 1 if n * n >= _GEMV_ONE_THREAD else MIN_TRIALS_PER_PROCESS
+    return walk_ranges(walk, trials, MIN_TRIALS_PER_PROCESS, _BATCH)[:2]
 
 
 def _require_isotropic(params: PositionWalkParams) -> None:
@@ -664,20 +655,9 @@ def _apply_unitary_batch(states: np.ndarray, hams: np.ndarray,
 # ranges of 8000 of the cheapest kicks (N = 2) took 20 ms against 23 ms in
 # one process, and 4000 at N = 4 already 13 ms against 14 ms
 _MIN_MSD_KICKS_PER_PROCESS = 8192
-# most cells the state-msd walk forks at: up to 25, eigh solves the
-# tridiagonal problem by QR iteration, which OpenBLAS runs on one thread;
-# from 26 on it divides and conquers, whose threaded calls stall two forked
-# ranges (1000 trials of 20 kicks: 1.2 s forked against 2.3 s in one
-# process at N = 25, over 40 s against 1.7–2.5 s at N = 26 to 31)
-_MSD_FORK_MAX_CELLS = 25
 # the state-msd walk's states after each step are handed over a window of
 # steps at a time: as many steps as keep all trials' window under this
 _WINDOW_BYTES = 2**23
-# OpenBLAS runs a complex mat-vec of fewer elements than this on one thread
-# (1024 times its default GEMM_MULTITHREAD_THRESHOLD, 4); a second thread
-# would spin on the core a forked range walks on: 3000 trials of 400 N = 4
-# kicks took 2.9 s with the whole product a step, 1.9–2.0 s in blocks
-_GEMV_ONE_THREAD = 1024 * 4
 
 
 def msd_bytes(trials: int, n: int, n_steps: int) -> int:
@@ -690,7 +670,7 @@ def msd_bytes(trials: int, n: int, n_steps: int) -> int:
     joined window; it takes no more than ``_WINDOW_BYTES`` unless one step
     of states does, so the peak does not grow with ``n_steps``.
     """
-    processes = range_processes(trials, _msd_min_trials(trials, n, n_steps))
+    processes = range_processes(trials, _msd_min_trials(n_steps))
     k = min(-(-trials // processes), _BATCH)
     block = max(_BLOCK_BYTES, 8 * k * _kick_bytes(n))
     window = _msd_window(trials, n, n_steps)
@@ -698,11 +678,8 @@ def msd_bytes(trials: int, n: int, n_steps: int) -> int:
             + trials * (1024 + 16 * n * (6 * window + 2)))
 
 
-def _msd_min_trials(trials: int, n: int, n_steps: int) -> int:
-    """Fewest trials of a state-msd range worth a forked process; none over
-    ``_MSD_FORK_MAX_CELLS`` cells."""
-    if n > _MSD_FORK_MAX_CELLS:
-        return trials + 1
+def _msd_min_trials(n_steps: int) -> int:
+    """Fewest trials of a state-msd range worth a forked process."""
     return max(1, -(-_MIN_MSD_KICKS_PER_PROCESS // n_steps))
 
 
@@ -720,7 +697,6 @@ def _free_walk_windows(state0: CellState, params: PositionWalkParams, n_steps: i
     its kicks in blocks cut at the window's end (one draw per generator
     equals one per kick) and keeps its generators and states for the next
     window.  ``tau = 0`` draws nothing and the states stay ``state0``.
-    The only LAPACK or BLAS call is eigh on N × N matrices.
     """
     start, n = state0.amplitudes, len(state0)
     batches = []
@@ -745,20 +721,6 @@ def _free_walk_windows(state0: CellState, params: PositionWalkParams, n_steps: i
         yield out.transpose(1, 0, 2)
 
 
-def _row_products(states: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """``states @ vec``, in row blocks under ``_GEMV_ONE_THREAD`` elements.
-
-    Every block of two or more rows gives the one product's bits; a single
-    row takes another path, so no block is a single row.
-    """
-    rows, n = states.shape
-    block = max(2, (_GEMV_ONE_THREAD - 1) // n - 1)
-    cuts = [0, *range(block, rows - 1, block), rows]
-    if len(cuts) == 2:
-        return states @ vec
-    return np.concatenate([states[lo:hi] @ vec for lo, hi in zip(cuts[:-1], cuts[1:])])
-
-
 def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
                    n_steps: int) -> np.ndarray:
     """⟨θ²⟩, θ = arccos |⟨ψ₀|ψ⟩|, after each of 0 … ``n_steps`` eigh kicks.
@@ -766,11 +728,9 @@ def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
     Trial ``t`` draws as trial ``t`` of :func:`run_position_ensemble`, at
     scale ``v_std``, and never stops; ``tau = 0`` draws nothing.
     :func:`~hilbertbridge.stats_util.stream_ranges` walks the trials, in a
-    range per process when the trial-kicks repay the fork and N is at most
-    ``_MSD_FORK_MAX_CELLS``, and joins their states a window of steps at a
-    time.  The overlaps are taken here, on each step's (trials, N)
-    states in trial order, in row blocks that OpenBLAS runs on one thread,
-    so no BLAS thread competes with a forked range.
+    range per process when the trial-kicks repay the fork, and joins their
+    states a window of steps at a time; the overlaps are taken here, on one
+    BLAS thread, on each step's (trials, N) states in trial order.
     """
     _require_isotropic(params)
     start, n = state0.amplitudes, len(state0)
@@ -778,10 +738,10 @@ def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
                              _msd_window(trials, n, n_steps))
     out = np.zeros(n_steps + 1)
     step = 0
-    for states in stream_ranges(walk, trials, _msd_min_trials(trials, n, n_steps)):
+    for states in stream_ranges(walk, trials, _msd_min_trials(n_steps)):
         for column in range(states.shape[1]):
             step += 1
-            ov = np.abs(_row_products(np.ascontiguousarray(states[:, column]), start.conj()))
+            ov = np.abs(np.ascontiguousarray(states[:, column]) @ start.conj())
             out[step] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
     return out
 

@@ -1,14 +1,16 @@
 """Statistical machinery shared by the Monte Carlo experiments.
 
 Seeded counter-based RNG substreams, the one process fan-out that walks
-ranges of those substreams in forked processes (capped by ``HB_THREADS``),
-and the small set of goodness-of-fit / uniformity tests and the line fit
-the experiment suites need, none of which imports ``scipy.stats``.
+ranges of those substreams in forked processes (capped by ``HB_THREADS``)
+with numpy's OpenBLAS pinned to one thread, and the small set of
+goodness-of-fit / uniformity tests and the line fit the experiment suites
+need, none of which imports ``scipy.stats``.
 This is not a general statistics library.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 from dataclasses import dataclass
@@ -120,7 +122,7 @@ def walk_ranges(walk_batch: Callable[[int, int], tuple], trials: int,
     def walk_range(count: int, offset: int) -> Iterator[tuple]:
         parts = [walk_batch(min(batch, offset + count - start), start)
                  for start in range(offset, offset + count, batch)] or [walk_batch(0, 0)]
-        yield parts[0] if len(parts) == 1 else _joined(parts)
+        yield _joined(parts)
 
     (columns,) = stream_ranges(walk_range, trials, min_trials)
     return columns
@@ -138,39 +140,69 @@ def stream_ranges(walk_range: Callable[[int, int], Iterator], trials: int,
     process each other one, sending its windows down a pipe as they come,
     so no process runs more than a window ahead of the join.  A range that
     raises or dies raises here, and no forked process outlives the call.
+    numpy's OpenBLAS runs on one thread for the whole call: in the one-range
+    walk, in the children, which are forked under the pin, and in the
+    caller's work between windows, so no BLAS thread stalls a forked range.
     """
-    ranges = _trial_ranges(trials, range_processes(trials, min_trials)) or [(0, 0)]
-    if len(ranges) < 2:
-        yield from walk_range(trials, 0)
-        return
-    import multiprocessing
+    with _one_blas_thread():
+        ranges = _trial_ranges(trials, range_processes(trials, min_trials)) or [(0, 0)]
+        import multiprocessing
 
-    # fork: the children inherit the imported library; spawned children
-    # import it again, which added 0.5–0.7 s to each 2-process call
-    context = multiprocessing.get_context("fork")
-    children = []
+        # fork: the children inherit the imported library; spawned children
+        # import it again, which added 0.5–0.7 s to each 2-process call
+        context = multiprocessing.get_context("fork")
+        children = []
+        try:
+            for lo, hi in ranges[1:]:
+                receive, send = context.Pipe(duplex=False)
+                child = context.Process(target=_send_windows,
+                                        args=(walk_range, hi - lo, lo, send), daemon=True)
+                child.start()
+                send.close()
+                children.append((child, receive))
+            for own in walk_range(ranges[0][1], 0):
+                yield _joined([own] + [_received(receive) for _, receive in children])
+        except BaseException:
+            for child, _ in children:
+                child.terminate()
+            raise
+        finally:
+            for child, receive in children:
+                child.join()
+                receive.close()
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Pin numpy's bundled OpenBLAS to one thread; restore its count on exit."""
+    get, set_ = _blas_thread_calls() or (lambda: None, lambda threads: None)
+    threads = get()
+    set_(1)
     try:
-        for lo, hi in ranges[1:]:
-            receive, send = context.Pipe(duplex=False)
-            child = context.Process(target=_send_windows,
-                                    args=(walk_range, hi - lo, lo, send), daemon=True)
-            child.start()
-            send.close()
-            children.append((child, receive))
-        for own in walk_range(ranges[0][1], 0):
-            yield _joined([own] + [_received(receive) for _, receive in children])
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
+        yield
     finally:
-        for child, receive in children:
-            child.join()
-            receive.close()
+        set_(threads)
+
+
+@functools.cache
+def _blas_thread_calls() -> tuple | None:
+    """``(get, set)`` of the thread count of the OpenBLAS in ``numpy.libs``, or None."""
+    import ctypes  # imported on first use, as is glob
+    import glob
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        blas = ctypes.CDLL(path)
+        for get in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                    "openblas_get_num_threads"):
+            if hasattr(blas, get):  # both take and return a C int
+                return getattr(blas, get), getattr(blas, get.replace("get_", "set_"))
 
 
 def _joined(windows: list):
-    """Windows concatenated in order, column by column when they are tuples."""
+    """Windows joined in order, column by column when tuples; a lone window as it is."""
+    if len(windows) == 1:
+        return windows[0]
     if isinstance(windows[0], tuple):
         return tuple(np.concatenate(column) for column in zip(*windows))
     return np.concatenate(windows)

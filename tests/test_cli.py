@@ -52,6 +52,9 @@ REFUSALS = {
                                "max_levels must be at least 2, got 1"),
     "action-samples": ("[action-equivalence]\ntrials = 1\nsamples = 3\n", 3,
                        "samples must be at least 5, got 3"),
+    # 10¹¹ samples' states on the projection grid: about 300 000 GiB
+    "action-samples-memory": ("[action-equivalence]\ntrials = 1\nsamples = 100000000000\n",
+                              3, "GiB budget"),
     "action-omega-0": ("[action-equivalence]\ntrials = 1\nomega = 0\n", 3,
                        "omega must be positive, got 0.0"),
     "action-amplitude-0": ("[action-equivalence]\ntrials = 1\namplitude = 0\n", 3,

@@ -501,12 +501,10 @@ def test_msd_block_draws_match_per_step_draws(monkeypatch, start, params, n_step
 # 300 trials of 3 or 4 cells; a budget below one kick draws blocks of 8
 # kicks, so 11 steps cross a block edge, batches of 64 split each range, a
 # 76 800-byte window hands the states over 4 or 5 steps at a time, so the
-# windows cut blocks and the last window is shorter, and a 64-element
-# mat-vec takes the overlaps 20 or 14 rows at a time
+# windows cut blocks and the last window is shorter
 @pytest.mark.parametrize("n", [3, 4])
 @pytest.mark.parametrize("kw", [{}, {"_BLOCK_BYTES": 1, "_BATCH": 64},
-                                {"_BLOCK_BYTES": 1, "_BATCH": 64, "_WINDOW_BYTES": 76_800,
-                                 "_GEMV_ONE_THREAD": 64}])
+                                {"_BLOCK_BYTES": 1, "_BATCH": 64, "_WINDOW_BYTES": 76_800}])
 def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, forks, n, kw):
     for name, value in kw.items():
         monkeypatch.setattr(position_measurement, name, value)
@@ -527,9 +525,10 @@ def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, 
     assert forked.tobytes() == runs["1"].tobytes() == runs["2"].tobytes() == ref.tobytes()
 
 
-# eigh divides and conquers from 26 cells on, with calls OpenBLAS threads
-@pytest.mark.parametrize("n, processes", [(25, 2), (26, 1)])
-def test_cell_msd_forks_only_up_to_25_cells(monkeypatch, forks, n, processes):
+# from 26 cells on, eigh divides and conquers, and on threaded OpenBLAS its
+# calls would stall a forked range; the stream keeps it on one thread
+@pytest.mark.parametrize("n, processes", [(25, 2), (26, 2)])
+def test_cell_msd_forks_at_every_cell_count(monkeypatch, forks, n, processes):
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
     monkeypatch.setattr(position_measurement, "_MIN_MSD_KICKS_PER_PROCESS", 1)
     monkeypatch.setenv("HB_THREADS", "2")

@@ -326,6 +326,48 @@ class TestDeterminism:
             blobs.append((out / "diffusion-trials.csv").read_bytes())
         assert blobs[0] == blobs[1]
 
+    # the cell walks at sizes where threaded OpenBLAS calls would run: the
+    # Taylor kick's mat-vec at N = 64 and eigh's divide and conquer at
+    # N = 32; state-msd's minimum is lowered so its 400 trial-kicks fork;
+    # prints the number of forked processes
+    _LARGE_CELL_RUNS = """
+import multiprocessing.context, sys
+from hilbertbridge import experiments as ex, position_measurement as pm, stats_util
+
+stats_util.cpu_count = lambda: 2
+pm._MIN_MSD_KICKS_PER_PROCESS = 1
+forks, start = [], multiprocessing.context.ForkProcess.start
+multiprocessing.context.ForkProcess.start = lambda process: forks.append(1) or start(process)
+ex.run(ex.ExperimentConfig("position-born", {"n_cells": 64, "max_steps": 3}, seed=6,
+                           trials=2 * pm.MIN_TRIALS_PER_PROCESS, output_dir=sys.argv[1]))
+ex.run(ex.ExperimentConfig("state-msd", {"n_cells": 32, "n_steps": 4}, seed=6,
+                           trials=100, output_dir=sys.argv[1]))
+print(len(forks))
+"""
+
+    def test_large_cell_walks_write_the_same_bytes_at_any_blas_and_process_count(
+            self, tmp_path):
+        src = Path(ex.__file__).resolve().parents[1]
+        forks, blobs = {}, {}
+        for blas in ("1", "2"):
+            for processes in ("1", "2"):
+                out = tmp_path / f"{blas}-{processes}"
+                env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": blas,
+                       "HB_THREADS": processes}
+                # a forked range stalled in threaded OpenBLAS would hang the run
+                run = subprocess.run([sys.executable, "-c", self._LARGE_CELL_RUNS, str(out)],
+                                     env=env, capture_output=True, text=True, check=True,
+                                     timeout=300)
+                forks[blas, processes] = int(run.stdout)
+                blobs[blas, processes] = [
+                    (out / f"{name}-{part}").read_bytes()
+                    for name in ("position-born", "state-msd")
+                    for part in ("trials.csv", "summary.json")]
+        # one forked range for each cell walk: position-born's, and
+        # state-msd's walk and its tau = 0 control
+        assert forks == {("1", "1"): 0, ("1", "2"): 3, ("2", "1"): 0, ("2", "2"): 3}
+        assert all(blob == blobs["1", "1"] for blob in blobs.values())
+
     # each run first prints a digest of lstsq on the experiment's design
     # matrix, then writes the experiment's files
     _LSTSQ_THEN_RUN = """
@@ -466,7 +508,7 @@ class TestMemoryBudget:
             raise AssertionError("the run started")
 
         for name in ("spin-born", "position-born", "isotropy", "diffusion", "state-msd",
-                     "uncertainty-identity", "born-bridge"):
+                     "uncertainty-identity", "born-bridge", "action-equivalence"):
             entry = dataclasses.replace(ex.REGISTRY[name], runner=must_not_run)
             monkeypatch.setitem(ex.REGISTRY, name, entry)
 
@@ -593,6 +635,8 @@ class TestMemoryBudget:
         ("uncertainty-identity", 6, {"max_levels": 400}, "lower max_levels"),
         ("uncertainty-identity", 20_000, {}, "lower --trials"),
         ("born-bridge", 6, {}, "lower --trials"),
+        # 20 000 samples on a 73-point grid: five 11.7 MB arrays at the peak
+        ("action-equivalence", 1, {"samples": 20_000}, "lower samples"),
     ])
     def test_size_peak_stays_under_estimate(self, experiment, trials, parameters, remedy,
                                             tmp_path, monkeypatch):
@@ -633,6 +677,7 @@ class TestMemoryBudget:
         ("uncertainty-identity", 3, {"max_levels": 10**6}),
         ("uncertainty-identity", 10**12, {}),
         ("born-bridge", 10**12, {}),
+        ("action-equivalence", 1, {"samples": 10**11}),
     ])
     def test_absurd_sizes_are_refused_before_any_allocation(
             self, four_gib, tmp_path, experiment, trials, parameters):

@@ -481,9 +481,10 @@ def test_no_pool_below_the_trial_threshold(monkeypatch, forks):
     assert not forks
 
 
-# OpenBLAS threads the Taylor kick's mat-vec from N² = 4096 elements on
-@pytest.mark.parametrize("n, processes", [(63, 2), (64, 1)])
-def test_cell_walk_forks_only_up_to_63_cells(monkeypatch, forks, n, processes):
+# from N² = 4096 elements on, threaded OpenBLAS would run the Taylor kick's
+# mat-vec and stall a forked range; the stream keeps it on one thread
+@pytest.mark.parametrize("n, processes", [(63, 2), (64, 2)])
+def test_cell_walk_forks_at_every_cell_count(monkeypatch, forks, n, processes):
     monkeypatch.setattr(stats_util, "cpu_count", lambda: 2)
     monkeypatch.setattr(pm, "MIN_TRIALS_PER_PROCESS", 4)
     monkeypatch.setenv("HB_THREADS", "1")
@@ -784,14 +785,3 @@ def test_estimate_scaling_exponents_as_computed():
     assert slope([r.velocity_term for r in reps]) == pytest.approx(-2.0, abs=0.01)
     assert slope([r.acceleration_term for r in reps]) == pytest.approx(-1.0, abs=0.01)
     assert slope([r.spreading_term for r in reps]) == pytest.approx(-2.0, abs=1e-6)
-
-
-# 64-element blocks take 14 rows of 4 cells; 15 and 29 rows would leave a
-# single row over, which the last block takes instead
-@pytest.mark.parametrize("rows", [0, 1, 2, 3, 15, 16, 17, 29, 30, 31, 1000])
-def test_row_blocked_products_give_the_one_products_bits(monkeypatch, rows):
-    monkeypatch.setattr(pm, "_GEMV_ONE_THREAD", 64)
-    rng = np.random.default_rng(rows)
-    states = rng.normal(size=(rows, 4)) + 1j * rng.normal(size=(rows, 4))
-    vec = rng.normal(size=4) - 1j * rng.normal(size=4)
-    assert pm._row_products(states, vec).tobytes() == (states @ vec).tobytes()

@@ -1,5 +1,5 @@
 """Keyed RNG substreams, the process fan-out that walks trial ranges in forked
-processes, and the p-values of the library's tests."""
+processes on one OpenBLAS thread, and the p-values of the library's tests."""
 
 import functools
 import multiprocessing
@@ -144,6 +144,56 @@ def test_a_range_that_dies_without_raising_reaches_the_caller(monkeypatch):
     with pytest.raises(EOFError):
         stats_util.walk_ranges(_exit_past_first_range, 30, 10, 4)
     assert not multiprocessing.active_children()
+
+
+@pytest.fixture
+def blas_threads():
+    """numpy's OpenBLAS thread count, set to 2 for the test and restored after."""
+    if "openblas" not in np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]:
+        pytest.skip("numpy is not built on OpenBLAS")
+    # the pin found numpy's OpenBLAS, so it is no silent no-op here
+    get, set_ = stats_util._blas_thread_calls()
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+def _record_blas_threads(windows, trials, trial_offset):
+    """``windows`` windows of the BLAS thread count of the walking process."""
+    get, _ = stats_util._blas_thread_calls()
+    for _ in range(windows):
+        yield np.full(trials, get())
+
+
+def test_ranges_walk_on_one_blas_thread_here_and_forked(monkeypatch, blas_threads):
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
+    for processes in ("3", "1"):
+        monkeypatch.setenv("HB_THREADS", processes)
+        windows = stats_util.stream_ranges(functools.partial(_record_blas_threads, 2), 30, 10)
+        for window in windows:
+            assert window.tolist() == [1] * 30
+            # the caller runs on one thread between windows too
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+
+def test_the_blas_thread_count_comes_back_however_the_stream_ends(monkeypatch,
+                                                                   blas_threads):
+    monkeypatch.setattr(stats_util, "cpu_count", lambda: 3)
+    assert len(list(stats_util.stream_ranges(functools.partial(_record_windows, 2),
+                                             30, 10))) == 2
+    assert blas_threads() == 2
+    with pytest.raises(RuntimeError, match="range from trial 10 failed"):
+        list(stats_util.stream_ranges(_fail_second_window_past_first_range, 30, 10))
+    assert blas_threads() == 2
+    with pytest.raises(EOFError):
+        list(stats_util.stream_ranges(_exit_second_window_past_first_range, 30, 10))
+    assert blas_threads() == 2
+    windows = stats_util.stream_ranges(functools.partial(_record_windows, 50), 30, 10)
+    next(windows)
+    windows.close()
+    assert blas_threads() == 2
 
 
 def test_p_value_kernels_equal_scipy_stats_bit_for_bit():
