@@ -225,10 +225,12 @@ def brownian_ensemble(params: DiffusionParams) -> BrownianResult:
     pos = np.zeros((params.walkers, 3))
     times = np.arange(n_steps + 1) * params.dt
     msd = np.zeros(n_steps + 1)
-    sq = np.empty_like(pos)
+    step, sq = np.empty_like(pos), np.empty_like(pos)
     r2 = np.empty(params.walkers)
     for k in range(1, n_steps + 1):
-        pos += gen.normal(0.0, step_std, size=pos.shape)
+        # Generator.normal(0.0, step_std) is 0.0 + step_std * z, drawn in place
+        gen.standard_normal(out=step)
+        pos += np.add(np.multiply(step, step_std, out=step), 0.0, out=step)
         # (x₀² + x₁²) + x₂², the order in which (pos**2).sum(axis=1) adds
         np.square(pos, out=sq)
         np.add(sq[:, 0], sq[:, 1], out=r2)
@@ -285,18 +287,29 @@ def check_msd(trials: int, n_steps: int) -> None:
 def state_density_msd(start, params, n_steps: int, trials: int) -> StateMsd:
     """Ensemble ⟨θ²⟩ against step count for the measurement walks.
 
-    ``start``/``params`` select the walk: a 2-spinor with ``SpinWalkParams``,
-    kicked by its absorbing engine's block loop, or a ``CellState`` with
-    ``PositionWalkParams`` (ISOTROPIC), drawn in the absorbing walk's blocks
-    (``_draw_block``) but kicked through eigh (``_apply_unitary_batch``), not
-    the Taylor series.  No absorption: this probes free early-time diffusion.
+    ``start``/``params`` select the walk: a 2-spinor with ``SpinWalkParams``
+    or a ``CellState`` with ``PositionWalkParams`` (ISOTROPIC, kicked
+    through eigh, ``_apply_unitary_batch``, not the Taylor series).  No
+    absorption: this probes free early-time diffusion.
     """
     check_msd(trials, n_steps)
+    return StateMsd(np.arange(n_steps + 1), _mean_square_angles(start, params, n_steps, trials))
+
+
+def _mean_square_angles(start, params, n_steps: int, trials: int) -> np.ndarray:
+    """⟨θ²⟩, θ = arccos |⟨start|ψ⟩|, after each of 0 … ``n_steps`` kicks.
+
+    Each step's overlaps are one product of its contiguous (trials, dim) states.
+    """
     if isinstance(params, spin_measurement.SpinWalkParams):
-        walk = spin_measurement
+        walk, vector = spin_measurement, np.asarray(start, dtype=complex)
     elif isinstance(params, position_measurement.PositionWalkParams):
-        walk = position_measurement
+        walk, vector = position_measurement, start.amplitudes
     else:
         raise TypeError("params must be spin or position walk parameters")
-    series = walk._free_walk_msd(start, trials, params, n_steps)
-    return StateMsd(steps=np.arange(n_steps + 1), mean_square_angle=series)
+    windows = walk._free_windows(start, trials, params, n_steps)
+    out = np.zeros(n_steps + 1)
+    for step, states in enumerate((w[:, j] for w in windows for j in range(w.shape[1])), 1):
+        overlap = np.abs(np.ascontiguousarray(states) @ vector.conj())
+        out[step] = (np.arccos(np.minimum(overlap, 1.0)) ** 2).mean()
+    return out

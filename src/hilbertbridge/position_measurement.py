@@ -10,7 +10,7 @@ provided and deliberately contrasted:
 * ``ISOTROPIC`` — unitarily-invariant random Hermitian generators, the
   direct realisation of "every tangent direction equally likely".  One
   engine walks them: a single :func:`run_measurement` is a one-trial
-  :func:`run_position_ensemble`.
+  :func:`run_position_ensemble`; it and state-msd's walk kick on :func:`kicked_windows`.
 
 Also here: Gabor frame states at critical density and the order-of-
 magnitude chain for photon-scattering measurements of an electron.
@@ -30,7 +30,8 @@ from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFuncti
 from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.state_geometry import require_positive, require_state
 from hilbertbridge.stats_util import (RngStream, TestReport, check_seed, check_trials,
-                                      range_processes, stream_ranges, walk_ranges)
+                                      kicked_windows, range_processes, stream_ranges,
+                                      walk_ranges)
 
 __all__ = [
     "GeneratorMode",
@@ -306,31 +307,55 @@ def _cell_masses(amplitudes: np.ndarray) -> np.ndarray:
     return np.add(sq[..., 0::2], sq[..., 1::2])
 
 
-class _TaylorKick:
+class _CellKick:
+    """The block rule and GUE draws of a batch of cell walks, for :func:`kicked_windows`.
+
+    Generators go into ``buffer``, one complex array in a list that kicks may share.
+    """
+
+    def __init__(self, states: np.ndarray, buffer: list | None = None) -> None:
+        self.n = states.shape[1]
+        self._buffer = [np.empty(0, dtype=complex)] if buffer is None else buffer
+
+    def block(self, live: int, steps_left: int) -> int:
+        return min(max(8, min(256, _BLOCK_BYTES // (live * _kick_bytes(self.n)))), steps_left)
+
+    def _draw(self, gens, span: int, scale: float) -> np.ndarray:
+        """The next ``span`` kicks, a (span, k, n, n) stack at ``scale``; one draw per kick."""
+        k, n = len(gens), self.n
+        size = span * k * n * n
+        if self._buffer[0].size < size:
+            self._buffer[0] = np.empty(size, dtype=complex)
+        raw = np.empty((k, span, 2, n, n))
+        for row, gen in zip(raw, gens):
+            gen.standard_normal(out=row)
+        np.add(raw, 0.0, out=raw)  # Generator.normal is loc + scale * z: −0.0 becomes 0.0
+        hams = self._buffer[0][:size].reshape(span, k, n, n)
+        hermitian_generator(raw[:, :, 0], raw[:, :, 1], scale, out=hams.transpose(1, 0, 2, 3))
+        return hams
+
+
+class _TaylorKick(_CellKick):
     """exp(−iτH/ħ)ψ for a batch of cell states by a truncated Taylor series.
 
-    A kick is applied as ``substeps`` equal parts exp(−iB), B = τH/(ħ·substeps),
-    enough parts that ‖B‖_F is typically at most 1 (E‖H‖_F ≈ v_std·N); at
-    the walk's step phases of ≤ 0.05 that is one part up to N = 20.  The
-    generators B come straight from :func:`hermitian_generator`.  For each
-    part the series Σ_{k≤K} (−iB)^k ψ/k! stops at the smallest K with
-    x^(K+1)·eˣ/(K+1)! ≤ 2⁻⁵³, x = ‖B‖_F ≥ ‖B‖₂, which bounds the truncation
-    error by 2⁻⁵³‖ψ‖ (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2),
-    2011).  K is read off each trial's own B, the powers B^j ψ are formed
-    only up to the largest K of the batch, and the weighted sum of the
-    terms j ≥ 1 always runs over all ``_TAYLOR_ORDER_MAX`` slots with zero
-    weights past K.  So a trial gets the same bits alone as in any batch.
-    ψ itself is added last, by a separate ``add``: summed inside the
-    ``matmul`` it shrank ‖ψ‖² by about 1.2e-17 per kick at N = 8, every
-    kick the same way.
-
-    The object holds the states of its trials; :attr:`states` reads and
-    writes them, :meth:`apply` kicks them all and :meth:`keep` drops trials.
+    A kick is ``substeps`` equal parts exp(−iB), B = τH/(ħ·substeps), so that
+    ‖B‖_F is typically at most 1; each part's series Σ_{k≤K} (−iB)^k ψ/k!
+    stops at the smallest K with x^(K+1)·eˣ/(K+1)! ≤ 2⁻⁵³, x = ‖B‖_F ≥ ‖B‖₂
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011; the position-born
+    entry of ``docs/experiments.md`` gives the numbers).  K is read off each
+    trial's own B, the powers B^j ψ are formed up to the batch's largest K,
+    and the weighted sum of the terms j ≥ 1 runs over all
+    ``_TAYLOR_ORDER_MAX`` slots with zero weights past K, so a trial gets
+    the same bits alone as in any batch.  ψ itself is added last, by a
+    separate ``add``: summed inside the ``matmul`` it shrank ‖ψ‖² by about
+    1.2e-17 per kick at N = 8.  :attr:`states` reads and writes the trials'
+    states and :meth:`apply` kicks them all; a block's series orders and
+    weights are built for all its kicks at once.
     """
 
     def __init__(self, states: np.ndarray, params: PositionWalkParams) -> None:
+        super().__init__(states)
         k, n = states.shape
-        self.n = n
         self.substeps = max(1, math.ceil(params.step_phase * n))
         self.scale = params.v_std * params.tau / (params.hbar * self.substeps)
         # slot j of a power buffer holds B^j ψ as a row vector, slot 0 ψ; the
@@ -338,6 +363,7 @@ class _TaylorKick:
         self._powers = np.zeros((_TAYLOR_ORDER_MAX + 1, k, 1, n), dtype=complex)
         self._powers[0, :, 0] = states
         self._spare = np.zeros_like(self._powers)
+        self._operands = []
 
     @property
     def states(self) -> np.ndarray:
@@ -358,13 +384,9 @@ class _TaylorKick:
             np.square(h.view(float)).reshape(out.shape + (-1,)).sum(axis=-1, out=out)
         orders = np.searchsorted(_TAYLOR_RADII**2, norm2)
         if orders.max() > _TAYLOR_ORDER_MAX:
-            raise FloatingPointError(
-                "kick generator is non-finite or beyond the Taylor range"
-            )
+            raise FloatingPointError("kick generator is non-finite or beyond the Taylor range")
         weights = _TAYLOR_WEIGHTS[orders][..., None, :]
-        return list(
-            zip(hams.swapaxes(-1, -2), weights, orders.max(axis=-1).tolist())
-        )
+        return list(zip(hams.swapaxes(-1, -2), weights, orders.max(axis=-1).tolist()))
 
     def apply(self, operands: tuple[np.ndarray, np.ndarray, int]) -> None:
         """Kick every trial by one kick's operands from :meth:`prepare`."""
@@ -378,10 +400,21 @@ class _TaylorKick:
             powers, spare = spare, powers
         self._powers, self._spare = powers, spare
 
-    def keep(self, live: np.ndarray) -> None:
-        """Keep only the trials where ``live`` is true, in order."""
-        self._powers = np.ascontiguousarray(self._powers[:, live])
-        self._spare = np.zeros_like(self._powers)
+    def draw(self, gens, span: int) -> None:
+        self._operands = []  # the last block's weights go first
+        self._operands = self.prepare(self._draw(gens, span, self.scale))
+
+    def windows(self):
+        for operands in self._operands:
+            self.apply(operands)
+            yield 1, self.states
+
+    def keep(self, index: np.ndarray) -> None:
+        """Move the trials at ``index`` to the front of the buffers, in order."""
+        self._operands = []  # the block's weights go before the survivors are copied
+        self._powers[:, : index.size] = self._powers[:, index]
+        self._powers, self._spare = self._powers[:, : index.size], self._spare[:, : index.size]
+        self._spare[...] = 0.0
 
 
 def isotropic_step(
@@ -389,9 +422,9 @@ def isotropic_step(
 ) -> CellState:
     """One kick by a unitarily-invariant random Hermitian generator."""
     kick = _TaylorKick(state.amplitudes[None, :], params)
-    (operands,) = kick.prepare(_draw_block([rng], kick.n, 1, kick.scale))
-    kick.apply(operands)
-    return CellState(kick.states[0].copy())
+    kick.draw([rng], 1)
+    ((_, states),) = kick.windows()
+    return CellState(states[0].copy())
 
 
 # ---------------------------------------------------------------------------
@@ -522,22 +555,6 @@ def _kick_bytes(n: int) -> int:
     return 32 * n * n + 16 * (_TAYLOR_ORDER_MAX + 1)
 
 
-def _draw_block(gens, n: int, steps_left: int, scale: float) -> np.ndarray:
-    """The next block of kicks of the k generators, a (span, k, n, n) stack at ``scale``.
-
-    A block takes as many kicks (8 to 256, at most ``steps_left``) as keep its
-    buffers under ``_BLOCK_BYTES``; one draw per generator equals one per kick.
-    """
-    k = len(gens)
-    span = min(max(8, min(256, _BLOCK_BYTES // (k * _kick_bytes(n)))), steps_left)
-    raw = np.empty((k, span, 2, n, n))
-    for row, gen in zip(raw, gens):
-        row[:] = gen.normal(size=(span, 2, n, n))
-    hams = np.empty((span, k, n, n), dtype=complex)
-    hermitian_generator(raw[:, :, 0], raw[:, :, 1], scale, out=hams.transpose(1, 0, 2, 3))
-    return hams
-
-
 def ensemble_bytes(trials: int, n: int) -> int:
     """Rough peak bytes of :func:`run_position_ensemble` at N = ``n``.
 
@@ -558,7 +575,7 @@ def run_position_ensemble(
     """Cells (−1 for unresolved) and step counts for trials 0..trials−1.
 
     Trial ``t`` is ``run_measurement(state0, params, stream_id=t)`` bit for
-    bit, whichever batch and whichever process it walks in.
+    bit, whichever batch, block and process it walks in.
     :func:`~hilbertbridge.stats_util.walk_ranges` walks the trials in batches
     of up to ``_BATCH``, in ranges of ``MIN_TRIALS_PER_PROCESS`` or more, one
     per process (``HB_THREADS`` caps them); a start inside the cap forks nothing.
@@ -589,51 +606,29 @@ def _walk_batch(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(cells, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
 
-    The trials walk together.  Draws come in blocks of kicks
-    (:func:`_draw_block`); a block's series orders and weights are built
-    for all its kicks at once.  A trial that absorbs is recorded, zeroed so
-    it cannot absorb again, and dropped at block end.
+    A trial that absorbs is recorded and zeroed, so it cannot absorb again.
     """
     cell = _start_cell(state0, params)
     cells = np.full(trials, cell, dtype=np.int64)
     steps_out = np.full(trials, 0 if cell >= 0 else params.max_steps, dtype=np.int64)
     finals = np.tile(state0.amplitudes, (trials, 1))
-    if cell >= 0:
+    if cell >= 0 or trials == 0:
         return cells, steps_out, finals
-    ids = np.arange(trials)
     threshold = 1.0 - params.absorb_eps
-    gens = [RngStream(params.seed, int(t) + trial_offset).generator() for t in ids]
-    kick = _TaylorKick(np.tile(state0.amplitudes, (ids.size, 1)), params)
-    step = 0
-    while step < params.max_steps and ids.size:
-        k = ids.size
-        hams = _draw_block(gens, kick.n, params.max_steps - step, kick.scale)
-        done = np.zeros(k, dtype=bool)
-
-        for operands in kick.prepare(hams):
-            step += 1
-            kick.apply(operands)
-            masses = _cell_masses(kick.states)
-            if masses.max() >= threshold:
-                winner = masses.argmax(axis=1)
-                rows = np.flatnonzero(masses[np.arange(k), winner] >= threshold)
-                cells[ids[rows]] = winner[rows]
-                steps_out[ids[rows]] = step
-                finals[ids[rows]] = kick.states[rows]
-                kick.states[rows] = 0.0
-                done[rows] = True
-                if done.all():
-                    break
-
-        # free the block's generators and weights before keep() copies the
-        # survivors and the next block is drawn
-        del hams, operands
-        if done.any():
-            keep = ~done
-            ids = ids[keep]
-            gens = [g for g, live in zip(gens, keep) if live]
-            kick.keep(keep)
-    finals[ids] = kick.states
+    gens = [RngStream(params.seed, t + trial_offset).generator() for t in range(trials)]
+    kick = _TaylorKick(finals, params)
+    for step, states, rows, alive in kicked_windows(kick, gens, params.max_steps):
+        masses = _cell_masses(states)
+        if masses.max() >= threshold:
+            winner = masses.argmax(axis=1)
+            hit = np.flatnonzero(masses[np.arange(rows.size), winner] >= threshold)
+            t = rows[hit]
+            cells[t] = winner[hit]
+            steps_out[t] = step + 1
+            finals[t] = states[hit]
+            states[hit] = 0.0
+            alive[hit] = False
+    finals[rows[alive]] = states[alive]
     return cells, steps_out, finals
 
 
@@ -642,7 +637,7 @@ def _apply_unitary_batch(states: np.ndarray, hams: np.ndarray,
     """exp(−iτH/ħ)ψ for a batch of states/generators via eigh.
 
     The absorbing walk kicks with a Taylor series instead; this eigh form
-    stays for :func:`_free_walk_msd` because the published state-msd floats
+    stays for :class:`_EighKick` because the published state-msd floats
     were computed with it, and the Taylor form rounds differently.
     """
     w, vecs = np.linalg.eigh(hams)
@@ -661,7 +656,7 @@ _WINDOW_BYTES = 2**23
 
 
 def msd_bytes(trials: int, n: int, n_steps: int) -> int:
-    """Rough peak bytes of :func:`_free_walk_msd` at N = ``n``.
+    """Rough peak bytes of :func:`_free_windows` at N = ``n``.
 
     Each process holds a batch's block of kicks (at least 8) and eigh's
     stacks, and every trial its generator and state.  A window of all
@@ -688,62 +683,56 @@ def _msd_window(trials: int, n: int, n_steps: int) -> int:
     return max(1, min(n_steps, _WINDOW_BYTES // (16 * n * max(trials, 1))))
 
 
-def _free_walk_windows(state0: CellState, params: PositionWalkParams, n_steps: int,
-                       window: int, trials: int, trial_offset: int) -> Iterator[np.ndarray]:
-    """The ``trials`` states from ``trial_offset`` after kicks 1 … ``n_steps``.
+class _EighKick(_CellKick):
+    """state-msd's cell kick: :func:`_apply_unitary_batch` of generators at ``v_std``."""
 
-    Yields a (trials, w, N) array for each ``window`` steps (the last may be
-    shorter).  The trials walk in batches of up to ``_BATCH``; a batch draws
-    its kicks in blocks cut at the window's end (one draw per generator
-    equals one per kick) and keeps its generators and states for the next
-    window.  ``tau = 0`` draws nothing and the states stay ``state0``.
-    """
-    start, n = state0.amplitudes, len(state0)
-    batches = []
-    for lo in range(trial_offset, trial_offset + trials, _BATCH):
-        ids = range(lo, min(lo + _BATCH, trial_offset + trials))
-        gens = [RngStream(params.seed, t).generator() for t in ids] if params.tau > 0 else []
-        batches.append((np.tile(start, (len(ids), 1)), gens))
-    for first in range(0, n_steps, window):
-        span = min(window, n_steps - first)
-        out = np.empty((span, trials, n), dtype=complex)
-        row = 0
-        for b, (states, gens) in enumerate(batches):
-            hams = []  # the drawn kicks not yet applied
-            for step in range(span):
-                if gens:
-                    if not hams:
-                        hams = list(_draw_block(gens, n, span - step, params.v_std))
-                    states = _apply_unitary_batch(states, hams.pop(0), params)
-                out[step, row:row + len(states)] = states
-            batches[b] = (states, gens)
-            row += len(states)
-        yield out.transpose(1, 0, 2)
+    def __init__(self, states: np.ndarray, params: PositionWalkParams, buffer: list) -> None:
+        super().__init__(states, buffer)
+        self.states, self.params = states, params
+
+    def draw(self, gens, span: int) -> None:
+        self._hams = self._draw(gens, span, self.params.v_std)
+
+    def windows(self):
+        for hams in self._hams:
+            self.states = _apply_unitary_batch(self.states, hams, self.params)
+            yield 1, self.states
+
+    def keep(self, index: np.ndarray) -> None:
+        self.states = self.states[index]
 
 
-def _free_walk_msd(state0: CellState, trials: int, params: PositionWalkParams,
-                   n_steps: int) -> np.ndarray:
-    """⟨θ²⟩, θ = arccos |⟨ψ₀|ψ⟩|, after each of 0 … ``n_steps`` eigh kicks.
+def _free_windows(state0: CellState, trials: int, params: PositionWalkParams,
+                  n_steps: int) -> Iterator[np.ndarray]:
+    """(trials, w, N) windows of the states after eigh kicks 1 … ``n_steps``.
 
     Trial ``t`` draws as trial ``t`` of :func:`run_position_ensemble`, at
-    scale ``v_std``, and never stops; ``tau = 0`` draws nothing.
-    :func:`~hilbertbridge.stats_util.stream_ranges` walks the trials, in a
-    range per process when the trial-kicks repay the fork, and joins their
-    states a window of steps at a time; the overlaps are taken here, on one
-    BLAS thread, on each step's (trials, N) states in trial order.
+    scale ``v_std``, and never stops; ``tau = 0`` draws nothing.  Ranges of
+    :func:`stream_ranges` walk their trials in batches of up to ``_BATCH``,
+    each kicked a window at a time, so its blocks end at the window's end.
     """
     _require_isotropic(params)
     start, n = state0.amplitudes, len(state0)
-    walk = functools.partial(_free_walk_windows, state0, params, n_steps,
-                             _msd_window(trials, n, n_steps))
-    out = np.zeros(n_steps + 1)
-    step = 0
-    for states in stream_ranges(walk, trials, _msd_min_trials(n_steps)):
-        for column in range(states.shape[1]):
-            step += 1
-            ov = np.abs(np.ascontiguousarray(states[:, column]) @ start.conj())
-            out[step] = float((np.arccos(np.minimum(ov, 1.0)) ** 2).mean())
-    return out
+    window = _msd_window(trials, n, n_steps)
+
+    def walk_range(count: int, offset: int) -> Iterator[np.ndarray]:
+        buffer = [np.empty(0, dtype=complex)]  # the batches' generators
+        batches = [(_EighKick(np.tile(start, (len(ids), 1)), params, buffer),
+                    [RngStream(params.seed, t).generator() for t in ids])
+                   for lo in range(offset, offset + count, _BATCH) if params.tau > 0
+                   for ids in [range(lo, min(lo + _BATCH, offset + count))]]
+        for first in range(0, n_steps, window):
+            out = np.empty((min(window, n_steps - first), count, n), dtype=complex)
+            if not batches:
+                out[:] = start
+            row = 0
+            for kick, gens in batches:
+                for step, states, *_ in kicked_windows(kick, gens, len(out)):
+                    out[step, row:row + len(gens)] = states
+                row += len(gens)
+            yield out.transpose(1, 0, 2)
+
+    return stream_ranges(walk_range, trials, _msd_min_trials(n_steps))
 
 
 # ---------------------------------------------------------------------------

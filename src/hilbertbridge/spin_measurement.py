@@ -8,8 +8,8 @@ ruin prediction.
 
 One engine walks every trial: :func:`run_walk` is a one-trial
 :func:`run_ensemble`, and trials are pure functions of ``(params, trial
-index)`` that may be aggregated in any order.  The never-absorbed walk of
-the state mean-squared displacement runs on the same block loop.
+index)`` that may be aggregated in any order.  It and the never-absorbed
+walk of the state mean-squared displacement kick on :func:`kicked_windows`.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import numpy as np
 
 from hilbertbridge.state_geometry import require_positive, require_state
 from hilbertbridge.stats_util import (RngStream, TestReport, check_seed, check_trials,
-                                      direction_uniformity, ks_test, range_processes,
-                                      walk_ranges)
+                                      direction_uniformity, kicked_windows, ks_test,
+                                      range_processes, walk_ranges)
 
 __all__ = [
     "WalkResult",
@@ -194,83 +194,110 @@ _SCAN = 16
 _TILE = 64
 
 
-def _draw_fields(gens, block: int, params: SpinWalkParams, buf: np.ndarray) -> np.ndarray:
-    """The ``n`` generators' next ``block`` fields, a (block, 3, n) view of ``buf``."""
-    n = len(gens)
-    fields = buf[: 3 * block * n].reshape(block * 3, n)
-    tile = np.empty((min(_TILE, n), block * 3))
-    for lo in range(0, n, _TILE):
-        rows = tile[: min(_TILE, n - lo)]
-        for row, gen in zip(rows, gens[lo : lo + _TILE]):
-            gen.standard_normal(out=row)
-        fields[:, lo : lo + len(rows)] = rows.T
-    # Generator.normal is loc + scale * z
-    np.multiply(fields, params.field_std, out=fields)
-    np.add(fields, 0.0, out=fields)
-    return fields.reshape(block, 3, n)
+class _SpinKick:
+    """The spin walk's kick of a batch of trials, for :func:`kicked_windows`.
 
-
-def _kick_window(fields: np.ndarray, params: SpinWalkParams, real: np.ndarray,
-                 cplx: np.ndarray, slots, u: np.ndarray, v: np.ndarray) -> None:
-    """Kick j of a (width, 3, n) field window moves ring slot j − 1 into slot j.
-
-    ``slots`` lists the two components' rows of a (2, _SCAN, n) ring, slot
-    −1 holding the last kicked states; ``u``, ``v`` are scratch.  The kick
-    coefficients ``(c, s, bz, bp, bm)`` are built first, as (width, n)
-    planes in ``real`` (2, ≥ width·n) and ``cplx`` (5, ≥ width·n); f0 and
-    f1 are divided by the norm in place.  Every element goes through the
-    same floating-point operations as in ``_step_batch`` of
-    ``tests/reference_walks.py``, the per-kick walk the engine is checked
-    against: :func:`_draw_fields` repeats ``Generator.normal``, ``(f0² + f1²)
-    + f2²`` is the order in which ``np.linalg.norm`` sums a 3-vector, and a
-    real factor of a complex product is promoted to complex there too, so
-    ``c`` and ``bz`` are stored promoted.
+    ``scratch``, the real planes of a window's coefficients, is spent once
+    the window is kicked into the (2, _SCAN, n) ring of states.
     """
-    f0, f1, f2 = fields.transpose(1, 0, 2)
-    norm, lam = (r[: f2.size].reshape(f2.shape) for r in real)
-    c, s, bz, bp, bm = (r[: f2.size].reshape(f2.shape) for r in cplx)
 
-    np.multiply(f0, f0, out=norm)
-    np.multiply(f1, f1, out=lam)
-    np.add(norm, lam, out=norm)
-    np.multiply(f2, f2, out=lam)
-    np.add(norm, lam, out=norm)
-    np.sqrt(norm, out=norm)
-    np.multiply(params.mu, norm, out=lam)
-    np.multiply(lam, params.dt, out=lam)
-    np.divide(lam, params.hbar, out=lam)
-    norm[norm == 0.0] = 1.0
-    np.divide(f2, norm, out=bz)
-    np.divide(f0, norm, out=f0)
-    np.divide(f1, norm, out=f1)
-    # cos into a real plane first: a complex output would force numpy's
-    # buffered casting path, which costs twice the cosine itself
-    np.cos(lam, out=norm)
-    np.copyto(c, norm)
-    np.sin(lam, out=lam)
-    np.multiply(1j, lam, out=s)
-    np.multiply(1j, f1, out=bp)
-    np.add(f0, bp, out=bp)
-    np.conjugate(bp, out=bm)
+    def __init__(self, phi0: np.ndarray, params: SpinWalkParams, trials: int,
+                 n_steps: int) -> None:
+        self.params = params
+        self._fields = np.empty(3 * min(max(_BLOCK_BUDGET, _MIN_BLOCK * trials),
+                                        _MAX_BLOCK * trials, n_steps * trials))
+        self.scratch = np.empty((2, min(_SCAN, n_steps) * trials))
+        self._cplx = np.empty((5, self.scratch.shape[1]), dtype=complex)
+        self._ring_buf = np.empty(2 * _SCAN * trials, dtype=complex)
+        self._ring = self._ring_buf.reshape(2, _SCAN, trials)
+        self._ring[:, -1] = phi0[:, None]
 
-    slots0, slots1 = slots
-    for j, (ck, sk, zk, pk, mk) in enumerate(zip(c, s, bz, bp, bm)):
-        p0, p1 = slots0[j - 1], slots1[j - 1]
-        n0, n1 = slots0[j], slots1[j]
-        # n0 = c*p0 + s*(bz*p0 + bm*p1)
-        np.multiply(ck, p0, out=n0)
-        np.multiply(zk, p0, out=u)
-        np.multiply(mk, p1, out=v)
-        np.add(u, v, out=u)
-        np.multiply(sk, u, out=u)
-        np.add(n0, u, out=n0)
-        # n1 = c*p1 + s*(bp*p0 - bz*p1)
-        np.multiply(ck, p1, out=n1)
-        np.multiply(pk, p0, out=u)
-        np.multiply(zk, p1, out=v)
-        np.subtract(u, v, out=u)
-        np.multiply(sk, u, out=u)
-        np.add(n1, u, out=n1)
+    @staticmethod
+    def block(live: int, steps_left: int) -> int:
+        return min(max(_BLOCK_BUDGET // live, _MIN_BLOCK), _MAX_BLOCK, steps_left)
+
+    def draw(self, gens, span: int) -> None:
+        """The ``n`` generators' next ``span`` fields, a (span, 3, n) view of the buffer."""
+        n = len(gens)
+        fields = self._fields[: 3 * span * n].reshape(span * 3, n)
+        tile = np.empty((min(_TILE, n), span * 3))
+        for lo in range(0, n, _TILE):
+            rows = tile[: min(_TILE, n - lo)]
+            for row, gen in zip(rows, gens[lo : lo + _TILE]):
+                gen.standard_normal(out=row)
+            fields[:, lo : lo + len(rows)] = rows.T
+        # Generator.normal is loc + scale * z
+        np.multiply(fields, self.params.field_std, out=fields)
+        np.add(fields, 0.0, out=fields)
+        self._block = fields.reshape(span, 3, n)
+
+    def windows(self):
+        """Kick the block, yielding ``(width, ring[:, :width])`` every _SCAN kicks.
+
+        Kick j of a window moves ring slot j − 1 into slot j, by coefficients
+        ``(c, s, bz, bp, bm)`` built first as (width, n) planes.  Every element
+        goes through the floating-point operations of ``_step_batch`` in
+        ``tests/reference_walks.py``: :meth:`draw` repeats ``Generator.normal``,
+        ``(f0² + f1²) + f2²`` is the order in which ``np.linalg.norm`` sums a
+        3-vector, and a real factor of a complex product is promoted to complex
+        there too, so ``c`` and ``bz`` are stored promoted.
+        """
+        params, ring = self.params, self._ring
+        slots0, slots1 = list(ring[0]), list(ring[1])
+        u, v = np.empty((2, ring.shape[2]), dtype=complex)
+        for w0 in range(0, len(self._block), _SCAN):
+            f0, f1, f2 = self._block[w0 : w0 + _SCAN].transpose(1, 0, 2)
+            norm, lam = (r[: f2.size].reshape(f2.shape) for r in self.scratch)
+            c, s, bz, bp, bm = (r[: f2.size].reshape(f2.shape) for r in self._cplx)
+
+            np.multiply(f0, f0, out=norm)
+            np.multiply(f1, f1, out=lam)
+            np.add(norm, lam, out=norm)
+            np.multiply(f2, f2, out=lam)
+            np.add(norm, lam, out=norm)
+            np.sqrt(norm, out=norm)
+            np.multiply(params.mu, norm, out=lam)
+            np.multiply(lam, params.dt, out=lam)
+            np.divide(lam, params.hbar, out=lam)
+            norm[norm == 0.0] = 1.0
+            np.divide(f2, norm, out=bz)
+            np.divide(f0, norm, out=f0)
+            np.divide(f1, norm, out=f1)
+            # cos into a real plane first: a complex output would force numpy's
+            # buffered casting path, which costs twice the cosine itself
+            np.cos(lam, out=norm)
+            np.copyto(c, norm)
+            np.sin(lam, out=lam)
+            np.multiply(1j, lam, out=s)
+            np.multiply(1j, f1, out=bp)
+            np.add(f0, bp, out=bp)
+            np.conjugate(bp, out=bm)
+
+            for j, (ck, sk, zk, pk, mk) in enumerate(zip(c, s, bz, bp, bm)):
+                p0, p1 = slots0[j - 1], slots1[j - 1]
+                n0, n1 = slots0[j], slots1[j]
+                # n0 = c*p0 + s*(bz*p0 + bm*p1)
+                np.multiply(ck, p0, out=n0)
+                np.multiply(zk, p0, out=u)
+                np.multiply(mk, p1, out=v)
+                np.add(u, v, out=u)
+                np.multiply(sk, u, out=u)
+                np.add(n0, u, out=n0)
+                # n1 = c*p1 + s*(bp*p0 - bz*p1)
+                np.multiply(ck, p1, out=n1)
+                np.multiply(pk, p0, out=u)
+                np.multiply(zk, p1, out=v)
+                np.subtract(u, v, out=u)
+                np.multiply(sk, u, out=u)
+                np.add(n1, u, out=n1)
+            yield len(f2), ring[:, : len(f2)]
+        # the next block kicks on from slot −1
+        ring[:, -1] = ring[:, len(f2) - 1]
+
+    def keep(self, index: np.ndarray) -> None:
+        survivors = self._ring[:, -1, index]
+        self._ring = self._ring_buf[: 2 * _SCAN * index.size].reshape(2, _SCAN, index.size)
+        self._ring[:, -1] = survivors
 
 
 def _start_code(phi0, params: SpinWalkParams) -> int | None:
@@ -281,54 +308,8 @@ def _start_code(phi0, params: SpinWalkParams) -> int | None:
     return _UP if z0 > 0 else _DOWN
 
 
-def _kicked_windows(phi0, gens, params: SpinWalkParams, n_steps: int):
-    """Kick the trials of ``gens`` from ``phi0`` ``n_steps`` times, window by window.
-
-    Yields ``(step, window, scratch, rows, alive)``: the (2, width, n) ring
-    view of the states after kicks step + 1 … step + width, the window's
-    spent real planes, the batch indices of the n trials and the block's
-    mask of them.  Rows cleared in ``alive`` are dropped at the block end,
-    except after the last kick; the walk ends when none is alive.
-    """
-    rows = np.arange(len(gens))
-    n = rows.size
-    field_buf = np.empty(3 * min(max(_BLOCK_BUDGET, _MIN_BLOCK * n), _MAX_BLOCK * n,
-                                 n_steps * n))
-    real = np.empty((2, min(_SCAN, n_steps) * n))
-    cplx = np.empty((5, real.shape[1]), dtype=complex)
-    ring_buf = np.empty(2 * _SCAN * n, dtype=complex)
-    ring = ring_buf.reshape(2, _SCAN, n)
-    ring[:, -1] = phi0[:, None]
-    step = 0
-    while True:
-        block = min(max(_BLOCK_BUDGET // n, _MIN_BLOCK), _MAX_BLOCK, n_steps - step)
-        fields = _draw_fields(gens, block, params, field_buf)
-        slots = list(ring[0]), list(ring[1])
-        u, v = np.empty((2, n), dtype=complex)
-        alive = np.ones(n, dtype=bool)
-        for w0 in range(0, block, _SCAN):
-            width = min(_SCAN, block - w0)
-            _kick_window(fields[w0 : w0 + width], params, real, cplx, slots, u, v)
-            yield step + w0, ring[:, :width], real, rows, alive
-            if not alive.any():
-                return
-        step += block
-        if step == n_steps:
-            return
-        keep = np.flatnonzero(alive)
-        survivors = ring[:, width - 1, keep]
-        rows = rows[keep]
-        gens = [gens[i] for i in keep]
-        n = keep.size
-        ring = ring_buf[: 2 * _SCAN * n].reshape(2, _SCAN, n)
-        ring[:, -1] = survivors
-
-
 def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
-    """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``.
-
-    The trials walk together to absorption.
-    """
+    """``(codes, steps, finals)`` of the ``trials`` substreams from ``trial_offset``."""
     start = _start_code(phi0, params)
     codes = np.full(trials, _UNRESOLVED if start is None else start, dtype=np.int8)
     steps_out = np.full(trials, params.max_steps if start is None else 0, dtype=np.int64)
@@ -337,11 +318,11 @@ def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
         return codes, steps_out, finals
     zc = params.absorb_z
     gens = [RngStream(params.seed, t + trial_offset).generator() for t in range(trials)]
-    for step, window, scratch, rows, alive in _kicked_windows(phi0, gens, params,
-                                                              params.max_steps):
+    kick = _SpinKick(phi0, params, trials, params.max_steps)
+    for step, window, rows, alive in kicked_windows(kick, gens, params.max_steps):
         # absorption scan in the spent real planes: each row's first crossing
         width, n = window.shape[1:]
-        z, mag = (r[: width * n].reshape(width, n) for r in scratch)
+        z, mag = (r[: width * n].reshape(width, n) for r in kick.scratch)
         np.square(np.abs(window[1], out=z), out=z)
         np.subtract(z, np.square(np.abs(window[0], out=mag), out=mag), out=z)
         hit = (np.abs(z, out=mag) >= zc) & alive
@@ -360,21 +341,12 @@ def _walk_batch(phi0, params: SpinWalkParams, trials: int, trial_offset: int):
     return codes, steps_out, finals
 
 
-def _free_walk_msd(phi0, trials: int, params: SpinWalkParams, n_steps: int) -> np.ndarray:
-    """⟨θ²⟩, θ = arccos |⟨φ₀|φ⟩|, after each of 0 … ``n_steps`` kicks.
-
-    Trial ``t`` kicks as trial ``t`` of :func:`run_ensemble` but never stops.
-    """
+def _free_windows(phi0, trials: int, params: SpinWalkParams, n_steps: int):
+    """(trials, w, 2) windows of states kicked as in :func:`run_ensemble`, never stopping."""
     phi0 = _as_unit_spinor(phi0)
     gens = [RngStream(params.seed, t).generator() for t in range(trials)]
-    pairs = np.empty((trials, 2), dtype=complex)  # states as rows
-    out = np.zeros(n_steps + 1)
-    for step, window, *_ in _kicked_windows(phi0, gens, params, n_steps):
-        for j in range(window.shape[1]):
-            pairs[:, 0], pairs[:, 1] = window[:, j]
-            overlap = np.abs(pairs @ phi0.conj())
-            out[step + j + 1] = (np.arccos(np.minimum(overlap, 1.0)) ** 2).mean()
-    return out
+    kick = _SpinKick(phi0, params, trials, n_steps)
+    return (ring.transpose(2, 1, 0) for _, ring, *_ in kicked_windows(kick, gens, n_steps))
 
 
 # fewest trials worth a forked process: smaller ranges save less walking
@@ -408,17 +380,12 @@ def run_ensemble(
     ``WalkResult`` values, ``steps`` the kick counts and ``final_states``
     the (trials, 2) spinors at stopping time.
 
-    :func:`~hilbertbridge.stats_util.walk_ranges` splits the trials into
-    contiguous ranges of at least ``MIN_TRIALS_PER_PROCESS`` trials, one
-    per process (``HB_THREADS`` caps them), and each range into batches of
-    up to 2¹⁵ trials (``_MAX_BATCH``).  This process walks the first range
-    and a forked process each other one, sending back its int8 outcome
-    codes, step counts and final states; a start already inside the cap
-    absorbs at once and forks nothing.  Fields are drawn in blocks of about 2¹⁸
-    trial-steps and turned into kick coefficients one 16-kick scan window at
-    a time, so memory stays bounded whatever ``max_steps`` is.  Every trial
-    is a pure function of its substream ``(seed, trial)``, the same bits at
-    any batch width and process count.
+    :func:`~hilbertbridge.stats_util.walk_ranges` walks the trials in
+    ranges of at least ``MIN_TRIALS_PER_PROCESS``, one per process
+    (``HB_THREADS`` caps them), and batches of up to ``_MAX_BATCH``; a start
+    already inside the cap forks nothing.  Fields are drawn in blocks of
+    about 2¹⁸ trial-steps, so memory stays bounded whatever ``max_steps`` is.
+    Every trial is a pure function of its substream ``(seed, trial)``.
     """
     check_trials(trials)
     phi0 = _as_unit_spinor(phi0)

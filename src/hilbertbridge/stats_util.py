@@ -1,8 +1,9 @@
 """Statistical machinery shared by the Monte Carlo experiments.
 
-Seeded counter-based RNG substreams, the one process fan-out that walks
-ranges of those substreams in forked processes (capped by ``HB_THREADS``)
-with numpy's OpenBLAS pinned to one thread, and the small set of
+Seeded counter-based RNG substreams, the one block loop of every walk, the
+one process fan-out that walks ranges of those substreams in forked
+processes (capped by ``HB_THREADS``) with numpy's OpenBLAS pinned to one
+thread, and the small set of
 goodness-of-fit / uniformity tests and the line fit the experiment suites
 need, none of which imports ``scipy.stats``.
 This is not a general statistics library.
@@ -27,6 +28,7 @@ __all__ = [
     "chi_square_gof",
     "cpu_count",
     "direction_uniformity",
+    "kicked_windows",
     "ks_test",
     "linear_fit",
     "range_processes",
@@ -126,6 +128,32 @@ def walk_ranges(walk_batch: Callable[[int, int], tuple], trials: int,
 
     (columns,) = stream_ranges(walk_range, trials, min_trials)
     return columns
+
+
+def kicked_windows(kick, gens: list, n_steps: int) -> Iterator[tuple]:
+    """Kick the trials of ``gens`` up to ``n_steps`` times, a block of kicks at a time.
+
+    ``kick`` holds their states: ``kick.block(live, steps_left)`` is a
+    block's length, ``kick.draw(gens, span)`` draws it, ``kick.windows()``
+    applies it, yielding ``(width, states)`` every ``width`` kicks, and
+    ``kick.keep(index)`` keeps only the trials at ``index``.  Yields ``(step,
+    states, rows, alive)``: the kicks before the window, its states, the
+    live trials' batch indices and mask.  Trials the caller clears in
+    ``alive`` are dropped at the block's end; the walk ends when none is left.
+    """
+    rows, step = np.arange(len(gens)), 0
+    while step < n_steps and rows.size:
+        kick.draw(gens, kick.block(rows.size, n_steps - step))
+        alive = np.ones(rows.size, dtype=bool)
+        for width, states in kick.windows():
+            yield step, states, rows, alive
+            step += width
+            if not alive.any():
+                return
+        if step < n_steps and not alive.all():
+            index = np.flatnonzero(alive)
+            kick.keep(index)
+            rows, gens = rows[index], [gens[i] for i in index]
 
 
 def stream_ranges(walk_range: Callable[[int, int], Iterator], trials: int,

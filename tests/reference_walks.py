@@ -4,10 +4,10 @@ Each walk takes one trial one kick at a time, with the plainest kernel that
 draws the same numbers: a spin walk that kicks a (1, 2) state with
 :func:`_step_batch`, a cell walk that composes ``isotropic_step`` kicks,
 and a cell walk with its own GUE formula and the ``eigh`` kick
-``_apply_unitary_batch`` of the cell state-msd walk.  The library's single
-walks and both state-msd walks run on the ensemble engines' block loops,
-so comparing an ensemble with them would compare the engine with itself;
-the tests compare with these instead.
+``_apply_unitary_batch`` of the cell state-msd walk.  All four library
+walks, the single walks included, run on one block loop,
+``stats_util.kicked_windows``, so comparing an ensemble with them would
+compare the loop with itself; the tests compare with these instead.
 """
 
 import numpy as np
@@ -75,17 +75,23 @@ def run_measurement(
     return MeasurementOutcome(cell=None, steps=params.max_steps, final_state=state)
 
 
+def eigh_states(state0: CellState, params: PositionWalkParams, stream_id: int):
+    """The (1, N) states of a cell walk with eigh kicks, from the start on, never stopping."""
+    psi = state0.amplitudes[None, :]
+    n = psi.shape[1]
+    gen = RngStream(params.seed, stream_id).generator()
+    while True:
+        yield psi
+        m = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
+        h = params.v_std * (m + m.conj().T) / 2
+        psi = _apply_unitary_batch(psi, h[None], params)
+
+
 def eigh_walk(state0: CellState, params: PositionWalkParams, stream_id: int):
     """``(cell or −1, steps)`` of a cell walk with eigh kicks and |C_n|² masses."""
-    psi = state0.amplitudes[None, :]
-    n = psi.size
-    gen = RngStream(params.seed, stream_id).generator()
-    for step in range(params.max_steps + 1):
+    for step, psi in enumerate(eigh_states(state0, params, stream_id)):
         masses = np.abs(psi[0]) ** 2
         if masses.max() >= 1.0 - params.absorb_eps:
             return int(masses.argmax()), step
         if step == params.max_steps:
             return -1, step
-        m = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
-        h = params.v_std * (m + m.conj().T) / 2
-        psi = _apply_unitary_batch(psi, h[None], params)

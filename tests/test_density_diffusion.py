@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from hilbertbridge import position_measurement, stats_util
+from hilbertbridge import density_diffusion, position_measurement, stats_util
 from hilbertbridge.density_diffusion import (
     DiffusionParams,
     EvolutionParams,
@@ -514,12 +514,12 @@ def test_forked_cell_msd_equals_one_process_and_per_step_reference(monkeypatch, 
     runs = {}
     for workers in ("2", "1"):
         monkeypatch.setenv("HB_THREADS", workers)
-        runs[workers] = position_measurement._free_walk_msd(start, 300, params, 11)
+        runs[workers] = density_diffusion._mean_square_angles(start, params, 11, 300)
     # the 3300 trial-kicks fork nothing until the minimum is lowered
     assert not forks
     monkeypatch.setattr(position_measurement, "_MIN_MSD_KICKS_PER_PROCESS", 1500)
     monkeypatch.setenv("HB_THREADS", "2")
-    forked = position_measurement._free_walk_msd(start, 300, params, 11)
+    forked = density_diffusion._mean_square_angles(start, params, 11, 300)
     assert forks == [(150, 300)]
     ref = _msd_per_step_reference(start, params, n_steps=11, trials=300)
     assert forked.tobytes() == runs["1"].tobytes() == runs["2"].tobytes() == ref.tobytes()
@@ -534,7 +534,7 @@ def test_cell_msd_forks_at_every_cell_count(monkeypatch, forks, n, processes):
     monkeypatch.setenv("HB_THREADS", "2")
     start = CellState(np.eye(1, n, dtype=complex)[0])
     params = PositionWalkParams(tau=0.05, v_std=1.0, seed=8)
-    out = position_measurement._free_walk_msd(start, 40, params, 3)
+    out = density_diffusion._mean_square_angles(start, params, 3, 40)
     assert len(forks) == processes - 1
     ref = _msd_per_step_reference(start, params, n_steps=3, trials=40)
     assert out.tobytes() == ref.tobytes()

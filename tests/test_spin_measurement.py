@@ -8,6 +8,7 @@ import pytest
 from scipy import stats
 
 import reference_walks
+from hilbertbridge import density_diffusion
 from hilbertbridge import spin_measurement as sm
 from hilbertbridge import stats_util
 from hilbertbridge.spin_measurement import (
@@ -268,7 +269,8 @@ def test_free_walk_msd_equals_per_kick_reference():
         reference_walks._step_batch(states, np.stack([sample_field(g, p) for g in gens]), p)
         overlap = np.abs(states @ phi0.conj())
         want[k] = (np.arccos(np.minimum(overlap, 1.0)) ** 2).mean()
-    assert sm._free_walk_msd(phi0, trials, p, n_steps).tobytes() == want.tobytes()
+    got = density_diffusion._mean_square_angles(phi0, p, n_steps, trials)
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.memory
