@@ -1,16 +1,14 @@
 """Conservation-of-states checks: grid evolution, continuity, diffusion.
 
-Two norm-preserving propagators (split-step spectral and Crank–Nicolson,
-i.e. the implicit midpoint rule), the discrete continuity residual for
-their snapshots, a Brownian reference ensemble against the heat kernel,
-and the early-time mean-squared projective displacement of the
-measurement walks.
+The split-step spectral propagator, the discrete continuity residual for
+its snapshots, a Brownian reference ensemble against the heat kernel, and
+the early-time mean-squared projective displacement of the measurement
+walks.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import enum
 import math
 
 import numpy as np
@@ -22,7 +20,6 @@ from hilbertbridge.state_geometry import require_positive
 from hilbertbridge.stats_util import RngStream
 
 __all__ = [
-    "EvolutionScheme",
     "EvolutionParams",
     "DiffusionParams",
     "BrownianResult",
@@ -32,14 +29,8 @@ __all__ = [
     "probability_current",
     "continuity_residual",
     "brownian_ensemble",
-    "radial_shell_density",
     "state_density_msd",
 ]
-
-
-class EvolutionScheme(enum.Enum):
-    UNITARY_SPLIT = "UNITARY_SPLIT"
-    IMPLICIT_MIDPOINT = "IMPLICIT_MIDPOINT"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -48,7 +39,6 @@ class EvolutionParams:
     steps: int
     hbar: float = 1.0
     mass: float = 1.0
-    scheme: EvolutionScheme = EvolutionScheme.UNITARY_SPLIT
 
     def __post_init__(self) -> None:
         require_positive(dt=self.dt, hbar=self.hbar, mass=self.mass)
@@ -85,9 +75,16 @@ def _check_time_step(grid: GridWaveFunction, params: EvolutionParams) -> None:
         )
 
 
-def _split_step_sequence(
+def evolve_grid(
     psi0: GridWaveFunction, potential: PotentialField, params: EvolutionParams
 ) -> list[GridWaveFunction]:
+    """Propagate ψ₀, returning steps+1 snapshots (initial state included).
+
+    Strang splitting with the kinetic factor applied spectrally (periodic
+    boundaries): it preserves the l² norm to round-off and is second order
+    in dt.
+    """
+    _check_time_step(psi0, params)
     v = np.asarray(potential.value(psi0.points()), dtype=float)
     half_phase = np.exp(-0.5j * params.dt * v / params.hbar)
     freqs = np.meshgrid(
@@ -109,54 +106,6 @@ def _split_step_sequence(
         values = half_phase * stage
         out.append(psi0.with_values(values))
     return out
-
-
-def _midpoint_sequence(
-    psi0: GridWaveFunction, potential: PotentialField, params: EvolutionParams
-) -> list[GridWaveFunction]:
-    from scipy.linalg import solve_banded  # slow to import; only this scheme needs it
-
-    if psi0.dim != 1:
-        raise ValueError("the implicit midpoint propagator is one-dimensional")
-    n = psi0.extent[0]
-    h = psi0.spacing
-    v = np.asarray(potential.value(psi0.axis_coordinates(0)[:, None]), dtype=float)
-    kin = params.hbar**2 / (2 * params.mass * h**2)
-    diag = 2 * kin + v
-    off = np.full(n - 1, -kin)
-    alpha = 1j * params.dt / (2 * params.hbar)
-
-    # banded storage of I + αiH for solve_banded
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = alpha * off
-    ab[1] = 1.0 + alpha * diag
-    ab[2, :-1] = alpha * off
-
-    out = [psi0]
-    values = psi0.values
-    for _ in range(params.steps):
-        rhs = (1.0 - alpha * diag) * values
-        rhs[:-1] -= alpha * off * values[1:]
-        rhs[1:] -= alpha * off * values[:-1]
-        values = solve_banded((1, 1), ab, rhs)
-        out.append(psi0.with_values(values))
-    return out
-
-
-def evolve_grid(
-    psi0: GridWaveFunction, potential: PotentialField, params: EvolutionParams
-) -> list[GridWaveFunction]:
-    """Propagate ψ₀, returning steps+1 snapshots (initial state included).
-
-    UNITARY_SPLIT is the Strang splitting with the kinetic factor applied
-    spectrally (periodic boundaries); IMPLICIT_MIDPOINT is the Cayley form
-    on the three-point Laplacian (Dirichlet boundaries).  Both preserve the
-    l² norm to round-off and are second order in dt.
-    """
-    _check_time_step(psi0, params)
-    if params.scheme is EvolutionScheme.UNITARY_SPLIT:
-        return _split_step_sequence(psi0, potential, params)
-    return _midpoint_sequence(psi0, potential, params)
 
 
 # ---------------------------------------------------------------------------
@@ -242,24 +191,6 @@ def brownian_ensemble(params: DiffusionParams) -> BrownianResult:
         final_positions=pos,
         params=params,
     )
-
-
-def radial_shell_density(
-    positions: np.ndarray, n_shells: int, r_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Histogram density on equal-width radial shells.
-
-    Returns (shell centers, density estimate, counts); the estimate is
-    counts / (walkers · shell volume), directly comparable to an isotropic
-    density evaluated at the shell center.
-    """
-    r = np.linalg.norm(positions, axis=1)
-    edges = np.linspace(0.0, r_max, n_shells + 1)
-    counts, _ = np.histogram(r, bins=edges)
-    volumes = 4 * np.pi / 3 * (edges[1:] ** 3 - edges[:-1] ** 3)
-    centers = 0.5 * (edges[1:] + edges[:-1])
-    density = counts / (positions.shape[0] * volumes)
-    return centers, density, counts
 
 
 # ---------------------------------------------------------------------------

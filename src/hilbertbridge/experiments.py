@@ -40,7 +40,6 @@ __all__ = [
     "OutputFormat",
     "RunSummary",
     "catalog",
-    "experiment_names",
     "prepare",
     "run",
     "write_outputs",
@@ -1108,10 +1107,6 @@ REGISTRY: dict[str, Experiment] = {
         ),
     ]
 }
-
-
-def experiment_names() -> list[str]:
-    return list(REGISTRY)
 
 
 def catalog() -> list[tuple[str, str, str]]:

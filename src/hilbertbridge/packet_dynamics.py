@@ -91,20 +91,6 @@ class PotentialField:
         """V(x) = ½ k |x|²."""
         return cls(lambda x: 0.5 * k * (x * x).sum(axis=-1), lambda x: k * x)
 
-    def check_gradient(self, probe_points, rel: float = 1e-6, step: float = 1e-6) -> None:
-        """Finite-difference consistency of gradient against value at probes."""
-        pts = np.atleast_2d(np.asarray(probe_points, dtype=float))
-        for x in pts:
-            g = np.asarray(self.gradient(x))
-            fd = np.empty_like(g)
-            for i in range(x.size):
-                e = np.zeros_like(x)
-                e[i] = step
-                fd[i] = (self.value(x + e) - self.value(x - e)) / (2 * step)
-            scale = max(np.linalg.norm(g), 1.0)
-            if np.linalg.norm(fd - g) > rel * scale:
-                raise ValueError(f"gradient inconsistent with value at {x}")
-
 
 @dataclass(frozen=True)
 class VelocityComponents:

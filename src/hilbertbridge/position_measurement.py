@@ -12,8 +12,8 @@ provided and deliberately contrasted:
   engine walks them: a single :func:`run_measurement` is a one-trial
   :func:`run_position_ensemble`; it and state-msd's walk kick on :func:`kicked_windows`.
 
-Also here: Gabor frame states at critical density and the order-of-
-magnitude chain for photon-scattering measurements of an electron.
+Also here: the order-of-magnitude chain for photon-scattering measurements
+of an electron.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from hilbertbridge.hilbert_core import Grid, GridResolutionError, GridWaveFunction
-from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.state_geometry import require_positive, require_state
 from hilbertbridge.stats_util import (RngStream, TestReport, check_seed, check_trials,
                                       kicked_windows, range_processes, stream_ranges,
@@ -35,13 +33,11 @@ from hilbertbridge.stats_util import (RngStream, TestReport, check_seed, check_t
 
 __all__ = [
     "GeneratorMode",
-    "CellLattice",
     "CellState",
     "PositionWalkParams",
     "MeasurementOutcome",
     "VelocityIsotropyReport",
     "EstimateReport",
-    "discretize",
     "run_diagonal_walk",
     "velocity_isotropy_diagnostic",
     "hermitian_generator",
@@ -50,7 +46,6 @@ __all__ = [
     "run_position_ensemble",
     "ensemble_bytes",
     "msd_bytes",
-    "gabor_state",
     "magnitude_estimates",
 ]
 
@@ -58,39 +53,6 @@ __all__ = [
 class GeneratorMode(enum.Enum):
     DIAGONAL = "DIAGONAL"
     ISOTROPIC = "ISOTROPIC"
-
-
-@dataclasses.dataclass(frozen=True)
-class CellLattice:
-    """Axis-aligned box tiled exactly by cubical cells of edge ``gamma``."""
-
-    bounds: tuple[tuple[float, float], ...]
-    gamma: float
-
-    def __post_init__(self) -> None:
-        require_positive(gamma=self.gamma)
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        object.__setattr__(self, "bounds", bounds)
-        for lo, hi in bounds:
-            if hi <= lo:
-                raise ValueError("each axis needs hi > lo")
-            ratio = (hi - lo) / self.gamma
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ValueError("cells must tile the region exactly")
-
-    @property
-    def dim(self) -> int:
-        return len(self.bounds)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(
-            int(round((hi - lo) / self.gamma)) for lo, hi in self.bounds
-        )
-
-    @property
-    def cells(self) -> int:
-        return int(np.prod(self.shape))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,67 +117,6 @@ class MeasurementOutcome:
     cell: int | None  # None means UNRESOLVED
     steps: int
     final_state: CellState
-
-    @property
-    def resolved(self) -> bool:
-        return self.cell is not None
-
-
-# ---------------------------------------------------------------------------
-# discretization
-
-
-def discretize(
-    psi: GridWaveFunction, lattice: CellLattice
-) -> tuple[CellState, float]:
-    """Project ψ onto unit-normalized cell indicators.
-
-    Returns the renormalized :class:`CellState` together with the L₂ error
-    of reconstructing ψ from the (raw) projection — the resolution of the
-    step-function approximation, which shrinks like O(γ).
-    """
-    if psi.dim != lattice.dim:
-        raise ValueError("grid and lattice dimensions differ")
-    samples_per_edge = lattice.gamma / psi.spacing
-    if samples_per_edge < 4 - 1e-9:
-        raise GridResolutionError(
-            f"{samples_per_edge:.2f} samples per cell edge; need at least 4"
-        )
-
-    coords = [psi.axis_coordinates(i) for i in range(psi.dim)]
-    axis_bins = []
-    inside = []
-    for axis, (lo, hi) in enumerate(lattice.bounds):
-        x = coords[axis]
-        bins = np.floor((x - lo) / lattice.gamma).astype(int)
-        ok = (x >= lo - 1e-12) & (x <= hi + 1e-12)
-        bins = np.clip(bins, 0, lattice.shape[axis] - 1)
-        axis_bins.append(bins)
-        inside.append(ok)
-
-    shape = lattice.shape
-    flat = np.zeros(lattice.cells, dtype=complex)
-    mesh_bins = np.meshgrid(*axis_bins, indexing="ij")
-    mesh_in = np.logical_and.reduce(np.meshgrid(*inside, indexing="ij"))
-    cell_index = np.ravel_multi_index(mesh_bins, shape)
-    h_vol = psi.spacing**psi.dim
-    np.add.at(
-        flat,
-        cell_index[mesh_in],
-        psi.values[mesh_in] * h_vol,
-    )
-    # indicator normalisation 1/√γ^d turns cell integrals into coefficients
-    raw = flat / math.sqrt(lattice.gamma**lattice.dim)
-
-    recon = raw[cell_index] / math.sqrt(lattice.gamma**lattice.dim)
-    recon[~mesh_in.ravel()] = 0.0
-    diff = psi.values.ravel() - recon
-    error = math.sqrt(float((np.abs(diff) ** 2).sum() * h_vol))
-
-    norm = np.linalg.norm(raw)
-    if norm == 0:
-        raise ValueError("wavefunction has no mass inside the lattice region")
-    return CellState(raw / norm), error
 
 
 # ---------------------------------------------------------------------------
@@ -440,10 +341,6 @@ class VelocityIsotropyReport:
     mean_zero: TestReport
     covariance_eigenvalues: np.ndarray
     rank: int
-
-    @property
-    def tangent_dimension(self) -> int:
-        return self.coordinate_means.size
 
 
 def _tangent_basis(psi: np.ndarray) -> np.ndarray:
@@ -733,29 +630,6 @@ def _free_windows(state0: CellState, trials: int, params: PositionWalkParams,
             yield out.transpose(1, 0, 2)
 
     return stream_ranges(walk_range, trials, _msd_min_trials(n_steps))
-
-
-# ---------------------------------------------------------------------------
-# Gabor frame states
-
-
-def gabor_state(m, n, sigma: float, grid: Grid) -> GridWaveFunction:
-    """Frame state at lattice site (m, n): shift αn, modulation βm.
-
-    α = √(2π)σ and β = 2π/α, the critical frame density.  The state is the
-    width-σ packet centred at αn carrying momentum βm (ħ = 1 units).
-    """
-    require_positive(sigma=sigma)
-    m = np.atleast_1d(np.asarray(m, dtype=float))
-    n = np.atleast_1d(np.asarray(n, dtype=float))
-    if m.shape != n.shape:
-        raise ValueError("m and n must have the same dimension")
-    alpha = math.sqrt(2 * math.pi) * sigma
-    beta = 2 * math.pi / alpha
-    pkt = GaussianPacket(
-        center=alpha * n, momentum=beta * m, sigma=sigma, mass=1.0, hbar=1.0
-    )
-    return packet_wavefunction(pkt, grid)
 
 
 # ---------------------------------------------------------------------------

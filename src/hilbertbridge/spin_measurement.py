@@ -203,6 +203,8 @@ class _SpinKick:
 
     def __init__(self, phi0: np.ndarray, params: SpinWalkParams, trials: int,
                  n_steps: int) -> None:
+        if _SCAN < 2:  # kick j reads slot j − 1, which one slot would overwrite
+            raise ValueError(f"the ring of states needs at least 2 slots, got _SCAN = {_SCAN}")
         self.params = params
         self._fields = np.empty(3 * min(max(_BLOCK_BUDGET, _MIN_BLOCK * trials),
                                         _MAX_BLOCK * trials, n_steps * trials))

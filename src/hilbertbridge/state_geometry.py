@@ -20,7 +20,6 @@ __all__ = [
     "PAULI_Y",
     "PAULI_Z",
     "BlochPoint",
-    "canonical_gauge",
     "fibre_decompose",
     "fs_distance",
     "hopf_map",
@@ -90,20 +89,6 @@ def require_hermitian(a, tol: float = 1e-12) -> np.ndarray:
 def require_anti_hermitian(x, tol: float = 1e-12) -> np.ndarray:
     """Validate and return a finite anti-Hermitian generator."""
     return _require_square(x, "generator", -1.0, tol)
-
-
-def canonical_gauge(phi) -> np.ndarray:
-    """Rotate the global phase so the first nonzero amplitude is positive real.
-
-    Deterministic representative of the ray through φ; handy for fixtures and
-    for comparing states modulo phase.
-    """
-    phi = np.asarray(phi, dtype=complex)
-    idx = np.flatnonzero(np.abs(phi) > 1e-14)
-    if idx.size == 0:
-        raise ValueError("zero vector has no gauge representative")
-    lead = phi[idx[0]]
-    return phi * (np.conj(lead) / abs(lead))
 
 
 @dataclass(frozen=True)

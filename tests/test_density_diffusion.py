@@ -8,12 +8,10 @@ from hilbertbridge import density_diffusion, position_measurement, stats_util
 from hilbertbridge.density_diffusion import (
     DiffusionParams,
     EvolutionParams,
-    EvolutionScheme,
     brownian_ensemble,
     continuity_residual,
     evolve_grid,
     probability_current,
-    radial_shell_density,
     state_density_msd,
 )
 from hilbertbridge.hilbert_core import (
@@ -75,11 +73,13 @@ def _l2_diff(a: GridWaveFunction, b: GridWaveFunction) -> float:
 
 
 def _discrete_hamiltonian(grid: GridWaveFunction, potential, mass=1.0, hbar=1.0):
+    """Spectral kinetic term plus V: the Hamiltonian the split-step propagator splits."""
     n = grid.extent[0]
-    h = grid.spacing
+    k = 2 * np.pi * np.fft.fftfreq(n, d=grid.spacing)
+    kinetic = np.fft.ifft(hbar**2 * k[:, None] ** 2 / (2 * mass) * np.fft.fft(np.eye(n), axis=0),
+                          axis=0).real
     v = np.asarray(potential.value(grid.axis_coordinates(0)[:, None]))
-    kin = hbar**2 / (2 * mass * h**2)
-    return np.diag(2 * kin + v) - kin * np.eye(n, k=1) - kin * np.eye(n, k=-1)
+    return kinetic + np.diag(v)
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +110,6 @@ class TestParams:
         with pytest.raises(GridResolutionError):
             evolve_grid(psi0, PotentialField.zero(), params)
 
-    def test_midpoint_is_one_dimensional(self):
-        spec = KernelSpec(sigma=1.0, dim=2)
-        grid = grid_covering(spec, [[0.0, 0.0]], 0.5, margin=4.0)
-        psi0 = grid.with_values(np.ones(grid.extent, dtype=complex))
-        params = EvolutionParams(
-            dt=1e-4, steps=1, scheme=EvolutionScheme.IMPLICIT_MIDPOINT
-        )
-        with pytest.raises(ValueError):
-            evolve_grid(psi0, PotentialField.zero(), params)
-
 
 # ---------------------------------------------------------------------------
 # grid evolution
@@ -143,15 +133,6 @@ class TestEvolveGrid:
         # splitting is exact for V = 0, so only round-off remains
         assert _l2_diff(final, exact) < 1e-10
 
-    def test_midpoint_free_packet_matches_analytic(self):
-        pkt, psi0 = _packet_on_grid(1.0, 0.0, spacing=1 / 60, half_width=12.0)
-        params = EvolutionParams(
-            dt=1e-4, steps=800, scheme=EvolutionScheme.IMPLICIT_MIDPOINT
-        )
-        final = evolve_grid(psi0, PotentialField.zero(), params)[-1]
-        exact = _free_packet_exact(pkt, psi0, params.dt * params.steps)
-        assert _l2_diff(final, exact) < 1e-4
-
     def test_split_moment_spreading(self):
         # ⟨x⟩ = a + pt/m and Var(x) = σ²(1 + (ħt/2mσ²)²) for free motion
         pkt, psi0 = _packet_on_grid(0.7, 0.9, spacing=0.7 / 40, half_width=10.0)
@@ -173,21 +154,15 @@ class TestEvolveGrid:
         assert len(seq) == 8
         assert seq[0] is psi0
 
-    @pytest.mark.parametrize(
-        "scheme", [EvolutionScheme.UNITARY_SPLIT, EvolutionScheme.IMPLICIT_MIDPOINT]
-    )
-    def test_norm_preserved_each_step(self, scheme):
+    def test_norm_preserved_each_step(self):
         _, psi0 = _packet_on_grid(1.0, 0.8, spacing=0.05, half_width=10.0)
-        params = EvolutionParams(dt=0.001, steps=200, scheme=scheme)
+        params = EvolutionParams(dt=0.001, steps=200)
         seq = evolve_grid(psi0, PotentialField.harmonic(1.0), params)
         norms = np.array([s.l2_norm() for s in seq])
         assert np.max(np.abs(np.diff(norms))) < 1e-12
         assert abs(norms[-1] - norms[0]) < 1e-10
 
-    @pytest.mark.parametrize(
-        "scheme", [EvolutionScheme.UNITARY_SPLIT, EvolutionScheme.IMPLICIT_MIDPOINT]
-    )
-    def test_second_order_in_dt(self, scheme):
+    def test_second_order_in_dt(self):
         # fixed grid, halved step; the reference uses the same grid at dt/8
         # so only the time-stepping error is measured
         _, psi0 = _packet_on_grid(1.0, 0.8, spacing=0.1, half_width=10.0)
@@ -195,9 +170,7 @@ class TestEvolveGrid:
         t_final = 0.32
 
         def final_state(dt):
-            params = EvolutionParams(
-                dt=dt, steps=int(round(t_final / dt)), scheme=scheme
-            )
+            params = EvolutionParams(dt=dt, steps=int(round(t_final / dt)))
             return evolve_grid(psi0, potential, params)[-1]
 
         reference = final_state(5e-3 / 8)
@@ -205,33 +178,6 @@ class TestEvolveGrid:
         err_fine = _l2_diff(final_state(2.5e-3), reference)
         ratio = err_coarse / err_fine
         assert 3.3 < ratio < 4.8
-
-    def test_midpoint_eigenstate_rotates_in_phase_only(self):
-        # an eigenvector of the discrete Hamiltonian picks up the Cayley
-        # phase −2·arctan(dt·E/2ħ) per step and keeps its modulus exactly
-        spec = KernelSpec(sigma=1.0, dim=1)
-        grid = grid_covering(spec, [[0.0]], 0.05, margin=10.0)
-        potential = PotentialField.harmonic(1.0)
-        h_mat = _discrete_hamiltonian(grid, potential)
-        energies, vecs = np.linalg.eigh(h_mat)
-        ground = vecs[:, 0].astype(complex) / np.sqrt(grid.spacing)
-        psi0 = grid.with_values(ground)
-
-        params = EvolutionParams(
-            dt=1e-3, steps=50, scheme=EvolutionScheme.IMPLICIT_MIDPOINT
-        )
-        seq = evolve_grid(psi0, potential, params)
-        expected_phase = -2 * np.arctan(params.dt * energies[0] / 2)
-        w = psi0.quadrature_weights()
-        for k, snap in enumerate(seq):
-            np.testing.assert_allclose(
-                np.abs(snap.values), np.abs(psi0.values), atol=1e-12
-            )
-            overlap = (np.conj(psi0.values) * snap.values * w).sum()
-            assert abs(abs(overlap) - 1.0) < 1e-10
-            assert np.angle(overlap) == pytest.approx(
-                (expected_phase * k + np.pi) % (2 * np.pi) - np.pi, abs=1e-10
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +209,7 @@ class TestContinuity:
         h_mat = _discrete_hamiltonian(grid, potential)
         _, vecs = np.linalg.eigh(h_mat)
         psi0 = grid.with_values(vecs[:, 0].astype(complex) / np.sqrt(grid.spacing))
-        params = EvolutionParams(
-            dt=1e-3, steps=1, scheme=EvolutionScheme.IMPLICIT_MIDPOINT
-        )
+        params = EvolutionParams(dt=1e-3, steps=1)
         before, after = evolve_grid(psi0, potential, params)
         residual = continuity_residual(before, after, params)
         assert np.max(np.abs(residual)) < 1e-10
@@ -317,28 +261,6 @@ class TestBrownian:
         r = np.linalg.norm(large_run.final_positions, axis=1)
         ks = stats.kstest(r, stats.chi(df=3, scale=scale).cdf)
         assert ks.pvalue > 6.3e-5
-
-    def test_shell_density_tracks_kernel(self, large_run):
-        kt = 0.7 * 1.0
-        scale = np.sqrt(2 * kt)
-        centers, density, counts = radial_shell_density(
-            large_run.final_positions, n_shells=24, r_max=4 * scale
-        )
-        kernel = (4 * np.pi * kt) ** -1.5 * np.exp(-(centers**2) / (4 * kt))
-        edges = np.linspace(0.0, 4 * scale, 25)
-        expected_frac = np.diff(stats.chi(df=3, scale=scale).cdf(edges))
-        expected_counts = expected_frac * large_run.final_positions.shape[0]
-        band = expected_counts >= 500
-        rel_err = np.abs(density[band] - kernel[band]) / kernel[band]
-        # 4σ Poisson noise per shell plus a small finite-shell-width bias
-        tol = 4 / np.sqrt(expected_counts[band]) + 0.01
-        assert np.all(rel_err < tol)
-
-    def test_counts_sum_to_walkers_inside_range(self, large_run):
-        r = np.linalg.norm(large_run.final_positions, axis=1)
-        r_max = float(r.max()) + 1e-9
-        _, _, counts = radial_shell_density(large_run.final_positions, 10, r_max)
-        assert counts.sum() == large_run.final_positions.shape[0]
 
     def test_short_time_concentrates_at_origin(self):
         params = DiffusionParams(

@@ -31,7 +31,7 @@ EXPECTED_NAMES = {
 
 class TestRegistry:
     def test_catalog_names(self):
-        assert set(ex.experiment_names()) == EXPECTED_NAMES
+        assert set(ex.REGISTRY) == EXPECTED_NAMES
 
     def test_catalog_count_matches_registry(self):
         assert len(ex.catalog()) == len(ex.REGISTRY) == 14

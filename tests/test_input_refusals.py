@@ -19,9 +19,8 @@ from hilbertbridge.density_diffusion import DiffusionParams, EvolutionParams
 from hilbertbridge.hilbert_core import (ClassicalPath, Grid, KernelSpec, action_functional,
                                         grid_covering)
 from hilbertbridge.packet_dynamics import GaussianPacket
-from hilbertbridge.position_measurement import (CellLattice, CellState, PositionWalkParams,
-                                                gabor_state, magnitude_estimates,
-                                                run_position_ensemble)
+from hilbertbridge.position_measurement import (CellState, PositionWalkParams,
+                                                magnitude_estimates, run_position_ensemble)
 from hilbertbridge.spin_measurement import (SpinWalkParams, lattice_ruin_probability,
                                             pauli_step, run_ensemble)
 from hilbertbridge.state_geometry import (BlochPoint, hopf_map, require_anti_hermitian,
@@ -55,8 +54,6 @@ SCALES = {
     **{f"GaussianPacket-{k}": (k, lambda v, k=k: GaussianPacket(
         **{"center": [0.0], "momentum": [0.0], "sigma": 1.0, "mass": 1.0, k: v}))
        for k in ("sigma", "mass", "hbar")},
-    "CellLattice-gamma": ("gamma", lambda v: CellLattice(((0.0, 1.0),), v)),
-    "gabor_state-sigma": ("sigma", lambda v: gabor_state(0, 0, v, Grid([-5.0], 0.1, (101,)))),
     **{f"magnitude_estimates-{k}": (k, lambda v, k=k: magnitude_estimates(
         **{"wavelength": 1e-9, "mass": 9.1e-31, "temperature": 500.0, k: v}))
        for k in ("wavelength", "mass", "temperature")},

@@ -4,9 +4,12 @@ All four walks kick on ``stats_util.kicked_windows``.  Whatever the batch
 widths, block lengths, scan and hand-over windows and process count, each
 walk must give the bytes of its one-process run at the default constants,
 and its trials must equal the per-kick walks of ``reference_walks``.
+born-bridge's pairs, cut into ranges by ``stats_util.walk_ranges``, must
+give the bits of their one-process columns at any pair and process count.
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 
 import reference_walks
 from hilbertbridge import density_diffusion, stats_util
+from hilbertbridge import experiments as ex
 from hilbertbridge import position_measurement as pm
 from hilbertbridge import spin_measurement as sm
 
@@ -119,3 +123,32 @@ def test_walks_give_the_default_bytes_at_any_cut(monkeypatch, forks, trials, pro
     for walk in want:
         assert same_bytes(got[walk], want[walk]), walk
     assert_trial_is_the_reference(got, data.draw(st.integers(0, trials - 1), label="trial"))
+
+
+def bridge_columns(pairs):
+    """born-bridge's columns of ``pairs`` pairs at seed 13, through ``walk_ranges``."""
+    walk = functools.partial(ex._born_bridge_pairs, 13, 1.0)
+    return stats_util.walk_ranges(walk, pairs, ex._MIN_PAIRS_PER_PROCESS, pairs)
+
+
+_BRIDGE = {}
+
+
+@settings(max_examples=6, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pairs=st.integers(1, 6), processes=st.integers(1, 2))
+def test_born_bridge_pairs_give_the_one_process_bits_at_any_cut(monkeypatch, forks, pairs,
+                                                                processes):
+    if pairs not in _BRIDGE:
+        with monkeypatch.context() as m:
+            m.setenv("HB_THREADS", "1")
+            _BRIDGE[pairs] = bridge_columns(pairs)
+    forks.clear()
+    with monkeypatch.context() as m:
+        m.setattr(stats_util, "cpu_count", lambda: 2)
+        m.setenv("HB_THREADS", str(processes))
+        # every range of one pair or more is worth a process
+        m.setattr(ex, "_MIN_PAIRS_PER_PROCESS", 1)
+        got = bridge_columns(pairs)
+    assert forks == stats_util._trial_ranges(pairs, processes)[1:]
+    assert same_bytes(got, _BRIDGE[pairs])

@@ -247,14 +247,6 @@ def test_curved_potential_emits_linearity_warning():
         velocity_components(pkt, PotentialField.harmonic(1.0))
 
 
-def test_gradient_consistency_check():
-    good = PotentialField.harmonic(2.0)
-    good.check_gradient([[0.3], [1.0], [-0.7]])
-    bad = PotentialField(lambda x: (x * x).sum(axis=-1), lambda x: 3.0 * x)
-    with pytest.raises(ValueError):
-        bad.check_gradient([[1.0]])
-
-
 # ---------------------------------------------------------------------------
 # decomposition of the state velocity
 

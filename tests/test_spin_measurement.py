@@ -323,6 +323,14 @@ def test_block_and_window_lengths_leave_the_bytes_unchanged(monkeypatch):
     assert unresolved.any() and (~unresolved).any()
 
 
+def test_a_one_slot_ring_is_refused(monkeypatch):
+    # kick j of a window reads ring slot j − 1, which one slot would overwrite
+    monkeypatch.setenv("HB_THREADS", "1")
+    monkeypatch.setattr(sm, "_SCAN", 1)
+    with pytest.raises(ValueError, match="at least 2 slots, got _SCAN = 1"):
+        run_ensemble(state_with_height(0.2), 4, short_walks(max_steps=30, seed=13))
+
+
 @pytest.fixture
 def forked_ranges(monkeypatch, forks):
     """Three CPUs, forks from 8 trials a process; records every forked range."""

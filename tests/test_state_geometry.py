@@ -9,7 +9,6 @@ from hilbertbridge.state_geometry import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
-    canonical_gauge,
     fibre_decompose,
     fs_distance,
     hopf_map,
@@ -320,13 +319,3 @@ def test_overlap_against_bloch_inner_product():
         lhs = abs(np.vdot(phi, psi)) ** 2
         rhs = 0.5 * (1 + hopf_map(phi).as_array() @ hopf_map(psi).as_array())
         assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_canonical_gauge_leading_amplitude_positive_real():
-    phi = np.array([0.0, -0.6j, 0.8])
-    fixed = canonical_gauge(phi)
-    assert fixed[1].imag == pytest.approx(0.0, abs=1e-15)
-    assert fixed[1].real > 0
-    assert fs_distance(fixed / np.linalg.norm(fixed), phi / np.linalg.norm(phi)) < 1e-7
-    with pytest.raises(ValueError):
-        canonical_gauge(np.zeros(3))
