@@ -179,6 +179,62 @@ class TestEvolveGrid:
         ratio = err_coarse / err_fine
         assert 3.3 < ratio < 4.8
 
+    def test_split_eigenstate_rotates_in_phase_only(self):
+        # the ground state of the spectral Hamiltonian picks up e^{−iE·dt/ħ}
+        # per step; the splitting's O(dt³) commutator error is all that moves
+        # its modulus or its phase
+        grid = grid_covering(KernelSpec(sigma=1.0, dim=1), [[0.0]], 0.05, margin=10.0)
+        potential = PotentialField.harmonic(1.0)
+        energies, vecs = np.linalg.eigh(_discrete_hamiltonian(grid, potential))
+        psi0 = grid.with_values(vecs[:, 0].astype(complex) / np.sqrt(grid.spacing))
+        params = EvolutionParams(dt=1e-3, steps=50)
+        w = psi0.quadrature_weights()
+        for k, snap in enumerate(evolve_grid(psi0, potential, params)):
+            np.testing.assert_allclose(np.abs(snap.values), np.abs(psi0.values), atol=1e-9)
+            overlap = (np.conj(psi0.values) * snap.values * w).sum()
+            assert abs(abs(overlap) - 1.0) < 1e-12
+            assert np.angle(overlap) == pytest.approx(-energies[0] * params.dt * k, abs=1e-8)
+
+    def test_split_step_is_time_reversible(self):
+        # for a real potential the symmetric splitting satisfies
+        # conj(U) U = 1: evolving the conjugate of ψ(t) returns conj(ψ₀)
+        _, psi0 = _packet_on_grid(1.0, 0.8, spacing=0.05, half_width=10.0)
+        potential = PotentialField.harmonic(1.0)
+        params = EvolutionParams(dt=1e-3, steps=300)
+        forward = evolve_grid(psi0, potential, params)[-1]
+        back = evolve_grid(forward.with_values(np.conj(forward.values)), potential, params)[-1]
+        assert _l2_diff(back.with_values(np.conj(back.values)), psi0) < 1e-11
+
+    def test_split_harmonic_packet_follows_classical_orbit(self):
+        # a coherent packet (σ² = ħ/2mω) in V = ½x² keeps its width and its
+        # mean follows x(t) = a cos t + p sin t
+        sigma = np.sqrt(0.5)
+        _, psi0 = _packet_on_grid(sigma, 0.5, spacing=0.05, half_width=12.0, center=1.5)
+        params = EvolutionParams(dt=1e-3, steps=2000)
+        seq = evolve_grid(psi0, PotentialField.harmonic(1.0), params)
+        x = psi0.axis_coordinates(0)
+        for k in range(0, params.steps + 1, 100):
+            rho = np.abs(seq[k].values) ** 2 * psi0.quadrature_weights()
+            t = k * params.dt
+            mean = float((x * rho).sum())
+            assert mean == pytest.approx(1.5 * np.cos(t) + 0.5 * np.sin(t), abs=1e-6)
+            assert float(((x - mean) ** 2 * rho).sum()) == pytest.approx(0.5, abs=1e-6)
+
+    def test_split_two_dimensional_free_packet_matches_analytic(self):
+        # the kinetic factor is applied on every axis, so a separable packet
+        # evolves as the product of two one-dimensional spreading packets
+        grid = grid_covering(KernelSpec(sigma=1.0, dim=2), [[0.0, 0.0]], 0.125, margin=11.0)
+        pkt = GaussianPacket(center=[0.0, 0.0], momentum=[0.6, -0.4], sigma=1.0, mass=1.0)
+        params = EvolutionParams(dt=1e-3, steps=100)
+        final = evolve_grid(packet_wavefunction(pkt, grid), PotentialField.zero(), params)[-1]
+        axes = []
+        for axis, p in enumerate(pkt.momentum):
+            line = grid_covering(KernelSpec(sigma=1.0, dim=1), [[0.0]], 0.125, margin=11.0)
+            np.testing.assert_array_equal(line.axis_coordinates(0), grid.axis_coordinates(axis))
+            one = GaussianPacket(center=[0.0], momentum=[p], sigma=1.0, mass=1.0)
+            axes.append(_free_packet_exact(one, line, params.dt * params.steps).values)
+        assert _l2_diff(final, final.with_values(np.outer(*axes))) < 1e-10
+
 
 # ---------------------------------------------------------------------------
 # continuity

@@ -247,6 +247,21 @@ def test_curved_potential_emits_linearity_warning():
         velocity_components(pkt, PotentialField.harmonic(1.0))
 
 
+def test_gradient_consistency_check():
+    # each field's gradient is the central difference of its value, in one
+    # and two dimensions (V is at most quadratic, so the difference is exact
+    # up to round-off)
+    points = np.array([[0.3, -1.2], [1.0, 0.4], [-0.7, 2.5]])
+    h = 1e-4
+    for dim in (1, 2):
+        x = points[:, :dim]
+        for field in (PotentialField.zero(), PotentialField.linear([1.5, -0.5][:dim]),
+                      PotentialField.harmonic(2.0)):
+            diff = np.stack([(field.value(x + e) - field.value(x - e)) / (2 * h)
+                             for e in h * np.eye(dim)], axis=-1)
+            np.testing.assert_allclose(field.gradient(x), diff, atol=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # decomposition of the state velocity
 

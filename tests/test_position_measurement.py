@@ -1,4 +1,4 @@
-"""Cell states, walk modes, magnitude estimates."""
+"""Cell states, walk modes, Gabor-frame packets, magnitude estimates."""
 
 import functools
 import math
@@ -12,6 +12,8 @@ from scipy.linalg import expm
 import reference_walks
 from hilbertbridge import position_measurement as pm
 from hilbertbridge import stats_util
+from hilbertbridge.hilbert_core import GridResolutionError, KernelSpec, grid_covering, inner_l2
+from hilbertbridge.packet_dynamics import GaussianPacket, packet_wavefunction
 from hilbertbridge.position_measurement import (
     _TaylorKick,
     CellState,
@@ -585,6 +587,77 @@ def test_eight_cell_histogram_matches_initial_masses():
     counts = np.bincount(cells[resolved], minlength=8)
     report = chi_square_gof(counts, state.probabilities, alpha=0.001)
     assert report.passed
+
+
+# ---------------------------------------------------------------------------
+# Gabor-frame packets: the width-σ packet at lattice site (m, n) sits at αn
+# with momentum βm, α = √(2π)σ and β = 2π/α, the critical frame density (ħ = 1)
+
+
+def test_gabor_origin_state_is_plain_packet():
+    sigma = 0.8
+    grid = grid_covering(KernelSpec(sigma), [[0.0]], spacing=sigma / 12)
+    phi = packet_wavefunction(GaussianPacket(0.0, 0.0, sigma, 1.0), grid)
+    x = grid.axis_coordinates(0)
+    plain = (2 * math.pi * sigma**2) ** -0.25 * np.exp(-(x**2) / (4 * sigma**2))
+    np.testing.assert_allclose(phi.values, plain, rtol=1e-13, atol=1e-14)
+
+
+def test_gabor_position_mean_sits_on_lattice():
+    sigma = 0.6
+    alpha = math.sqrt(2 * math.pi) * sigma
+    grid = grid_covering(KernelSpec(sigma), [[2 * alpha]], spacing=sigma / 12)
+    phi = packet_wavefunction(GaussianPacket(2 * alpha, 3 * 2 * math.pi / alpha, sigma, 1.0),
+                              grid)
+    w = phi.quadrature_weights()
+    x = phi.axis_coordinates(0)
+    mean_x = float(np.real((np.conj(phi.values) * x * phi.values * w).sum()))
+    assert mean_x == pytest.approx(2 * alpha, abs=1e-9)
+    assert phi.l2_norm() == pytest.approx(1.0, abs=1e-10)
+
+
+def test_gabor_momentum_mean_sits_on_lattice():
+    sigma = 0.6
+    alpha = math.sqrt(2 * math.pi) * sigma
+    beta = 2 * math.pi / alpha
+    grid = grid_covering(KernelSpec(sigma), [[2 * alpha]], spacing=sigma / 12)
+    phi = packet_wavefunction(GaussianPacket(2 * alpha, 3 * beta, sigma, 1.0), grid)
+    k = 2 * math.pi * np.fft.fftfreq(phi.extent[0], d=phi.spacing)
+    weight = np.abs(np.fft.fft(phi.values)) ** 2
+    assert float((k * weight).sum() / weight.sum()) == pytest.approx(3 * beta, abs=1e-9)
+
+
+def test_gabor_neighbor_overlap():
+    sigma = 0.9
+    alpha = math.sqrt(2 * math.pi) * sigma
+    grid = grid_covering(KernelSpec(sigma), [[0.0], [alpha]], spacing=sigma / 12)
+    a = packet_wavefunction(GaussianPacket(0.0, 0.0, sigma, 1.0), grid)
+    b = packet_wavefunction(GaussianPacket(alpha, 0.0, sigma, 1.0), grid)
+    overlap = abs(inner_l2(a, b))
+    assert overlap == pytest.approx(math.exp(-math.pi / 4), abs=1e-8)
+    # closed form: rest packets a distance α apart overlap at e^{−α²/8σ²}
+    assert math.exp(-(alpha**2) / (8 * sigma**2)) == pytest.approx(
+        math.exp(-math.pi / 4), rel=1e-12
+    )
+
+
+def test_gabor_modulated_neighbor_overlap():
+    # packets at one centre whose momenta differ by β overlap at
+    # e^{−σ²β²/2} = e^{−π}: one modulation step is as far as four shifts
+    sigma = 0.9
+    beta = 2 * math.pi / (math.sqrt(2 * math.pi) * sigma)
+    grid = grid_covering(KernelSpec(sigma), [[0.0]], spacing=sigma / 12)
+    a = packet_wavefunction(GaussianPacket(0.0, 0.0, sigma, 1.0), grid)
+    b = packet_wavefunction(GaussianPacket(0.0, beta, sigma, 1.0), grid)
+    assert abs(inner_l2(a, b)) == pytest.approx(math.exp(-math.pi), abs=1e-12)
+
+
+def test_gabor_needs_covering_grid():
+    sigma = 0.5
+    alpha = math.sqrt(2 * math.pi) * sigma
+    grid = grid_covering(KernelSpec(sigma), [[0.0]], spacing=sigma / 12)
+    with pytest.raises(GridResolutionError):
+        packet_wavefunction(GaussianPacket(5 * alpha, 0.0, sigma, 1.0), grid)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ It runs every registry experiment at the sizes of
 read from the text of ``perfbench/tracing.py`` and ``perfbench/workloads.py``,
 or sit on ``ALLOWED`` with the reason it is kept.  An ``ALLOWED`` entry that
 now runs, or no longer exists, fails as well, so the list cannot go stale.
+The probe is itself checked on a copy of the library with unused functions,
+methods and properties planted in it.
 """
 
 import ast
@@ -16,6 +18,7 @@ import functools
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -70,7 +73,8 @@ ALLOWED = {
 }
 
 # Run in a fresh interpreter: argv[1] is the source directory, argv[2] the
-# JSON of SMALL_RUNS.  Prints {"defined": [...], "unreached": [...]}.
+# JSON of SMALL_RUNS, or null to import the library and run nothing.  Prints
+# {"defined": [...], "unreached": [...]}.
 _CHILD = r"""
 import contextlib, importlib, inspect, io, json, sys, tempfile
 from pathlib import Path
@@ -87,25 +91,26 @@ def profile(frame, event, arg):
 sys.setprofile(profile)
 from hilbertbridge import cli, experiments as ex
 
-with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-    sections = []
-    for name, entry in ex.REGISTRY.items():
-        trials, parameters = sizes.get(name, (None, {}))
-        cfg = ex.ExperimentConfig(name, parameters, seed=7 if entry.stochastic else None,
-                                  trials=trials, output_dir=out)
-        ex.run(cfg)
-        lines = [f"[{name}]", f"trials = {cfg.resolved_trials}",
-                 *([f"seed = {cfg.seed}"] if entry.stochastic else []),
-                 *(f"{key} = {value}" for key, value in parameters.items())]
-        sections.append("\n".join(lines))
-    good, bad = Path(out, "good.conf"), Path(out, "bad.conf")
-    good.write_text("\n\n".join(sections) + "\n")
-    bad.write_text("[diffusion]\nseed = 1\ntrials = 8\ndt = 0\n")
-    assert cli.main(["list"]) == 0
-    assert cli.main(["validate", str(good)]) == 0
-    assert cli.main(["validate", str(bad)]) == 1
-    assert cli.main(["spin-born", "--config", str(good), "--format", "json",
-                     "--output-dir", out]) in (0, 1)
+if sizes is not None:
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        sections = []
+        for name, entry in ex.REGISTRY.items():
+            trials, parameters = sizes.get(name, (None, {}))
+            cfg = ex.ExperimentConfig(name, parameters, seed=7 if entry.stochastic else None,
+                                      trials=trials, output_dir=out)
+            ex.run(cfg)
+            lines = [f"[{name}]", f"trials = {cfg.resolved_trials}",
+                     *([f"seed = {cfg.seed}"] if entry.stochastic else []),
+                     *(f"{key} = {value}" for key, value in parameters.items())]
+            sections.append("\n".join(lines))
+        good, bad = Path(out, "good.conf"), Path(out, "bad.conf")
+        good.write_text("\n\n".join(sections) + "\n")
+        bad.write_text("[diffusion]\nseed = 1\ntrials = 8\ndt = 0\n")
+        assert cli.main(["list"]) == 0
+        assert cli.main(["validate", str(good)]) == 0
+        assert cli.main(["validate", str(bad)]) == 1
+        assert cli.main(["spin-born", "--config", str(good), "--format", "json",
+                         "--output-dir", out]) in (0, 1)
 sys.setprofile(None)
 
 for path in sorted(src.glob("hilbertbridge/*.py")):
@@ -118,8 +123,8 @@ def functions(namespace, module, seen):
             value = value.__func__
         if isinstance(value, property):
             yield from (f for f in (value.fget, value.fset, value.fdel) if f is not None)
-        elif inspect.isfunction(value):
-            yield inspect.unwrap(value)
+        elif callable(value) and inspect.isfunction(inspect.unwrap(value)):
+            yield inspect.unwrap(value)  # functools.cache wrappers are no functions
         elif inspect.isclass(value) and value.__module__ == module and value not in seen:
             seen.add(value)
             yield from functions(value, module, seen)
@@ -184,14 +189,28 @@ def _is_lib(node) -> bool:
             and node.value.id == "lib")
 
 
-@pytest.fixture(scope="module")
-def reach():
-    env = {**os.environ, "HB_THREADS": "1", "PYTHONPATH": str(SRC)}
-    done = subprocess.run([sys.executable, "-c", _CHILD, str(SRC), json.dumps(SMALL_RUNS)],
+def _probe(src: Path, sizes) -> tuple[set[str], set[str]]:
+    """``(defined, unreached)`` of the library under ``src`` after the child's run."""
+    env = {**os.environ, "HB_THREADS": "1", "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(src), json.dumps(sizes)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     return set(out["defined"]), set(out["unreached"])
+
+
+def _unexplained(unreached, allowed=ALLOWED) -> list[str]:
+    return sorted(unreached - set(allowed) - _perfbench_names())
+
+
+def _stale(defined, unreached, allowed=ALLOWED) -> list[str]:
+    return sorted(k for k in allowed
+                  if k not in defined or k not in unreached or k in _perfbench_names())
+
+
+@pytest.fixture(scope="module")
+def reach():
+    return _probe(SRC, SMALL_RUNS)
 
 
 def test_perfbench_names_are_read_from_its_files():
@@ -203,12 +222,103 @@ def test_perfbench_names_are_read_from_its_files():
 
 def test_every_unreached_function_is_allowed(reach):
     _, unreached = reach
-    unexplained = sorted(unreached - set(ALLOWED) - _perfbench_names())
+    unexplained = _unexplained(unreached)
     assert not unexplained, f"nothing reaches {unexplained}: delete them or allow them"
 
 
 def test_every_allowed_function_exists_and_is_unreached(reach):
     defined, unreached = reach
-    stale = sorted(k for k in ALLOWED
-                   if k not in defined or k not in unreached or k in _perfbench_names())
+    stale = _stale(defined, unreached)
     assert not stale, f"allowed but gone, reached or a benchmark name: {stale}"
+
+
+# ---------------------------------------------------------------------------
+# the probe itself, on a copy of the library with code planted in stats_util
+
+_PLANTED = """
+
+import functools as _planted_functools
+
+
+def _planted_function():
+    pass
+
+
+@_planted_functools.cache
+def _planted_cached():
+    pass
+
+
+class _Planted:
+    def method(self):
+        pass
+
+    @staticmethod
+    def static():
+        pass
+
+    @classmethod
+    def klass(cls):
+        pass
+
+    @property
+    def prop(self):
+        pass
+
+    class Inner:
+        def method(self):
+            pass
+
+
+def _planted_at_import():
+    return 0
+
+
+_planted_at_import()
+"""
+
+PLANTED = {
+    "function": "_planted_function",
+    "cached": "_planted_cached",
+    "method": "_Planted.method",
+    "staticmethod": "_Planted.static",
+    "classmethod": "_Planted.klass",
+    "property": "_Planted.prop",
+    "nested-class-method": "_Planted.Inner.method",
+}
+
+
+@pytest.fixture(scope="module")
+def planted(tmp_path_factory):
+    """``(defined, unreached)`` of a planted copy that is imported and never run."""
+    src = tmp_path_factory.mktemp("planted") / "src"
+    shutil.copytree(SRC / "hilbertbridge", src / "hilbertbridge",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(src / "hilbertbridge" / "stats_util.py", "a") as module:
+        module.write(_PLANTED)
+    return _probe(src, None)
+
+
+@pytest.mark.parametrize("qualname", PLANTED.values(), ids=PLANTED)
+def test_planted_unused_code_fails_the_guard(planted, qualname):
+    defined, unreached = planted
+    key = f"stats_util.{qualname}"
+    assert key in defined
+    assert key in _unexplained(unreached)
+
+
+def test_calls_made_at_import_count_as_reached(planted):
+    defined, unreached = planted
+    assert "stats_util._planted_at_import" in defined
+    assert "stats_util._planted_at_import" not in unreached
+
+
+@pytest.mark.parametrize("key", [
+    "stats_util._no_such_function",
+    "stats_util._planted_at_import",
+    "spin_measurement.run_ensemble",
+], ids=["gone", "reached", "benchmark-name"])
+def test_stale_allowed_entry_fails_the_guard(planted, key):
+    defined, unreached = planted
+    allowed = {"stats_util._planted_function": "kept", key: "stale"}
+    assert _stale(defined, unreached, allowed) == [key]
